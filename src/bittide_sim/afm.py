@@ -8,11 +8,14 @@ resulting correction takes effect actuation_delay local ticks later.
 
 Measurement and actuation instants are defined by phase crossings, which on
 linear segments invert in closed form; no numeric root-finding is involved,
-so two runs of the same scenario produce identical event logs.
+so two runs of the same scenario produce identical event logs. The event
+loop only schedules and handles measurements and holds; trace rows are
+evaluated in bulk from the recorded phase histories after the loop ends.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -28,7 +31,7 @@ class InadmissibleControlError(RuntimeError):
 
 
 class HistoryGapError(LookupError):
-    """Phase queried at a time older than the recorded (or pruned) history."""
+    """Phase queried at a time older than the recorded history."""
 
 
 class TargetInPastError(ValueError):
@@ -94,14 +97,6 @@ class PhaseHistory:
         self.times.append(t)
         self.phases.append(phase)
         self.slopes.append(slope)
-
-    def prune(self, cutoff: float) -> None:
-        """Drop breakpoints older than the segment active at cutoff."""
-        k = bisect_right(self.times, cutoff) - 1
-        if k > 0:
-            del self.times[:k]
-            del self.phases[:k]
-            del self.slopes[:k]
 
 
 @dataclass(frozen=True)
@@ -245,11 +240,6 @@ def occupancy(hist_src: PhaseHistory, hist_dst: PhaseHistory, latency: float,
             + frame_offset)
 
 
-def next_phase_crossing(hist: PhaseHistory, target_phase: float) -> float:
-    """Time at which a history reaches a phase target (closed-form inversion)."""
-    return hist.next_crossing(target_phase)
-
-
 def pi_controller_step(state: DiscreteControllerState, r: float,
                        scenario: AfmScenario) -> float:
     """One sampled PI update in the local-tick domain.
@@ -272,16 +262,25 @@ def pi_controller_step(state: DiscreteControllerState, r: float,
 
 
 _MEASURE, _HOLD = 0, 1
-_PRUNE_TRIGGER = 4096
+_BOUND_KINDS = ("overflow", "underflow")
 
 
 def simulate_afm(scenario: AfmScenario, keep_histories: bool = False) -> AfmTrace:
     """Run the frame-exact model to t_end.
 
     Events (measurements and correction holds) are processed in global time
-    order; ties break by node index, measurements before holds. The trace is
-    sampled on the uniform output grid and at each event instant. Buffer
-    bound violations are logged and the run continues.
+    order; ties break by node index, measurements before holds. The event
+    loop records each node's full phase history and the sample instants: the
+    uniform output grid plus each event instant. Trace rows are evaluated from
+    the recorded histories after the loop, with the same floating-point
+    operations as PhaseHistory.phase_at/slope_at and occupancy(), so they
+    equal the scalar lookups bit for bit.
+
+    Buffer bound violations are logged and the run continues. The first
+    overflow and the first underflow of each link are logged once each, at the
+    earlier of two places: just before the measurement that saw it, or, for a
+    hit in a sample row at time T, after every event at or before T. Hits at
+    the same place are in ascending link order.
     """
     g = scenario.graph
     n = g.n
@@ -301,58 +300,40 @@ def simulate_afm(scenario: AfmScenario, keep_histories: bool = False) -> AfmTrac
     ctrl = [DiscreteControllerState(node=i) for i in range(n)]
     p = scenario.meas_period
     d = scenario.actuation_delay
-    max_latency = max(scenario.latency, default=0.0)
-    horizon = max_latency + 2.0 * d / scenario.omega_min + p / scenario.omega_min
+    t_end = scenario.t_end
+    cap = scenario.buffer_capacity
 
-    # next-event candidates per node: (measurement time, hold time or inf)
-    meas_time = [hists[i].next_crossing(scenario.initial_phase[i]) for i in range(n)]
-    hold_time = [math.inf] * n
+    # heap of (time, node, kind, seq); live[kind][node] is the seq of that
+    # candidate's current entry, so an entry whose candidate was rescheduled
+    # is stale and dropped when it reaches the top
+    heap: list = []
+    live = ([-1] * n, [-1] * n)
+    seq = 0
+
+    def schedule(i: int, kind: int, t: float) -> None:
+        nonlocal seq
+        seq += 1
+        live[kind][i] = seq
+        if t <= t_end:
+            heapq.heappush(heap, (t, i, kind, seq))
+
+    def drop_stale() -> None:
+        while heap and live[heap[0][2]][heap[0][1]] != heap[0][3]:
+            heapq.heappop(heap)
+
+    for i in range(n):
+        schedule(i, _MEASURE, hists[i].next_crossing(scenario.initial_phase[i]))
 
     sample_times: list[float] = []
-    sample_freq: list[list[float]] = []
-    sample_beta: list[list[int]] = []
-    sample_phase: list[list[float]] = []
+    sample_at: list[int] = []  # len(events) when each sample was taken
     events: list[AfmEvent] = []
-    # first overflow and first underflow are each recorded once per link
-    overflow_flagged = [False] * len(links)
-    underflow_flagged = [False] * len(links)
+    # first overflow / underflow seen by a measurement: link -> index in events
+    meas_hit: tuple[dict, dict] = ({}, {})
 
-    def link_occupancy(q: int, t: float) -> int:
-        src, dst = links[q]
-        return occupancy(hists[src], hists[dst], scenario.latency[q], offsets[q], t)
-
-    def check_bounds(q: int, t: float, beta: int) -> None:
-        if beta > scenario.buffer_capacity and not overflow_flagged[q]:
-            overflow_flagged[q] = True
-            events.append(AfmEvent(t, links[q][1], "overflow", q, float(beta)))
-        elif beta < 0 and not underflow_flagged[q]:
-            underflow_flagged[q] = True
-            events.append(AfmEvent(t, links[q][1], "underflow", q, float(beta)))
-
-    def emit_sample(t: float) -> None:
-        if sample_times and sample_times[-1] == t:
-            return
-        betas = []
-        for q in range(len(links)):
-            b = link_occupancy(q, t)
-            check_bounds(q, t, b)
-            betas.append(b)
-        sample_times.append(t)
-        sample_freq.append([hists[i].slope_at(t) for i in range(n)])
-        sample_beta.append(betas)
-        sample_phase.append([hists[i].phase_at(t) for i in range(n)])
-
-    def next_event():
-        """Earliest candidate as (time, node, kind), or None past t_end."""
-        best = None
-        for i in range(n):
-            for kind, t in ((_MEASURE, meas_time[i]), (_HOLD, hold_time[i])):
-                if t > scenario.t_end:
-                    continue
-                key = (t, i, kind)
-                if best is None or key < best:
-                    best = key
-        return best
+    def add_sample(t: float) -> None:
+        if not sample_times or sample_times[-1] != t:
+            sample_times.append(t)
+            sample_at.append(len(events))
 
     grid_idx = 0
 
@@ -360,20 +341,25 @@ def simulate_afm(scenario: AfmScenario, keep_histories: bool = False) -> AfmTrac
         return j * scenario.output_dt
 
     while True:
-        evt = next_event()
-        if evt is None:
+        drop_stale()
+        if not heap:
             break
-        t_evt, i, kind = evt
-        while grid_time(grid_idx) < t_evt and grid_time(grid_idx) <= scenario.t_end:
-            emit_sample(grid_time(grid_idx))
+        t_evt, i, kind, _ = heapq.heappop(heap)
+        live[kind][i] = -1
+        while grid_time(grid_idx) < t_evt and grid_time(grid_idx) <= t_end:
+            add_sample(grid_time(grid_idx))
             grid_idx += 1
 
         if kind == _MEASURE:
             k = ctrl[i].next_k
             r = 0
             for q in in_links[i]:
-                b = link_occupancy(q, t_evt)
-                check_bounds(q, t_evt, b)
+                src, dst = links[q]
+                b = occupancy(hists[src], hists[dst], scenario.latency[q], offsets[q], t_evt)
+                hit = 0 if b > cap else 1 if b < 0 else -1
+                if hit >= 0 and q not in meas_hit[hit]:
+                    meas_hit[hit][q] = len(events)
+                    events.append(AfmEvent(t_evt, i, _BOUND_KINDS[hit], q, float(b)))
                 r += b - scenario.initial_occupancy[q]
             try:
                 c = pi_controller_step(ctrl[i], float(r), scenario)
@@ -384,51 +370,108 @@ def simulate_afm(scenario: AfmScenario, keep_histories: bool = False) -> AfmTrac
             ctrl[i].pending.append((k, c))
             ctrl[i].next_k = k + 1
             events.append(AfmEvent(t_evt, i, "measure", k, float(r)))
-            meas_time[i] = hists[i].next_crossing(
+            schedule(i, _MEASURE, hists[i].next_crossing(
                 scenario.initial_phase[i] + ctrl[i].next_k * p
-            )
+            ))
             if len(ctrl[i].pending) == 1:
-                hold_time[i] = hists[i].next_crossing(
+                schedule(i, _HOLD, hists[i].next_crossing(
                     scenario.initial_phase[i] + k * p + d
-                )
+                ))
         else:
             k, c = ctrl[i].pending.pop(0)
             target = scenario.initial_phase[i] + k * p + d
             hists[i].append_breakpoint(t_evt, target, c + scenario.uncorrected_freq[i])
             events.append(AfmEvent(t_evt, i, "hold", k, float(c)))
             # the slope changed: recompute this node's crossings
-            meas_time[i] = hists[i].next_crossing(
+            schedule(i, _MEASURE, hists[i].next_crossing(
                 scenario.initial_phase[i] + ctrl[i].next_k * p
-            )
+            ))
             if ctrl[i].pending:
-                hold_time[i] = hists[i].next_crossing(
+                schedule(i, _HOLD, hists[i].next_crossing(
                     scenario.initial_phase[i] + ctrl[i].pending[0][0] * p + d
-                )
-            else:
-                hold_time[i] = math.inf
+                ))
 
-        peek = next_event()
-        if peek is None or peek[0] > t_evt:
+        drop_stale()
+        if not heap or heap[0][0] > t_evt:
             if grid_time(grid_idx) == t_evt:
                 grid_idx += 1
-            emit_sample(t_evt)
+            add_sample(t_evt)
 
-        if not keep_histories and len(hists[i].times) > _PRUNE_TRIGGER:
-            cutoff = min(t_evt, grid_time(grid_idx)) - horizon
-            hists[i].prune(cutoff)
-
-    while grid_time(grid_idx) <= scenario.t_end:
-        emit_sample(grid_time(grid_idx))
+    while grid_time(grid_idx) <= t_end:
+        add_sample(grid_time(grid_idx))
         grid_idx += 1
-    emit_sample(scenario.t_end)
+    add_sample(t_end)
+
+    times = np.array(sample_times)
+    segments = [(np.array(h.times), np.array(h.phases), np.array(h.slopes)) for h in hists]
+    freq = np.empty((times.shape[0], n))
+    phase = np.empty_like(freq)
+    for i, seg in enumerate(segments):
+        freq[:, i], phase[:, i] = _phase_rows(seg, times)
+    occ = np.empty((times.shape[0], len(links)), dtype=np.int64)
+    floor_phase = np.floor(phase)
+    for q, (src, dst) in enumerate(links):
+        _, src_phase = _phase_rows(segments[src], times - scenario.latency[q])
+        occ[:, q] = np.floor(src_phase) - floor_phase[:, dst] + offsets[q]
 
     return AfmTrace(
-        times=np.array(sample_times),
-        freq=np.array(sample_freq),
-        occupancy=np.array(sample_beta, dtype=np.int64),
-        phase=np.array(sample_phase),
-        events=tuple(events),
+        times=times,
+        freq=freq,
+        occupancy=occ,
+        phase=phase,
+        events=_merge_sample_hits(events, meas_hit, occ, cap, times, sample_at, links),
         frame_offsets=offsets,
         scenario=scenario,
         histories=tuple(hists) if keep_histories else (),
     )
+
+
+def _phase_rows(segments: tuple, t: np.ndarray) -> tuple:
+    """(slope, phase) of one history's (times, phases, slopes) arrays at each of t.
+
+    The segment search matches bisect_right and the arithmetic matches
+    PhaseHistory.phase_at term for term, so every value equals the scalar
+    lookup bit for bit.
+    """
+    bt, bp, bs = segments
+    k = np.searchsorted(bt, t, side="right") - 1
+    if t.shape[0] and k.min() < 0:
+        raise HistoryGapError(f"time {t.min()} precedes recorded history (starts at {bt[0]})")
+    s = bs[k]
+    return s, bp[k] + s * (t - bt[k])
+
+
+def _merge_sample_hits(events: list, meas_hit: tuple, occ: np.ndarray, cap: int,
+                       times: np.ndarray, sample_at: list, links: list) -> tuple:
+    """Insert the bound hits found in sample rows into the event log.
+
+    A link's first hit of each kind is kept at whichever comes first: the
+    measurement that saw it (already in events) or the first sample row that
+    shows it, placed where that row was taken. The later of the two is dropped.
+    """
+    dropped = set()
+    found = []  # (position in events, row, link, event)
+    for kind, mask in enumerate((occ > cap, occ < 0)):
+        first_rows = mask.argmax(axis=0)
+        for q in np.flatnonzero(mask.any(axis=0)).tolist():
+            row = int(first_rows[q])
+            at = meas_hit[kind].get(q)
+            if at is not None and at < sample_at[row]:
+                continue
+            if at is not None:
+                dropped.add(at)
+            found.append((sample_at[row], row, q, AfmEvent(
+                float(times[row]), links[q][1], _BOUND_KINDS[kind], q, float(occ[row, q]))))
+    if not found:
+        return tuple(events)
+    found.sort(key=lambda f: f[:3])
+    merged = []
+    j = 0
+    for idx, ev in enumerate(events):
+        while j < len(found) and found[j][0] <= idx:
+            merged.append(found[j][3])
+            j += 1
+        if idx not in dropped:
+            merged.append(ev)
+    merged.extend(f[3] for f in found[j:])
+    return tuple(merged)

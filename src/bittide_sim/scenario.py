@@ -11,6 +11,8 @@ consume them; event logs go to a companion table.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,19 +71,43 @@ def _section(doc: dict, name: str, required: bool = True) -> dict:
     return sec
 
 
+def _number(value, field: str) -> float:
+    """A finite JSON number; null, bools, strings, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(field, f"expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(field, f"expected a finite number, got {value!r}")
+    return x
+
+
+def _count(value, field: str) -> int:
+    """A whole number, written as an integer or an integral float such as 3.0."""
+    x = _number(value, field)
+    if x != math.floor(x):
+        raise ValidationError(field, f"expected a whole number, got {value!r}")
+    return int(x)
+
+
 def _build_graph(spec: dict) -> OrientedGraph:
     try:
         if "generator" in spec:
             kind = spec["generator"]
             if kind == "complete":
-                return complete(int(spec["n"]))
+                return complete(_count(spec["n"], "graph.n"))
             if kind == "path":
-                return path(int(spec["n"]))
+                return path(_count(spec["n"], "graph.n"))
             if kind == "mesh":
-                return mesh(int(spec["rows"]), int(spec["cols"]))
+                return mesh(_count(spec["rows"], "graph.rows"),
+                            _count(spec["cols"], "graph.cols"))
             raise ValidationError("graph.generator", f"unknown generator {kind!r}")
         if "edges" in spec:
-            return OrientedGraph(int(spec["n"]), tuple(tuple(e) for e in spec["edges"]))
+            edges = tuple(tuple(_count(v, f"graph.edges[{k}]") for v in e)
+                          for k, e in enumerate(spec["edges"]))
+            return OrientedGraph(_count(spec["n"], "graph.n"), edges)
     except KeyError as exc:
         raise MissingFieldError(f"graph.{exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
@@ -89,38 +115,33 @@ def _build_graph(spec: dict) -> OrientedGraph:
     raise ValidationError("graph", "need either a generator spec or an edge list")
 
 
-def _per_node(value, n: int, field: str) -> tuple:
-    if isinstance(value, (int, float)):
-        return (float(value),) * n
-    seq = tuple(float(v) for v in value)
-    if len(seq) != n:
-        raise ValidationError(field, f"expected {n} entries, got {len(seq)}")
-    return seq
-
-
-def _per_link(value, n_links: int, field: str, cast=float) -> tuple:
-    if isinstance(value, (int, float)):
-        return (cast(value),) * n_links
-    seq = tuple(cast(v) for v in value)
-    if len(seq) != n_links:
-        raise ValidationError(field, f"expected {n_links} entries, got {len(seq)}")
-    return seq
+def _per_entry(value, count: int, field: str, convert=_number) -> tuple:
+    """One scalar for every entry, or a list of exactly count entries."""
+    if not isinstance(value, (list, tuple)):
+        return (convert(value, field),) * count
+    if len(value) != count:
+        raise ValidationError(field, f"expected {count} entries, got {len(value)}")
+    return tuple(convert(v, f"{field}[{k}]") for k, v in enumerate(value))
 
 
 def _build_frequencies(spec: dict, n: int) -> tuple:
     if "omega_u" in spec:
-        return _per_node(spec["omega_u"], n, "frequencies.omega_u")
+        return _per_entry(spec["omega_u"], n, "frequencies.omega_u")
     if "two_node" in spec:
         tn = spec["two_node"]
+        if not isinstance(tn, dict):
+            raise ValidationError("frequencies.two_node",
+                                  f"expected a mapping, got {type(tn).__name__}")
         for key in ("i", "j", "alpha"):
             if key not in tn:
                 raise MissingFieldError(f"frequencies.two_node.{key}")
-        i, j = int(tn["i"]), int(tn["j"])
+        i = _count(tn["i"], "frequencies.two_node.i")
+        j = _count(tn["j"], "frequencies.two_node.j")
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValidationError("frequencies.two_node",
                                   f"need two distinct node indices in [0,{n}), got ({i},{j})")
-        base = float(tn.get("base", 1.0))
-        alpha = float(tn["alpha"])
+        base = _number(tn.get("base", 1.0), "frequencies.two_node.base")
+        alpha = _number(tn["alpha"], "frequencies.two_node.alpha")
         freqs = [base] * n
         freqs[i] += alpha
         freqs[j] -= alpha
@@ -142,9 +163,9 @@ def load_scenario_dict(doc: dict):
             raise MissingFieldError(f"controller.{key}")
     try:
         gains = Gains(
-            k_p=float(ctrl["k_p"]),
-            k_i=float(ctrl["k_i"]),
-            omega_c=float(ctrl.get("omega_c", 1.0)),
+            k_p=_number(ctrl["k_p"], "controller.k_p"),
+            k_i=_number(ctrl["k_i"], "controller.k_i"),
+            omega_c=_number(ctrl.get("omega_c", 1.0), "controller.omega_c"),
         )
     except ValueError as exc:
         raise ValidationError("controller", str(exc)) from exc
@@ -152,36 +173,37 @@ def load_scenario_dict(doc: dict):
     afm = _section(doc, "afm", required=False)
     run = _section(doc, "run", required=False)
 
-    omega_min = float(afm.get("omega_min", _DEFAULTS["afm.omega_min"]))
-    d = float(afm.get("d", _DEFAULTS["afm.d"]))
-    latency = _per_link(afm.get("latency", _DEFAULTS["afm.latency"]),
-                        n_links, "afm.latency")
-    beta_max = int(afm.get("beta_max", _DEFAULTS["afm.beta_max"]))
-    beta0 = _per_link(afm.get("beta0", beta_max // 2), n_links, "afm.beta0", cast=int)
+    omega_min = _number(afm.get("omega_min", _DEFAULTS["afm.omega_min"]), "afm.omega_min")
+    d = _number(afm.get("d", _DEFAULTS["afm.d"]), "afm.d")
+    latency = _per_entry(afm.get("latency", _DEFAULTS["afm.latency"]),
+                         n_links, "afm.latency")
+    beta_max = _count(afm.get("beta_max", _DEFAULTS["afm.beta_max"]), "afm.beta_max")
+    beta0 = _per_entry(afm.get("beta0", beta_max // 2), n_links, "afm.beta0", _count)
     delay_s = d / omega_min if omega_min > 0 else 0.0
     epoch_default = -(max(latency, default=0.0) + delay_s) - 1.0
-    t_end = float(run.get("t_end", _DEFAULTS["run.t_end"]))
-    output_dt = float(run.get("output_dt", t_end / 400.0))
+    t_end = _number(run.get("t_end", _DEFAULTS["run.t_end"]), "run.t_end")
+    output_dt = _number(run.get("output_dt", t_end / 400.0), "run.output_dt")
 
     try:
         scenario = AfmScenario(
             graph=graph,
             uncorrected_freq=omega_u,
-            initial_phase=_per_node(afm.get("theta0", _DEFAULTS["afm.theta0"]),
-                                    n, "afm.theta0"),
-            startup_freq=_per_node(afm.get("omega_m1", list(omega_u)), n, "afm.omega_m1"),
-            prehistory_freq=_per_node(afm.get("omega_m2", list(omega_u)), n, "afm.omega_m2"),
+            initial_phase=_per_entry(afm.get("theta0", _DEFAULTS["afm.theta0"]),
+                                     n, "afm.theta0"),
+            startup_freq=_per_entry(afm.get("omega_m1", list(omega_u)), n, "afm.omega_m1"),
+            prehistory_freq=_per_entry(afm.get("omega_m2", list(omega_u)), n, "afm.omega_m2"),
             initial_occupancy=beta0,
             buffer_capacity=beta_max,
             latency=latency,
-            meas_period=float(afm.get("p", _DEFAULTS["afm.p"])),
+            meas_period=_number(afm.get("p", _DEFAULTS["afm.p"]), "afm.p"),
             actuation_delay=d,
             gains=gains,
             omega_min=omega_min,
-            omega_max=float(afm.get("omega_max", _DEFAULTS["afm.omega_max"])),
+            omega_max=_number(afm.get("omega_max", _DEFAULTS["afm.omega_max"]),
+                              "afm.omega_max"),
             t_end=t_end,
             output_dt=output_dt,
-            epoch=float(afm.get("epoch", epoch_default)),
+            epoch=_number(afm.get("epoch", epoch_default), "afm.epoch"),
         )
     except ValueError as exc:
         raise ValidationError("afm", str(exc)) from exc
@@ -297,6 +319,11 @@ def events_path_for(path_like) -> Path:
     return p.with_name(p.stem + "_events" + (p.suffix or ".csv"))
 
 
+# rows formatted per write: large enough to amortise the call, small enough
+# that the formatted text stays a small fraction of the trace in memory
+_WRITE_BLOCK_ROWS = 1024
+
+
 def write_trace(trace, path_like) -> None:
     """Write a trace as a delimited text table; events go to a companion file.
 
@@ -307,10 +334,10 @@ def write_trace(trace, path_like) -> None:
     p = Path(path_like)
     with p.open("w") as fh:
         fh.write(",".join(("t",) + table.columns) + "\n")
-        for k in range(table.times.shape[0]):
-            row = [repr(float(table.times[k]))]
-            row.extend(repr(float(v)) for v in table.values[k])
-            fh.write(",".join(row) + "\n")
+        for k in range(0, table.times.shape[0], _WRITE_BLOCK_ROWS):
+            block = np.column_stack([table.times[k:k + _WRITE_BLOCK_ROWS],
+                                     table.values[k:k + _WRITE_BLOCK_ROWS]])
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
     if isinstance(trace, AfmTrace) and trace.events:
         with events_path_for(p).open("w") as fh:
             fh.write("time,node,kind,value\n")
@@ -327,17 +354,19 @@ def read_trace(path_like) -> TraceTable:
         cols = header.split(",")
         if cols[0] != "t":
             raise ValueError(f"{p}: first column must be t, got {cols[0]!r}")
-        times = []
-        rows = []
-        for line in fh:
-            line = line.strip()
+        # skip blank lines up to the first row: np.loadtxt warns on a body without data
+        while True:
+            body = fh.tell()
+            line = fh.readline()
             if not line:
-                continue
-            parts = line.split(",")
-            times.append(float(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    values = np.array(rows) if rows else np.zeros((0, len(cols) - 1))
-    return TraceTable(tuple(cols[1:]), np.array(times), values)
+                return TraceTable(tuple(cols[1:]), np.zeros(0), np.zeros((0, len(cols) - 1)))
+            if line.strip():
+                break
+        fh.seek(body)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(cols):
+        raise ValueError(f"{p}: rows have {data.shape[1]} columns, header has {len(cols)}")
+    return TraceTable(tuple(cols[1:]), data[:, 0], data[:, 1:])
 
 
 # ---------------------------------------------------------------------------

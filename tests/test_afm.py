@@ -7,11 +7,11 @@ import pytest
 
 from bittide_sim.afm import (AfmScenario, DiscreteControllerState, HistoryGapError,
                              InadmissibleControlError, PhaseHistory, TargetInPastError,
-                             frame_offsets, next_phase_crossing, occupancy,
-                             pi_controller_step, simulate_afm)
+                             frame_offsets, occupancy, pi_controller_step,
+                             simulate_afm)
 from bittide_sim.graph import OrientedGraph, complete, path
 from bittide_sim.ode import Gains
-from helpers import make_scenario
+from helpers import make_scenario, random_connected_graph
 
 GAINS = Gains(k_p=3e-5, k_i=2e-9, omega_c=1.0)
 
@@ -33,26 +33,28 @@ class TestPhaseHistory:
         with pytest.raises(HistoryGapError):
             h.phase_at(-1.5)
 
-    def test_prune_keeps_active_segment(self):
+    def test_lookups_reach_every_segment(self):
         h = PhaseHistory.initial(0.5, 1.0, 1.0, -5.0)
         h.append_breakpoint(1.0, 1.5, 2.0)
         h.append_breakpoint(2.0, 3.5, 1.0)
-        h.prune(1.5)
-        assert h.times[0] == 1.0
+        assert h.times == [-5.0, 0.0, 1.0, 2.0]
+        assert h.phase_at(-4.5) == pytest.approx(-4.0)
+        assert h.phase_at(0.5) == pytest.approx(1.0)
         assert h.phase_at(1.5) == pytest.approx(2.5)
+        assert h.phase_at(3.0) == pytest.approx(4.5)
         with pytest.raises(HistoryGapError):
-            h.phase_at(0.5)
+            h.phase_at(-5.5)
 
 
 class TestNextPhaseCrossing:
     def test_single_segment(self):
         h = PhaseHistory([0.0], [0.1], [1.0])
-        assert next_phase_crossing(h, 5.1) == pytest.approx(5.0)
+        assert h.next_crossing(5.1) == pytest.approx(5.0)
 
     def test_crosses_breakpoint(self):
         # slope 1 until t=1 (phase 1.1), then slope 2: target 3.1 is 2 ticks later
         h = PhaseHistory([0.0, 1.0], [0.1, 1.1], [1.0, 2.0])
-        assert next_phase_crossing(h, 3.1) == pytest.approx(2.0)
+        assert h.next_crossing(3.1) == pytest.approx(2.0)
 
     def test_inversion_identity(self):
         h = PhaseHistory([0.0, 1.0, 3.0], [0.1, 1.35, 3.0], [1.25, 0.825, 1.1])
@@ -273,15 +275,18 @@ class TestSimulateAfm:
         holds = sum(1 for ev in trace.events if ev.kind == "hold")
         assert meas > holds  # the last few corrections are still in flight
 
-    def test_pruning_does_not_change_results(self):
+    def test_long_history_results_independent_of_keep_histories(self):
         scn = make_scenario(path(2), (1.00002, 0.99998), GAINS,
                             latency=5.0, p=10.0, d=3.0,
                             t_end=60000.0, output_dt=5000.0)
-        pruned = simulate_afm(scn)  # > 4096 breakpoints per node triggers pruning
+        plain = simulate_afm(scn)
         kept = simulate_afm(scn, keep_histories=True)
-        assert pruned.events == kept.events
-        assert np.array_equal(pruned.occupancy, kept.occupancy)
-        assert np.array_equal(pruned.freq, kept.freq)
+        # about 6000 holds per node: rows are looked up in long histories
+        assert min(len(h.times) for h in kept.histories) > 4096
+        assert plain.events == kept.events
+        assert np.array_equal(plain.occupancy, kept.occupancy)
+        assert np.array_equal(plain.freq, kept.freq)
+        assert np.array_equal(plain.phase, kept.phase)
 
     def test_converges_toward_average(self):
         wu = (1.00005, 1.0, 0.99995)
@@ -291,3 +296,71 @@ class TestSimulateAfm:
         avg = np.mean(wu)
         assert np.abs(trace.freq[-1] - avg).max() <= 1e-4 * avg
         assert np.abs(trace.occupancy[-1] - 64).max() <= 2
+
+
+def bound_log_oracle(trace, scn):
+    """The event log with bound hits placed by the rule, from the scalar lookups.
+
+    Replays measure/hold events and sample rows in log order: a row at time T
+    comes after every event at or before T. A measurement checks its node's
+    incoming links just before its own entry; a row checks every link. Each
+    link logs its first overflow and first underflow once, in ascending link
+    order at each place.
+    """
+    links = scn.graph.directed_links()
+    flagged = set()
+    out = []
+
+    def check(qs, t):
+        for q in qs:
+            src, dst = links[q]
+            b = occupancy(trace.histories[src], trace.histories[dst], scn.latency[q],
+                          trace.frame_offsets[q], t)
+            kind = "overflow" if b > scn.buffer_capacity else "underflow" if b < 0 else None
+            if kind and (q, kind) not in flagged:
+                flagged.add((q, kind))
+                out.append((t, dst, kind, q, float(b)))
+
+    loop = [ev for ev in trace.events if ev.kind in ("measure", "hold")]
+    rows = list(trace.times)
+    j = 0
+    for ev in loop:
+        while j < len(rows) and rows[j] < ev.time:
+            check(range(len(links)), rows[j])
+            j += 1
+        if ev.kind == "measure":
+            check([q for q, (_, dst) in enumerate(links) if dst == ev.node], ev.time)
+        out.append((ev.time, ev.node, ev.kind, ev.k, ev.value))
+    for t in rows[j:]:
+        check(range(len(links)), t)
+    return out
+
+
+class TestRowOracle:
+    """Bulk trace rows against the scalar lookups on the returned histories."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_and_bound_events_match_scalar_lookups(self, seed):
+        rng = np.random.RandomState(seed)
+        n = rng.randint(2, 7)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n + 1))
+        theta0 = tuple(float(t) for t in rng.uniform(0.05, 3.95, n))
+        # rates 4% apart and weak gains: some buffer must reach a bound
+        omega_u = 1.0 + rng.permutation(np.linspace(-0.02, 0.02, n))
+        scn = make_scenario(
+            g, omega_u, Gains(k_p=1e-6, k_i=1e-9, omega_c=1.0),
+            latency=tuple(rng.uniform(0.0, 30.0, 2 * g.m)), p=10.0, d=float(rng.choice([0, 25])),
+            theta0=theta0, beta_max=int(rng.choice([4, 8, 16])),
+            t_end=float(rng.uniform(1000.0, 2000.0)), output_dt=7.0)
+        trace = simulate_afm(scn, keep_histories=True)
+        hists = trace.histories
+        links = scn.graph.directed_links()
+        for row, t in enumerate(trace.times.tolist()):
+            assert trace.freq[row].tolist() == [h.slope_at(t) for h in hists]
+            assert trace.phase[row].tolist() == [h.phase_at(t) for h in hists]
+            assert trace.occupancy[row].tolist() == [
+                occupancy(hists[src], hists[dst], scn.latency[q], trace.frame_offsets[q], t)
+                for q, (src, dst) in enumerate(links)]
+        logged = [(ev.time, ev.node, ev.kind, ev.k, ev.value) for ev in trace.events]
+        assert logged == bound_log_oracle(trace, scn)
+        assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)

@@ -60,6 +60,20 @@ class TestSimulate:
         assert rc == 1
         assert "initial_phase" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, field", [
+        ("frequencies.omega_u=NaN", "frequencies.omega_u"),
+        ("run.t_end=abc", "run.t_end"),
+        ("controller.k_p=null", "controller.k_p"),
+        ("graph.n=3.5", "graph.n"),
+        ('frequencies={"two_node": 5}', "frequencies.two_node"),
+    ])
+    def test_malformed_value_names_field(self, tmp_path, capsys, override, field):
+        scn = small_triangle(tmp_path)
+        rc = main(["simulate", "--model", "afm", "--scenario", str(scn),
+                   "--out", str(tmp_path / "out"), "--set", override])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
     def test_overflow_exit_code(self, tmp_path, capsys):
         doc = {
             "graph": {"generator": "path", "n": 2},

@@ -171,6 +171,17 @@ class TestTraceRoundTrip:
         assert back.times.shape == (0,)
 
 
+    def test_single_row_and_ragged_body(self, tmp_path):
+        dest = tmp_path / "one.csv"
+        dest.write_text("t,omega_0\n0.5,1.25\n")
+        back = read_trace(dest)
+        assert back.times.tolist() == [0.5]
+        assert back.values.tolist() == [[1.25]]
+        dest.write_text("t,omega_0\n0.5,1.25,3.0\n")
+        with pytest.raises(ValueError, match="columns"):
+            read_trace(dest)
+
+
 class TestCompareTraces:
     def _run_pair(self, graph, omega_u, gains, t_end=20000.0, flip=False):
         edges = tuple((v, u) if flip else (u, v) for u, v in graph.edges)
