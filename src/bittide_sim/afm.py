@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import OrientedGraph
-from .ode import Gains
+from .ode import Gains, ParameterError
 
 
 class InadmissibleControlError(RuntimeError):
@@ -136,40 +136,45 @@ class AfmScenario:
         ):
             got = len(getattr(self, name))
             if got != want:
-                raise ValueError(f"{name}: expected {want} entries, got {got}")
+                raise ParameterError(name, f"{name}: expected {want} entries, got {got}")
         if self.omega_min <= 0:
-            raise ValueError(f"omega_min must be > 0, got {self.omega_min}")
+            raise ParameterError("omega_min", f"omega_min must be > 0, got {self.omega_min}")
         if self.omega_max <= self.omega_min:
-            raise ValueError("omega_max must exceed omega_min")
+            raise ParameterError("omega_max", "omega_max must exceed omega_min")
         for i, th in enumerate(self.initial_phase):
             if th <= 0 or th == math.floor(th):
-                raise ValueError(
-                    f"initial_phase[{i}] must be positive and non-integer, got {th}"
-                )
+                raise ParameterError(
+                    "initial_phase",
+                    f"initial_phase[{i}] must be positive and non-integer, got {th}")
         for name in ("startup_freq", "prehistory_freq"):
             for i, w in enumerate(getattr(self, name)):
                 if w <= self.omega_min:
-                    raise ValueError(f"{name}[{i}]={w} must exceed omega_min={self.omega_min}")
+                    raise ParameterError(
+                        name, f"{name}[{i}]={w} must exceed omega_min={self.omega_min}")
         if self.buffer_capacity <= 0 or self.buffer_capacity % 2 != 0:
-            raise ValueError(f"buffer_capacity must be a positive even integer, got "
-                             f"{self.buffer_capacity}")
+            raise ParameterError("buffer_capacity", f"buffer_capacity must be a positive "
+                                 f"even integer, got {self.buffer_capacity}")
         for q, b0 in enumerate(self.initial_occupancy):
             if not (0 <= b0 <= self.buffer_capacity):
-                raise ValueError(f"initial_occupancy[{q}]={b0} outside "
-                                 f"[0, {self.buffer_capacity}]")
+                raise ParameterError("initial_occupancy", f"initial_occupancy[{q}]={b0} "
+                                     f"outside [0, {self.buffer_capacity}]")
         for q, l in enumerate(self.latency):
             if l < 0:
-                raise ValueError(f"latency[{q}] must be >= 0, got {l}")
+                raise ParameterError("latency", f"latency[{q}] must be >= 0, got {l}")
         if self.meas_period <= 0:
-            raise ValueError(f"meas_period must be > 0, got {self.meas_period}")
+            raise ParameterError("meas_period",
+                                 f"meas_period must be > 0, got {self.meas_period}")
         if self.actuation_delay < 0:
-            raise ValueError(f"actuation_delay must be >= 0, got {self.actuation_delay}")
-        if self.t_end <= 0 or self.output_dt <= 0:
-            raise ValueError("t_end and output_dt must be > 0")
+            raise ParameterError("actuation_delay",
+                                 f"actuation_delay must be >= 0, got {self.actuation_delay}")
+        if self.t_end <= 0:
+            raise ParameterError("t_end", f"t_end must be > 0, got {self.t_end}")
+        if self.output_dt <= 0:
+            raise ParameterError("output_dt", f"output_dt must be > 0, got {self.output_dt}")
         bound = -(max(self.latency, default=0.0) + self.actuation_delay / self.omega_min)
         if self.epoch >= 0 or self.epoch > bound:
-            raise ValueError(
-                f"epoch={self.epoch} violates epoch <= "
+            raise ParameterError(
+                "epoch", f"epoch={self.epoch} violates epoch <= "
                 f"-(max latency + actuation_delay/omega_min) = {bound}"
             )
 

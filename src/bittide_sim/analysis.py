@@ -43,12 +43,15 @@ class HurwitzResult:
 def hurwitz_check(a_hat: np.ndarray, tol: float | None = None) -> HurwitzResult:
     """Stability via the eigenvalue abscissa of the reduced system matrix.
 
-    Hurwitz iff the maximum real part stays below -tol, with tol defaulting
-    to 1e-10 * |a_hat|_F to absorb rounding on the imaginary axis.
+    Hurwitz iff the maximum real part stays below -tol. tol defaults to
+    10 * dim * eps * |a_hat|_F, a small multiple of the eigensolver's
+    backward error, so that only rounding on the imaginary axis is absorbed;
+    slow but stable modes, such as k_p * lambda_2 / 2 on a large mesh, stay
+    Hurwitz.
     """
     a_hat = np.asarray(a_hat, dtype=float)
     if tol is None:
-        tol = 1e-10 * float(np.linalg.norm(a_hat))
+        tol = 10.0 * a_hat.shape[0] * np.finfo(float).eps * float(np.linalg.norm(a_hat))
     try:
         eigs = np.linalg.eigvals(a_hat)
     except np.linalg.LinAlgError:

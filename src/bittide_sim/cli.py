@@ -19,7 +19,7 @@ from .afm import InadmissibleControlError, simulate_afm
 from .analysis import (build_lyapunov_certificate, empirical_norms, hurwitz_check,
                        predicted_performance, worst_case_frequency)
 from .graph import resistance_matrix, spectral_data
-from .ode import build_full_system, build_reduced_system, simulate_ode
+from .ode import build_full_system, build_reduced_system, output_time_step, simulate_ode
 from .scenario import (ParseError, ScenarioError, ValidationError, apply_overrides,
                        compare_traces, emit_report, load_scenario_dict, write_trace)
 
@@ -80,7 +80,8 @@ def cmd_simulate(args) -> int:
     if scenario.actuation_delay or any(scenario.latency):
         print("note: ode model ignores afm latencies and actuation delay", file=sys.stderr)
     sys_full = build_full_system(sd, gains)
-    trace = simulate_ode(sys_full, np.array(scenario.uncorrected_freq), scenario.t_end)
+    trace = simulate_ode(sys_full, np.array(scenario.uncorrected_freq), scenario.t_end,
+                         output_time_step(sd, gains, scenario.output_dt))
     write_trace(trace, out / "trace_ode.csv")
     summary = {
         "type": "run_summary",
@@ -103,7 +104,8 @@ def cmd_compare(args) -> int:
     sd = spectral_data(graph)
     afm_trace = simulate_afm(scenario)
     sys_full = build_full_system(sd, gains)
-    ode_trace = simulate_ode(sys_full, np.array(scenario.uncorrected_freq), scenario.t_end)
+    ode_trace = simulate_ode(sys_full, np.array(scenario.uncorrected_freq), scenario.t_end,
+                             output_time_step(sd, gains, scenario.output_dt))
     write_trace(afm_trace, out / "trace_afm.csv")
     write_trace(ode_trace, out / "trace_ode.csv")
     report = compare_traces(afm_trace, ode_trace, np.array(scenario.initial_occupancy))

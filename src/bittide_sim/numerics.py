@@ -2,8 +2,8 @@
 
 Everything here is deterministic: identical inputs produce identical outputs
 on one platform. Eigendecomposition and linear solves are backed by LAPACK
-through numpy; the fixed-step integrator and quadrature are written out
-explicitly so traces are reproducible and comparable across runs.
+through numpy; the RK4 step map and quadrature are written out explicitly
+so traces are reproducible and comparable across runs.
 """
 
 from __future__ import annotations
@@ -70,41 +70,6 @@ def solve(m: np.ndarray, rhs: np.ndarray, residual_tol: float = 1e-9) -> np.ndar
     return x
 
 
-def rk4_integrate(deriv, x0: np.ndarray, t0: float, t1: float, dt: float):
-    """Integrate dx/dt = deriv(t, x) with classical fixed-step RK4.
-
-    The final partial step is shortened to land exactly on t1; the returned
-    trajectory includes both endpoints.
-
-    Returns (times, states) with states[k] the state at times[k].
-    """
-    if dt <= 0:
-        raise NonpositiveStepError(f"dt must be > 0, got {dt}")
-    span = t1 - t0
-    n_full = int(np.floor(span / dt + 1e-12))
-    remainder = span - n_full * dt
-    if remainder <= 1e-12 * max(abs(span), dt):
-        remainder = 0.0
-    x = np.array(x0, dtype=float)
-    times = [t0]
-    states = [x.copy()]
-    for k in range(n_full + (1 if remainder else 0)):
-        t = t0 + k * dt
-        h = dt if k < n_full else remainder
-        k1 = deriv(t, x)
-        k2 = deriv(t + h / 2.0, x + (h / 2.0) * k1)
-        k3 = deriv(t + h / 2.0, x + (h / 2.0) * k2)
-        k4 = deriv(t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times.append(t1 if k == n_full + (1 if remainder else 0) - 1 else t + h)
-        states.append(x.copy())
-    if len(times) == 1:
-        # zero-length window: still report both endpoints
-        times.append(t1)
-        states.append(x.copy())
-    return np.array(times), np.array(states)
-
-
 def rk4_step_operator(a: np.ndarray, dt: float):
     """One-step map of classical RK4 for the affine system dx/dt = a x + u.
 
@@ -114,19 +79,25 @@ def rk4_step_operator(a: np.ndarray, dt: float):
         gamma = h I + h^2 a/2 + h^3 a^2/6 + h^4 a^3/24
 
     Precomputing (phi, gamma) makes long linear-system runs cheap while
-    producing the same classical fourth-order update.
+    producing the same classical fourth-order update. A stack of square
+    matrices, shape (..., d, d), gives a stack of maps. Floating inputs keep
+    their precision (np.longdouble stays long double); others become float64.
     """
     if dt <= 0:
         raise NonpositiveStepError(f"dt must be > 0, got {dt}")
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    eye = np.eye(n)
+    a = np.asarray(a, dtype=np.result_type(a, float))
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     a3 = a2 @ a
     a4 = a3 @ a
     phi = eye + dt * a + dt**2 / 2.0 * a2 + dt**3 / 6.0 * a3 + dt**4 / 24.0 * a4
     gamma = dt * eye + dt**2 / 2.0 * a + dt**3 / 6.0 * a2 + dt**4 / 24.0 * a3
     return phi, gamma
+
+
+# rows per deviation block in l2_norm_squared: a long trace then needs no
+# temporary of its own size
+_L2_BLOCK_ROWS = 1024
 
 
 def l2_norm_squared(times: np.ndarray, values: np.ndarray, reference) -> float:
@@ -139,10 +110,13 @@ def l2_norm_squared(times: np.ndarray, values: np.ndarray, reference) -> float:
     values = np.asarray(values, dtype=float)
     if times.size < 2:
         raise ValueError("need at least 2 samples for quadrature")
-    dev = values - np.asarray(reference, dtype=float)
-    if dev.ndim == 1:
-        dev = dev[:, None]
-    integrand = np.sum(dev * dev, axis=1)
+    if values.ndim == 1:
+        values = values[:, None]
+    reference = np.asarray(reference, dtype=float)
+    integrand = np.empty(values.shape[0])
+    for k in range(0, values.shape[0], _L2_BLOCK_ROWS):
+        dev = values[k:k + _L2_BLOCK_ROWS] - reference
+        integrand[k:k + _L2_BLOCK_ROWS] = np.einsum("ij,ij->i", dev, dev)
     dt = np.diff(times)
     return float(np.sum(dt * (integrand[:-1] + integrand[1:]) / 2.0))
 

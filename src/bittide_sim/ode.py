@@ -21,6 +21,14 @@ from .graph import SpectralData
 from .numerics import SingularMatrixError, rk4_step_operator, solve
 
 
+class ParameterError(ValueError):
+    """A model parameter is out of range; field names the dataclass field."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Gains:
     """PI controller gains and the controller frequency constant.
@@ -35,11 +43,11 @@ class Gains:
 
     def __post_init__(self):
         if self.k_p <= 0:
-            raise ValueError(f"k_p must be > 0, got {self.k_p}")
+            raise ParameterError("k_p", f"k_p must be > 0, got {self.k_p}")
         if self.k_i <= 0:
-            raise ValueError(f"k_i must be > 0, got {self.k_i}")
+            raise ParameterError("k_i", f"k_i must be > 0, got {self.k_i}")
         if self.omega_c <= 0:
-            raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
+            raise ParameterError("omega_c", f"omega_c must be > 0, got {self.omega_c}")
 
     @property
     def effective_integral_gain(self) -> float:
@@ -53,7 +61,6 @@ class OdeSystem:
     a: np.ndarray
     b2: np.ndarray
     c1: np.ndarray
-    d1: np.ndarray
     c2: np.ndarray
     spectral: SpectralData
     gains: Gains
@@ -85,7 +92,7 @@ def build_full_system(sd: SpectralData, gains: Gains) -> OdeSystem:
     b2 = np.vstack([eye, zero])
     c1 = np.hstack([-a_gain * lap, b_gain * eye])
     c2 = np.hstack([-b_inc.T, np.zeros((sd.graph.m, n))])
-    return OdeSystem(a=a, b2=b2, c1=c1, d1=eye, c2=c2, spectral=sd, gains=gains)
+    return OdeSystem(a=a, b2=b2, c1=c1, c2=c2, spectral=sd, gains=gains)
 
 
 def build_reduced_system(sd: SpectralData, gains: Gains) -> ReducedSystem:
@@ -111,21 +118,34 @@ def build_reduced_system(sd: SpectralData, gains: Gains) -> ReducedSystem:
 class OdeTrace:
     """Sampled trajectory of the full system from x(0) = 0.
 
-    theta_bar is the phase offset per node, omega the per-node frequency,
-    delta the per-edge relative buffer occupancy in frame units (directly
-    comparable to frame-exact occupancy offsets). state holds the raw x.
+    omega is the per-node frequency and delta the per-edge relative buffer
+    occupancy in frame units (directly comparable to frame-exact occupancy
+    offsets). The state is kept in Laplacian modal coordinates: column k of
+    theta_hat/zeta_hat is the phase/integrator coordinate along column k of
+    modes, the Laplacian eigenvectors, with the drift mode in column 0.
     """
 
     times: np.ndarray
-    state: np.ndarray
-    theta_bar: np.ndarray
     omega: np.ndarray
     delta: np.ndarray
     omega_u: np.ndarray
+    theta_hat: np.ndarray
+    zeta_hat: np.ndarray
+    modes: np.ndarray
 
     @property
     def omega_avg(self) -> float:
         return float(np.mean(self.omega_u))
+
+    @property
+    def theta_bar(self) -> np.ndarray:
+        """Phase offset per node."""
+        return self.theta_hat @ self.modes.T
+
+    @property
+    def state(self) -> np.ndarray:
+        """The full-system state x = (phase offsets, scaled integrator states)."""
+        return np.hstack([self.theta_bar, self.zeta_hat @ self.modes.T])
 
 
 def default_time_step(sd: SpectralData, gains: Gains) -> float:
@@ -140,50 +160,97 @@ def default_time_step(sd: SpectralData, gains: Gains) -> float:
     return min(1.0 / (a_gain * lam_max), 1.0 / np.sqrt(b_gain * lam_max)) / 20.0
 
 
+def output_time_step(sd: SpectralData, gains: Gains, output_dt: float) -> float:
+    """The largest step no longer than default_time_step that divides output_dt.
+
+    Stepping with it puts an RK4 step on every instant of the output grid.
+    """
+    return output_dt / np.ceil(output_dt / default_time_step(sd, gains))
+
+
+# RK4 steps advanced per vectorised block: the block's step maps take
+# 6 * _BLOCK_STEPS * n floats, and each block costs a few numpy calls
+_BLOCK_STEPS = 256
+
+
 def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None) -> OdeTrace:
     """RK4 trajectory of the full system from x(0) = 0.
 
-    The input is constant, so each classical RK4 step reduces to a fixed
-    affine update precomputed once; the final partial step lands exactly
-    on t_end.
+    In the Laplacian eigenbasis the system splits into one 2x2 block per
+    eigenvalue lambda_k, A_k = [[-a lambda_k, b], [-lambda_k, 0]], driven by
+    (w_k, 0) with w = V^T omega_u. Classical RK4 commutes with that change of
+    basis, so each block takes the same RK4 steps as the full system would,
+    on the same grid; the final partial step lands exactly on t_end. The input
+    is constant, so a step is the affine map z -> M_k z + g_k, and j steps are
+    z -> M_k^j z + sum_{i<j} M_k^i g_k; the blocks advance together, up to
+    _BLOCK_STEPS steps per numpy call. omega and delta are then one matrix
+    product each. delta uses only the disagreement modes, so the drift mode,
+    whose phase grows without bound, never cancels in it.
     """
+    sd = sys.spectral
+    n = sd.graph.n
     omega_u = np.asarray(omega_u, dtype=float)
-    if omega_u.shape != (sys.spectral.graph.n,):
-        raise ValueError(
-            f"omega_u has shape {omega_u.shape}, expected ({sys.spectral.graph.n},)"
-        )
+    if omega_u.shape != (n,):
+        raise ValueError(f"omega_u has shape {omega_u.shape}, expected ({n},)")
     if dt is None:
-        dt = default_time_step(sys.spectral, sys.gains)
+        dt = default_time_step(sd, sys.gains)
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     n_full = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
-    u = sys.b2 @ omega_u
-    phi, gamma = rk4_step_operator(sys.a, dt)
-    drive = gamma @ u
-    dim = sys.a.shape[0]
     count = n_full + (2 if remainder > 1e-12 * max(t_end, 1.0) else 1)
-    states = np.empty((count, dim))
-    times = np.empty(count)
-    x = np.zeros(dim)
-    states[0] = x
-    times[0] = 0.0
-    for k in range(1, n_full + 1):
-        x = phi @ x + drive
-        states[k] = x
-        times[k] = k * dt
+    lam = sd.eigenvalues
+    modes = sd.eigenvectors
+    a_gain = sys.gains.k_p
+    b_gain = sys.gains.effective_integral_gain
+    a_modes = np.zeros((n, 2, 2))
+    a_modes[:, 0, 0] = -a_gain * lam
+    a_modes[:, 0, 1] = b_gain
+    a_modes[:, 1, 0] = -lam
+    w_hat = omega_u @ modes
+
+    def step_map(h):
+        m, g = rk4_step_operator(a_modes, h)
+        return m, g[:, :, 0] * w_hat[:, None]
+
+    # powers[j] = M^(j+1) and offsets[j] = sum_{i<=j} M^i g, laid out so that
+    # each (row, column) entry is a contiguous (steps, modes) array
+    m, g = step_map(dt)
+    block = max(1, min(_BLOCK_STEPS, n_full))
+    powers = np.empty((block, n, 2, 2))
+    offsets = np.empty((block, n, 2))
+    powers[0], offsets[0] = m, g
+    for j in range(1, block):
+        powers[j] = m @ powers[j - 1]
+        offsets[j] = (m @ offsets[j - 1][:, :, None])[:, :, 0] + g
+    powers = np.ascontiguousarray(powers.transpose(2, 3, 0, 1))
+    offsets = np.ascontiguousarray(offsets.transpose(2, 0, 1))
+
+    theta = np.empty((count, n))
+    zeta = np.empty((count, n))
+    theta[0] = 0.0
+    zeta[0] = 0.0
+    for s in range(0, n_full, block):
+        j = min(block, n_full - s)
+        th, ze = theta[s], zeta[s]
+        theta[s + 1:s + 1 + j] = powers[0, 0, :j] * th + powers[0, 1, :j] * ze + offsets[0, :j]
+        zeta[s + 1:s + 1 + j] = powers[1, 0, :j] * th + powers[1, 1, :j] * ze + offsets[1, :j]
+    times = np.arange(count) * dt
     if count == n_full + 2:
-        phi_r, gamma_r = rk4_step_operator(sys.a, remainder)
-        x = phi_r @ x + gamma_r @ u
-        states[-1] = x
+        m, g = step_map(remainder)
+        th, ze = theta[n_full], zeta[n_full]
+        theta[-1] = m[:, 0, 0] * th + m[:, 0, 1] * ze + g[:, 0]
+        zeta[-1] = m[:, 1, 0] * th + m[:, 1, 1] * ze + g[:, 1]
     times[-1] = t_end
-    omega = states @ sys.c1.T + omega_u
-    delta = states @ sys.c2.T
-    n = sys.spectral.graph.n
-    return OdeTrace(
-        times=times, state=states, theta_bar=states[:, :n],
-        omega=omega, delta=delta, omega_u=omega_u,
-    )
+
+    omega_hat = theta * (-a_gain * lam)
+    omega_hat += b_gain * zeta
+    omega = omega_hat @ modes.T
+    del omega_hat
+    omega += omega_u
+    delta = theta[:, 1:] @ (-(sd.incidence.T @ modes[:, 1:])).T
+    return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u,
+                    theta_hat=theta, zeta_hat=zeta, modes=modes)
 
 
 @dataclass(frozen=True)
@@ -240,16 +307,15 @@ class DecoupledCoordinates:
     agreement_integ: np.ndarray
 
 
-def decoupled_coordinates(trace: OdeTrace, sd: SpectralData) -> DecoupledCoordinates:
-    """Project a full-system trace onto disagreement and agreement components."""
-    n = sd.graph.n
-    u1 = sd.disagreement_basis
-    u2 = np.full(n, 1.0 / np.sqrt(n))
-    x1 = trace.state[:, :n]
-    x2 = trace.state[:, n:]
+def decoupled_coordinates(trace: OdeTrace) -> DecoupledCoordinates:
+    """Split a full-system trace into its disagreement and agreement components.
+
+    The trace is stored in the Laplacian eigenbasis, whose first column is the
+    normalised all-ones vector, so each component is a slice of it.
+    """
     return DecoupledCoordinates(
-        disagreement_phase=x1 @ u1,
-        disagreement_integ=x2 @ u1,
-        agreement_phase=x1 @ u2,
-        agreement_integ=x2 @ u2,
+        disagreement_phase=trace.theta_hat[:, 1:],
+        disagreement_integ=trace.zeta_hat[:, 1:],
+        agreement_phase=trace.theta_hat[:, 0],
+        agreement_integ=trace.zeta_hat[:, 0],
     )

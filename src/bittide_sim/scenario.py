@@ -20,7 +20,7 @@ import numpy as np
 
 from .afm import AfmScenario, AfmTrace
 from .graph import OrientedGraph, complete, mesh, path
-from .ode import Gains, OdeTrace
+from .ode import Gains, OdeTrace, ParameterError
 
 
 class ScenarioError(Exception):
@@ -57,6 +57,27 @@ _DEFAULTS = {
     "afm.omega_min": 0.5,
     "afm.omega_max": 2.0,
     "run.t_end": 100000.0,
+}
+
+# AfmScenario and Gains fields -> the document field each is read from
+_DOCUMENT_FIELDS = {
+    "k_p": "controller.k_p",
+    "k_i": "controller.k_i",
+    "omega_c": "controller.omega_c",
+    "uncorrected_freq": "frequencies.omega_u",
+    "initial_phase": "afm.theta0",
+    "startup_freq": "afm.omega_m1",
+    "prehistory_freq": "afm.omega_m2",
+    "initial_occupancy": "afm.beta0",
+    "buffer_capacity": "afm.beta_max",
+    "latency": "afm.latency",
+    "meas_period": "afm.p",
+    "actuation_delay": "afm.d",
+    "omega_min": "afm.omega_min",
+    "omega_max": "afm.omega_max",
+    "epoch": "afm.epoch",
+    "t_end": "run.t_end",
+    "output_dt": "run.output_dt",
 }
 
 
@@ -167,8 +188,8 @@ def load_scenario_dict(doc: dict):
             k_i=_number(ctrl["k_i"], "controller.k_i"),
             omega_c=_number(ctrl.get("omega_c", 1.0), "controller.omega_c"),
         )
-    except ValueError as exc:
-        raise ValidationError("controller", str(exc)) from exc
+    except ParameterError as exc:
+        raise ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc)) from exc
 
     afm = _section(doc, "afm", required=False)
     run = _section(doc, "run", required=False)
@@ -205,8 +226,8 @@ def load_scenario_dict(doc: dict):
             output_dt=output_dt,
             epoch=_number(afm.get("epoch", epoch_default), "afm.epoch"),
         )
-    except ValueError as exc:
-        raise ValidationError("afm", str(exc)) from exc
+    except ParameterError as exc:
+        raise ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc)) from exc
     return graph, scenario, gains
 
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from bittide_sim.afm import AfmScenario
 from bittide_sim.graph import OrientedGraph
+from bittide_sim.numerics import NonpositiveStepError
 from bittide_sim.ode import Gains
 
 
@@ -94,3 +95,38 @@ def make_scenario(graph: OrientedGraph, omega_u, gains: Gains, *,
         output_dt=float(output_dt),
         epoch=epoch,
     )
+
+
+def rk4_integrate(deriv, x0: np.ndarray, t0: float, t1: float, dt: float):
+    """Integrate dx/dt = deriv(t, x) with classical fixed-step RK4.
+
+    The final partial step is shortened to land exactly on t1; the returned
+    trajectory includes both endpoints.
+
+    Returns (times, states) with states[k] the state at times[k].
+    """
+    if dt <= 0:
+        raise NonpositiveStepError(f"dt must be > 0, got {dt}")
+    span = t1 - t0
+    n_full = int(np.floor(span / dt + 1e-12))
+    remainder = span - n_full * dt
+    if remainder <= 1e-12 * max(abs(span), dt):
+        remainder = 0.0
+    x = np.array(x0, dtype=float)
+    times = [t0]
+    states = [x.copy()]
+    for k in range(n_full + (1 if remainder else 0)):
+        t = t0 + k * dt
+        h = dt if k < n_full else remainder
+        k1 = deriv(t, x)
+        k2 = deriv(t + h / 2.0, x + (h / 2.0) * k1)
+        k3 = deriv(t + h / 2.0, x + (h / 2.0) * k2)
+        k4 = deriv(t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        times.append(t1 if k == n_full + (1 if remainder else 0) - 1 else t + h)
+        states.append(x.copy())
+    if len(times) == 1:
+        # zero-length window: still report both endpoints
+        times.append(t1)
+        states.append(x.copy())
+    return np.array(times), np.array(states)

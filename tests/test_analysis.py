@@ -44,6 +44,21 @@ class TestHurwitzCheck:
             red = build_reduced_system(sd, gains)
             assert hurwitz_check(red.a_hat).is_hurwitz
 
+    def test_slow_mesh_mode_is_hurwitz(self):
+        # mesh_far_pair gains on a 12x12 mesh: the slowest mode decays at
+        # about -6.8e-10, which a tolerance of 1e-10 * |A_hat|_F = 5e-9 hid
+        sd = spectral_data(mesh(12, 12))
+        gains = Gains(k_p=2e-8, k_i=1e-15)
+        result = hurwitz_check(build_reduced_system(sd, gains).a_hat)
+        # closed form: max real part of the roots of s^2 + a lam s + b lam
+        lam = sd.eigenvalues[1:]
+        a, b = gains.k_p, gains.effective_integral_gain
+        disc = (a * lam) ** 2 - 4.0 * b * lam
+        real = np.where(disc < 0, -a * lam / 2.0,
+                        (-a * lam + np.sqrt(np.maximum(disc, 0.0))) / 2.0)
+        assert result.is_hurwitz
+        assert result.spectral_abscissa == pytest.approx(real.max(), abs=1e-15)
+
 
 class TestLyapunovCertificate:
     def test_single_edge_x2_value(self):

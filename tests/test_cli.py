@@ -43,6 +43,15 @@ class TestSimulate:
         assert (out / "summary.txt").exists()
         assert json.loads((out / "report.json").read_text())["reports"][0]["model"] == "ode"
 
+    def test_ode_trace_on_output_grid(self, tmp_path, capsys):
+        # the default RK4 step here is about 3.5e5 s, far above output_dt
+        out = tmp_path / "out"
+        rc = main(["simulate", "--model", "ode", "--scenario",
+                   str(SCENARIOS / "mesh_far_pair.json"), "--out", str(out)])
+        assert rc == 0
+        table = read_trace(out / "trace_ode.csv")
+        assert np.array_equal(table.times, np.arange(401) * 2500.0)
+
     def test_afm_symmetric_constant(self, tmp_path):
         scn = small_triangle(tmp_path)
         out = tmp_path / "out"
@@ -66,6 +75,9 @@ class TestSimulate:
         ("controller.k_p=null", "controller.k_p"),
         ("graph.n=3.5", "graph.n"),
         ('frequencies={"two_node": 5}', "frequencies.two_node"),
+        ("run.t_end=-5", "run.t_end"),
+        ("controller.k_p=-1", "controller.k_p"),
+        ("afm.p=0", "afm.p"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, override, field):
         scn = small_triangle(tmp_path)

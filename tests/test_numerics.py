@@ -6,7 +6,8 @@ import pytest
 from bittide_sim.numerics import (NonpositiveStepError, NotSymmetricError,
                                   SingularMatrixError, eig_symmetric,
                                   l2_norm_squared, lyapunov_residual,
-                                  rk4_integrate, rk4_step_operator, solve)
+                                  rk4_step_operator, solve)
+from helpers import rk4_integrate
 
 
 class TestEigSymmetric:

@@ -1,13 +1,19 @@
 """Tests for the continuous-time linear model."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bittide_sim.graph import complete, mesh, path, spectral_data
+from bittide_sim.numerics import rk4_step_operator
 from bittide_sim.ode import (Gains, build_full_system, build_reduced_system,
                              decoupled_coordinates, default_time_step, simulate_ode,
                              steady_state)
-from helpers import random_connected_graph
+from bittide_sim.scenario import load_scenario
+from helpers import random_connected_graph, rk4_integrate
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 PAPER_GAINS = Gains(k_p=3e-5, k_i=2e-9, omega_c=1.0)
 
@@ -36,7 +42,6 @@ class TestBuildFullSystem:
         ]))
         assert np.array_equal(sys_full.b2, np.vstack([np.eye(2), np.zeros((2, 2))]))
         assert np.array_equal(sys_full.c1, np.hstack([-lap, np.eye(2)]))
-        assert np.array_equal(sys_full.d1, np.eye(2))
         assert np.array_equal(sys_full.c2, np.array([[-1.0, 1.0, 0.0, 0.0]]))
 
     def test_ones_vector_in_kernel(self):
@@ -130,7 +135,6 @@ class TestSimulateOde:
         assert trace.times[-1] == 123.456
 
     def test_matches_generic_rk4(self):
-        from bittide_sim.numerics import rk4_integrate
         sd = spectral_data(path(3))
         gains = Gains(k_p=0.2, k_i=0.05)
         sys_full = build_full_system(sd, gains)
@@ -141,6 +145,50 @@ class TestSimulateOde:
         _, states = rk4_integrate(lambda t, x: sys_full.a @ x + drive,
                                   np.zeros(6), 0.0, 10.0, dt)
         assert np.allclose(trace.state, states, rtol=1e-10, atol=1e-12)
+
+    def test_matches_generic_rk4_random_graphs(self):
+        # per-mode stepping must reproduce the dense RK4 recurrence, partial
+        # final step included, on graphs with repeated and distinct eigenvalues
+        rng = np.random.RandomState(6)
+        for _ in range(10):
+            sd = spectral_data(random_connected_graph(rng, rng.randint(2, 9)))
+            gains = Gains(k_p=10 ** rng.uniform(-2, 0.5), k_i=10 ** rng.uniform(-3, 0))
+            sys_full = build_full_system(sd, gains)
+            omega_u = 1.0 + 0.1 * rng.randn(sd.graph.n)
+            dt = default_time_step(sd, gains)
+            t_end = (rng.randint(50, 400) + rng.uniform(0.1, 0.9)) * dt
+            trace = simulate_ode(sys_full, omega_u, t_end)
+            drive = sys_full.b2 @ omega_u
+            times, states = rk4_integrate(lambda t, x: sys_full.a @ x + drive,
+                                          np.zeros(2 * sd.graph.n), 0.0, t_end, dt)
+            assert trace.times.shape == times.shape
+            assert np.allclose(trace.times, times, rtol=1e-14, atol=0.0)
+            assert np.allclose(trace.state, states, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="needs an extended-precision long double")
+    def test_accuracy_against_extended_precision(self):
+        # The reference runs the same dense RK4 recurrence in long double. The
+        # drift mode makes theta ~ 1e10 ticks here, so a float64 recurrence in
+        # node coordinates cancels terms of size h*L*theta at every step.
+        graph, scenario, gains = load_scenario(SCENARIOS / "mesh_close_pair.json")
+        sd = spectral_data(graph)
+        sys_full = build_full_system(sd, gains)
+        omega_u = np.array(scenario.uncorrected_freq)
+        dt = default_time_step(sd, gains)
+        steps = 8000
+        trace = simulate_ode(sys_full, omega_u, steps * dt, dt=dt)
+        assert trace.times.shape == (steps + 1,)
+        ld = np.longdouble
+        phi, gamma = rk4_step_operator(sys_full.a.astype(ld), ld(dt))
+        drive = gamma @ (sys_full.b2.astype(ld) @ omega_u.astype(ld))
+        states = np.zeros((steps + 1, sys_full.a.shape[0]), dtype=ld)
+        for k in range(steps):
+            states[k + 1] = phi @ states[k] + drive
+        omega = states @ sys_full.c1.T.astype(ld) + omega_u.astype(ld)
+        delta = states @ sys_full.c2.T.astype(ld)
+        assert float(np.abs(trace.omega - omega).max()) <= 1e-13
+        assert float(np.abs(trace.delta - delta).max()) <= 1e-6
 
     def test_default_step_resolves_fast_mode(self):
         sd = spectral_data(complete(3))
@@ -200,7 +248,7 @@ class TestDecoupledCoordinates:
         sys_full = build_full_system(sd, PAPER_GAINS)
         c = 1.25
         trace = simulate_ode(sys_full, np.full(3, c), 2000.0)
-        dec = decoupled_coordinates(trace, sd)
+        dec = decoupled_coordinates(trace)
         bound = 1e-9 * np.linalg.norm(np.full(3, c)) * 2000.0
         assert np.abs(dec.disagreement_phase).max() <= bound
         assert np.abs(dec.disagreement_integ).max() <= bound
@@ -213,7 +261,7 @@ class TestDecoupledCoordinates:
         omega_u = 1.0 + 0.05 * rng.randn(6)
         t_end = 800.0
         trace = simulate_ode(sys_full, omega_u, t_end)
-        dec = decoupled_coordinates(trace, sd)
+        dec = decoupled_coordinates(trace)
         assert np.abs(dec.agreement_integ).max() <= 1e-9 * np.linalg.norm(omega_u) * t_end
         drift = np.sqrt(6.0) * omega_u.mean() * trace.times
         assert np.abs(dec.agreement_phase - drift).max() <= 1e-8 * max(drift.max(), 1.0)
@@ -224,7 +272,7 @@ class TestDecoupledCoordinates:
         sys_full = build_full_system(sd, Gains(k_p=0.3, k_i=0.1))
         omega_u = np.array([1.02, 1.0, 0.98])
         trace = simulate_ode(sys_full, omega_u, 300.0)
-        dec = decoupled_coordinates(trace, sd)
+        dec = decoupled_coordinates(trace)
         rebuilt = (dec.disagreement_phase @ sd.disagreement_basis.T
                    + omega_u.mean() * trace.times[:, None])
         assert np.abs(rebuilt - trace.theta_bar).max() <= 1e-8
@@ -236,7 +284,7 @@ class TestDecoupledCoordinates:
         red = build_reduced_system(sd, gains)
         omega_u = np.array([1.05, 1.0, 0.95])
         trace = simulate_ode(sys_full, omega_u, 400.0)
-        dec = decoupled_coordinates(trace, sd)
+        dec = decoupled_coordinates(trace)
         ss = steady_state(red, omega_u)
         n1 = 2
         assert np.abs(dec.disagreement_phase[-1] - ss.x_closed[:n1]).max() <= 1e-8
