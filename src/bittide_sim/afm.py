@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import OrientedGraph
-from .ode import Gains, ParameterError
+from .ode import RUN_SIZE_CAP, Gains, ParameterError
 
 
 class InadmissibleControlError(RuntimeError):
@@ -171,6 +171,15 @@ class AfmScenario:
             raise ParameterError("t_end", f"t_end must be > 0, got {self.t_end}")
         if self.output_dt <= 0:
             raise ParameterError("output_dt", f"output_dt must be > 0, got {self.output_dt}")
+        rows = self.t_end / self.output_dt
+        if rows > RUN_SIZE_CAP:
+            raise ParameterError("output_dt", f"t_end/output_dt = {rows:.3g} trace rows, "
+                                 f"above the run-size cap of {RUN_SIZE_CAP:.0e}")
+        measurements = sum(self.uncorrected_freq) * self.t_end / self.meas_period
+        if measurements > RUN_SIZE_CAP:
+            raise ParameterError(
+                "meas_period", f"about {measurements:.3g} measurements (sum of omega_u "
+                f"* t_end / meas_period), above the run-size cap of {RUN_SIZE_CAP:.0e}")
         bound = -(max(self.latency, default=0.0) + self.actuation_delay / self.omega_min)
         if self.epoch >= 0 or self.epoch > bound:
             raise ParameterError(

@@ -19,9 +19,11 @@ from .afm import InadmissibleControlError, simulate_afm
 from .analysis import (build_lyapunov_certificate, empirical_norms, hurwitz_check,
                        predicted_performance, worst_case_frequency)
 from .graph import resistance_matrix, spectral_data
-from .ode import build_full_system, build_reduced_system, output_time_step, simulate_ode
+from .ode import (ParameterError, build_full_system, build_reduced_system, output_time_step,
+                  simulate_ode)
 from .scenario import (ParseError, ScenarioError, ValidationError, apply_overrides,
-                       compare_traces, emit_report, load_scenario_dict, write_trace)
+                       compare_traces, emit_report, field_error, load_scenario_dict,
+                       read_document, write_trace)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -29,15 +31,9 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 
-def _load(scenario_path: str, overrides) -> tuple:
+def _load(args) -> tuple:
     # OSError propagates (exit 3); malformed content is a validation failure
-    try:
-        doc = json.loads(Path(scenario_path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{scenario_path}: {exc}") from exc
-    if overrides:
-        apply_overrides(doc, overrides)
-    return load_scenario_dict(doc)
+    return load_scenario_dict(read_document(args.scenario, args.set))
 
 
 def _out_dir(args) -> Path:
@@ -47,7 +43,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    graph, scenario, gains = _load(args.scenario, args.set)
+    graph, scenario, gains = _load(args)
     out = _out_dir(args)
     sd = spectral_data(graph)
     if args.model == "afm":
@@ -99,7 +95,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    graph, scenario, gains = _load(args.scenario, args.set)
+    graph, scenario, gains = _load(args)
     out = _out_dir(args)
     sd = spectral_data(graph)
     afm_trace = simulate_afm(scenario)
@@ -115,7 +111,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    graph, scenario, gains = _load(args.scenario, args.set)
+    graph, scenario, gains = _load(args)
     out = _out_dir(args)
     sd = spectral_data(graph)
     reports = []
@@ -188,12 +184,7 @@ def _sweep_one(doc_json: str, param: str, value: float) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        doc = json.loads(Path(args.scenario).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.scenario}: {exc}") from exc
-    if args.set:
-        apply_overrides(doc, args.set)
+    doc = read_document(args.scenario, args.set)
     out = _out_dir(args)
     try:
         values = sorted(float(v) for v in args.values.split(","))
@@ -277,6 +268,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ParameterError as exc:
+        print(f"error: {field_error(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
     except InadmissibleControlError as exc:
         print(f"error: inadmissible control: {exc}", file=sys.stderr)

@@ -29,6 +29,11 @@ class ParameterError(ValueError):
         super().__init__(message)
 
 
+# the most trace rows, fluid-model RK4 steps or estimated frame-model
+# measurements one run may take; a larger run is refused before it allocates
+RUN_SIZE_CAP = 10_000_000
+
+
 @dataclass(frozen=True)
 class Gains:
     """PI controller gains and the controller frequency constant.
@@ -196,6 +201,10 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
         dt = default_time_step(sd, sys.gains)
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    if t_end / dt > RUN_SIZE_CAP:
+        raise ParameterError(
+            "t_end", f"reaching t = {t_end:g} takes {t_end / dt:.3g} RK4 steps of "
+            f"{dt:.3g} s, above the run-size cap of {RUN_SIZE_CAP:.0e}")
     n_full = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
     count = n_full + (2 if remainder > 1e-12 * max(t_end, 1.0) else 1)

@@ -81,6 +81,11 @@ _DOCUMENT_FIELDS = {
 }
 
 
+def field_error(exc: ParameterError) -> ValidationError:
+    """The same error, naming the document field the parameter is read from."""
+    return ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc))
+
+
 def _section(doc: dict, name: str, required: bool = True) -> dict:
     sec = doc.get(name)
     if sec is None:
@@ -189,7 +194,7 @@ def load_scenario_dict(doc: dict):
             omega_c=_number(ctrl.get("omega_c", 1.0), "controller.omega_c"),
         )
     except ParameterError as exc:
-        raise ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc)) from exc
+        raise field_error(exc) from exc
 
     afm = _section(doc, "afm", required=False)
     run = _section(doc, "run", required=False)
@@ -227,23 +232,33 @@ def load_scenario_dict(doc: dict):
             epoch=_number(afm.get("epoch", epoch_default), "afm.epoch"),
         )
     except ParameterError as exc:
-        raise ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc)) from exc
+        raise field_error(exc) from exc
     return graph, scenario, gains
 
 
-def load_scenario(path_like):
-    """Load and validate a scenario file; returns (graph, AfmScenario, Gains)."""
+def read_document(path_like, overrides=()) -> dict:
+    """Parse a scenario file into a document and apply key=value overrides.
+
+    OSError propagates; malformed JSON or a top level that is not a mapping
+    raises ParseError.
+    """
     p = Path(path_like)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {p}: {exc}") from exc
+    text = p.read_text()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{p}: top level must be a mapping")
+    return apply_overrides(doc, overrides)
+
+
+def load_scenario(path_like):
+    """Load and validate a scenario file; returns (graph, AfmScenario, Gains)."""
+    try:
+        doc = read_document(path_like)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path_like}: {exc}") from exc
     return load_scenario_dict(doc)
 
 
@@ -340,30 +355,58 @@ def events_path_for(path_like) -> Path:
     return p.with_name(p.stem + "_events" + (p.suffix or ".csv"))
 
 
-# rows formatted per write: large enough to amortise the call, small enough
-# that the formatted text stays a small fraction of the trace in memory
-_WRITE_BLOCK_ROWS = 1024
+# cells per formatted block, so that wide tables get short blocks: a block's
+# strings then stay in cache while its rows are assembled, and the text held
+# in memory stays small; an event counts as four cells
+_WRITE_BLOCK_CELLS = 16384
 
 
 def write_trace(trace, path_like) -> None:
     """Write a trace as a delimited text table; events go to a companion file.
 
-    Floats are written in shortest exact decimal form, so reading the file
-    back reproduces every sample bit-for-bit.
+    Floats are written in shortest exact decimal form (``repr``), so reading
+    the file back reproduces every sample bit-for-bit. Frame-model cells
+    mostly repeat the cell above them, so each cell is formatted once per run
+    of equal bit patterns down its column, and every row is assembled from
+    those strings. Bits, not floats, are compared: ``-0.0 == 0.0`` would
+    reuse the wrong text.
     """
     table = _trace_table(trace)
     p = Path(path_like)
+    width = 1 + len(table.columns)
+    rows = max(1, _WRITE_BLOCK_CELLS // width)
     with p.open("w") as fh:
         fh.write(",".join(("t",) + table.columns) + "\n")
-        for k in range(0, table.times.shape[0], _WRITE_BLOCK_ROWS):
-            block = np.column_stack([table.times[k:k + _WRITE_BLOCK_ROWS],
-                                     table.values[k:k + _WRITE_BLOCK_ROWS]])
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
+        # the row above the current block: its bits, and its cells' text
+        last_bits, last_text = None, np.full(width, "", dtype=object)
+        for k in range(0, table.times.shape[0], rows):
+            block = np.column_stack([table.times[k:k + rows], table.values[k:k + rows]])
+            bits = block.view(np.uint64)
+            changed = np.empty(bits.shape, dtype=bool)
+            np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+            if last_bits is None:
+                changed[0] = True
+            else:
+                np.not_equal(bits[0], last_bits, out=changed[0])
+            # text pool: the row above at 0..width-1, then each changed cell
+            pool = np.concatenate((last_text, np.array(
+                list(map(repr, block[changed].tolist())), dtype=object)))
+            where = np.zeros(bits.shape, dtype=np.intp)
+            where[0] = np.arange(width)
+            where[changed] = np.arange(width, pool.shape[0])
+            # positions grow down each column, so a running max fills every
+            # unchanged cell with the text of the last change above it
+            np.maximum.accumulate(where, axis=0, out=where)
+            cells = pool[where]
+            fh.write("\n".join(map(",".join, cells.tolist())) + "\n")
+            last_bits, last_text = bits[-1].copy(), cells[-1]
     if isinstance(trace, AfmTrace) and trace.events:
+        per_write = _WRITE_BLOCK_CELLS // 4
         with events_path_for(p).open("w") as fh:
             fh.write("time,node,kind,value\n")
-            for ev in trace.events:
-                fh.write(f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n")
+            for k in range(0, len(trace.events), per_write):
+                fh.write("".join(f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n"
+                                 for ev in trace.events[k:k + per_write]))
 
 
 def read_trace(path_like) -> TraceTable:

@@ -8,6 +8,7 @@ from bittide_sim.afm import AfmScenario
 from bittide_sim.graph import OrientedGraph
 from bittide_sim.numerics import NonpositiveStepError
 from bittide_sim.ode import Gains
+from bittide_sim.scenario import _trace_table
 
 
 def random_connected_graph(rng: np.random.RandomState, n: int,
@@ -130,3 +131,15 @@ def rk4_integrate(deriv, x0: np.ndarray, t0: float, t1: float, dt: float):
         times.append(t1)
         states.append(x.copy())
     return np.array(times), np.array(states)
+
+
+def legacy_trace_text(table) -> str:
+    """Trace text formatted cell by cell: the header, then repr of every cell.
+
+    Oracle for ``write_trace``, which formats only the cells that differ from
+    the cell above. Takes a TraceTable or any trace ``write_trace`` accepts.
+    """
+    table = _trace_table(table)
+    rows = np.column_stack([table.times, table.values]).tolist()
+    return "".join([",".join(("t",) + table.columns) + "\n"]
+                   + [",".join(map(repr, row)) + "\n" for row in rows])

@@ -10,7 +10,7 @@ from bittide_sim.afm import (AfmScenario, DiscreteControllerState, HistoryGapErr
                              frame_offsets, occupancy, pi_controller_step,
                              simulate_afm)
 from bittide_sim.graph import OrientedGraph, complete, path
-from bittide_sim.ode import Gains
+from bittide_sim.ode import Gains, ParameterError
 from helpers import make_scenario, random_connected_graph
 
 GAINS = Gains(k_p=3e-5, k_i=2e-9, omega_c=1.0)
@@ -176,6 +176,17 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="epoch"):
             AfmScenario(epoch=-10.0, **kwargs)  # needs <= -(5 + 100/0.5) = -205
         AfmScenario(epoch=-205.0, **kwargs)
+
+    def test_run_size_cap(self):
+        # checked when the scenario is built, so no run can start past the cap
+        with pytest.raises(ParameterError, match="run-size cap") as info:
+            make_scenario(path(2), (1.0, 1.0), GAINS, t_end=2e5, output_dt=1e-300)
+        assert info.value.field == "output_dt"
+        with pytest.raises(ParameterError, match="run-size cap") as info:
+            make_scenario(path(2), (1.0, 1.0), GAINS, t_end=2e5, p=1e-9)
+        assert info.value.field == "meas_period"
+        # 2 nodes * 1e5 s / 0.02 ticks = 1e7 measurements: at the cap, not above it
+        make_scenario(path(2), (1.0, 1.0), GAINS, t_end=1e5, p=0.02)
 
     def test_slow_startup_rejected(self):
         with pytest.raises(ValueError, match="startup_freq"):

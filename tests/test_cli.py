@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bittide_sim import cli
 from bittide_sim.cli import main
 from bittide_sim.scenario import read_trace
 
@@ -78,13 +79,31 @@ class TestSimulate:
         ("run.t_end=-5", "run.t_end"),
         ("controller.k_p=-1", "controller.k_p"),
         ("afm.p=0", "afm.p"),
+        ("run.output_dt=1e-300", "run.output_dt"),
+        ("afm.p=1e-9", "afm.p"),
     ])
-    def test_malformed_value_names_field(self, tmp_path, capsys, override, field):
+    def test_malformed_value_names_field(self, tmp_path, capsys, monkeypatch,
+                                         override, field):
+        # every case must be refused before the run: one that got through the
+        # run-size cap would otherwise never finish
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "simulate_afm", refuse)
         scn = small_triangle(tmp_path)
         rc = main(["simulate", "--model", "afm", "--scenario", str(scn),
                    "--out", str(tmp_path / "out"), "--set", override])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_fluid_step_budget_names_field(self, tmp_path, capsys):
+        # k_p = 1e9 makes the default RK4 step about 1.7e-11 s: 2.4e15 steps
+        scn = small_triangle(tmp_path)
+        rc = main(["simulate", "--model", "ode", "--scenario", str(scn),
+                   "--out", str(tmp_path / "out"), "--set", "controller.k_p=1e9"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: run.t_end: " in err and "run-size cap" in err
 
     def test_overflow_exit_code(self, tmp_path, capsys):
         doc = {
@@ -215,6 +234,16 @@ class TestSweep:
         assert rc1 == rc2 == 0
         assert ((tmp_path / "serial" / "sweep.csv").read_text()
                 == (tmp_path / "par" / "sweep.csv").read_text())
+
+    @pytest.mark.parametrize("text, code", [("[1]", 1), ("{not json", 1), (None, 3)])
+    def test_unreadable_document(self, tmp_path, capsys, text, code):
+        scn = tmp_path / "scn.json"
+        if text is not None:
+            scn.write_text(text)
+        rc = main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "out"),
+                   "--param", "controller.k_p", "--values", "1e-8"])
+        assert rc == code
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_partial_failure_reported(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -7,9 +7,9 @@ import pytest
 
 from bittide_sim.graph import complete, mesh, path, spectral_data
 from bittide_sim.numerics import rk4_step_operator
-from bittide_sim.ode import (Gains, build_full_system, build_reduced_system,
-                             decoupled_coordinates, default_time_step, simulate_ode,
-                             steady_state)
+from bittide_sim.ode import (RUN_SIZE_CAP, Gains, ParameterError, build_full_system,
+                             build_reduced_system, decoupled_coordinates, default_time_step,
+                             simulate_ode, steady_state)
 from bittide_sim.scenario import load_scenario
 from helpers import random_connected_graph, rk4_integrate
 
@@ -189,6 +189,15 @@ class TestSimulateOde:
         delta = states @ sys_full.c2.T.astype(ld)
         assert float(np.abs(trace.omega - omega).max()) <= 1e-13
         assert float(np.abs(trace.delta - delta).max()) <= 1e-6
+
+    def test_run_size_cap_refuses_before_allocating(self):
+        sys_full = build_full_system(spectral_data(path(3)), PAPER_GAINS)
+        # 1e300 steps could not be allocated at all
+        with pytest.raises(ParameterError, match="run-size cap") as info:
+            simulate_ode(sys_full, np.ones(3), 1e300, 1.0)
+        assert info.value.field == "t_end"
+        with pytest.raises(ParameterError, match="run-size cap"):
+            simulate_ode(sys_full, np.ones(3), RUN_SIZE_CAP + 1.0, 1.0)
 
     def test_default_step_resolves_fast_mode(self):
         sd = spectral_data(complete(3))

@@ -1,21 +1,24 @@
 """Tests for scenario files, trace serialization, comparison, and reports."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bittide_sim import scenario
 from bittide_sim.afm import simulate_afm
 from bittide_sim.analysis import (build_lyapunov_certificate, hurwitz_check,
                                   predicted_performance, worst_case_frequency)
-from bittide_sim.graph import OrientedGraph, spectral_data
+from bittide_sim.graph import OrientedGraph, complete, spectral_data
 from bittide_sim.ode import build_full_system, build_reduced_system, simulate_ode
 from bittide_sim.scenario import (GridMismatchError, MissingFieldError, ParseError,
                                   TraceTable, ValidationError, apply_overrides,
                                   compare_traces, emit_report, load_scenario,
                                   load_scenario_dict, read_trace, render_reports,
                                   save_scenario, write_trace, events_path_for)
-from helpers import make_scenario
+from helpers import legacy_trace_text, make_scenario
 from bittide_sim.ode import Gains
 
 
@@ -180,6 +183,102 @@ class TestTraceRoundTrip:
         dest.write_text("t,omega_0\n0.5,1.25,3.0\n")
         with pytest.raises(ValueError, match="columns"):
             read_trace(dest)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Name the first differing line (pytest's diff of long texts takes minutes)."""
+    if got != want:
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        for k, (g, w) in enumerate(zip(got_lines, want_lines)):
+            if g != w:
+                pytest.fail(f"line {k}: {g!r} != {w!r}")
+        pytest.fail(f"{len(got_lines)} lines written, {len(want_lines)} expected")
+
+
+# finite floats, weighted toward signed zeros, subnormals and exponent switches
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-05]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Tables whose rows are drawn from a few distinct rows, so rows repeat."""
+    width = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.lists(_CELLS, min_size=width + 1, max_size=width + 1),
+                             min_size=1, max_size=5))
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=40))
+    rows = np.array([distinct[i] for i in order], dtype=float).reshape(len(order), width + 1)
+    return TraceTable(tuple(f"c{j}" for j in range(width)), rows[:, 0].copy(),
+                      rows[:, 1:].copy())
+
+
+class TestTraceWriterOracle:
+    """write_trace formats changed cells only; its text must equal the per-cell oracle."""
+
+    def test_frame_trace_across_block_boundary(self, tmp_path):
+        scn = make_scenario(complete(3), (1.00005, 1.0, 0.99995), Gains(k_p=3e-5, k_i=2e-9),
+                            p=100.0, d=10.0, latency=50.0, beta_max=1024,
+                            t_end=150000.0, output_dt=500.0)
+        trace = simulate_afm(scn)
+        table = scenario._trace_table(trace)
+        first = scenario._WRITE_BLOCK_CELLS // (1 + len(table.columns))
+        assert table.times.shape[0] > max(first, 1024)
+        # the second block's first row has cells that change and cells that repeat
+        cells = _bits(np.column_stack([table.times, table.values]))
+        changes = cells[first] != cells[first - 1]
+        assert changes.any() and not changes.all()
+        assert len(trace.events) > scenario._WRITE_BLOCK_CELLS // 4
+        dest = tmp_path / "trace_afm.csv"
+        write_trace(trace, dest)
+        assert_same_text(dest.read_text(), legacy_trace_text(trace))
+        assert_same_text(events_path_for(dest).read_text(), "time,node,kind,value\n" + "".join(
+            f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n" for ev in trace.events))
+
+    def test_fluid_trace(self, tmp_path):
+        gains = Gains(k_p=0.2, k_i=0.05)
+        sd = spectral_data(complete(4))
+        trace = simulate_ode(build_full_system(sd, gains), np.array([1.1, 1.0, 0.9, 1.0]), 50.0)
+        dest = tmp_path / "trace_ode.csv"
+        write_trace(trace, dest)
+        assert_same_text(dest.read_text(), legacy_trace_text(trace))
+
+    def test_signed_zeros_and_exponents(self, tmp_path):
+        col = [0.0, -0.0, -0.0, 0.0, 5e-324, 5e-324, 1e16, 1e16, 1e-05, 0.0]
+        values = np.column_stack([col, col[::-1], np.ones(len(col))])
+        table = TraceTable(("a", "b", "c"), np.arange(len(col), dtype=float), values)
+        dest = tmp_path / "t.csv"
+        write_trace(table, dest)
+        text = dest.read_text()
+        assert_same_text(text, legacy_trace_text(table))
+        assert text.splitlines()[2].startswith("1.0,-0.0,")
+
+    def test_header_only(self, tmp_path):
+        table = TraceTable(("omega_0", "beta_link0"), np.zeros(0), np.zeros((0, 2)))
+        dest = tmp_path / "t.csv"
+        write_trace(table, dest)
+        assert dest.read_text() == legacy_trace_text(table) == "t,omega_0,beta_link0\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=_tables(), block_cells=st.integers(1, 40))
+    def test_round_trip_property(self, tmp_path_factory, table, block_cells):
+        dest = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        # small blocks put block boundaries at every few rows
+        with mock.patch.object(scenario, "_WRITE_BLOCK_CELLS", block_cells):
+            write_trace(table, dest)
+        assert_same_text(dest.read_text(), legacy_trace_text(table))
+        back = read_trace(dest)
+        assert back.columns == table.columns
+        assert back.times.shape == table.times.shape
+        assert back.values.shape == table.values.shape
+        assert np.array_equal(_bits(back.times), _bits(table.times))
+        assert np.array_equal(_bits(back.values), _bits(table.values))
 
 
 class TestCompareTraces:
