@@ -139,7 +139,12 @@ def cmd_analyze(args) -> int:
             t_end = 30.0 / abs(hz.spectral_abscissa)
             sys_full = build_full_system(sd, gains)
             omega_u = np.array(scenario.uncorrected_freq)
-            trace = simulate_ode(sys_full, omega_u, t_end)
+            try:
+                trace = simulate_ode(sys_full, omega_u, t_end)
+            except ParameterError as exc:
+                raise ValidationError("controller", (
+                    f"the --simulate horizon 30/|spectral abscissa| = {t_end:.3g} s is "
+                    f"set by the controller gains, and {exc}")) from exc
             omega_ss = np.full(graph.n, float(np.mean(omega_u)))
             freq_sq, occ_sq = empirical_norms(trace, omega_ss, hz.spectral_abscissa)
             gap = lambda emp, pred: abs(emp - pred) / pred if pred else 0.0
@@ -164,13 +169,21 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(doc_json: str, param: str, value: float) -> dict:
-    """Worker for one sweep point; must stay importable for process pools."""
+def _sweep_one(doc_json: str, param: str, value: float, spectra: dict | None = None) -> dict:
+    """Worker for one sweep point; must stay importable for process pools.
+
+    spectra maps each graph already factorised in this sweep to its spectral
+    data; the gains do not enter it, so a gain sweep factorises once.
+    """
     doc = json.loads(doc_json)
     apply_overrides(doc, [f"{param}={value!r}"])
     try:
         graph, scenario, gains = load_scenario_dict(doc)
-        sd = spectral_data(graph)
+        if spectra is None:
+            spectra = {}
+        sd = spectra.get(graph)
+        if sd is None:
+            sd = spectra[graph] = spectral_data(graph)
         perf = predicted_performance(sd, gains, np.array(scenario.uncorrected_freq))
         return {
             "value": value,
@@ -196,7 +209,8 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_one, [doc_json] * len(values),
                                  [args.param] * len(values), values))
     else:
-        rows = [_sweep_one(doc_json, args.param, v) for v in values]
+        spectra = {}
+        rows = [_sweep_one(doc_json, args.param, v, spectra) for v in values]
     rows.sort(key=lambda r: r["value"])
     columns = ["value", "status", "freq_dev_norm_sq", "occupancy_norm_sq", "quadratic_form"]
     lines = [",".join(columns)]

@@ -14,6 +14,7 @@ projecting onto the disagreement subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,24 +120,103 @@ def build_reduced_system(sd: SpectralData, gains: Gains) -> ReducedSystem:
     )
 
 
+# RK4 steps advanced per vectorised block: the block's step maps take
+# 6 * _BLOCK_STEPS * n floats, and each block costs a few numpy calls
+_BLOCK_STEPS = 256
+# rows of modal state formed at a time; a chunk starts on a block boundary, so
+# every block starts from the same row whatever the chunking, and a short last
+# chunk joins the one before it, since numpy sends a one-row product to gemv,
+# which rounds differently from the many-row product
+_CHUNK_STEPS = 8 * _BLOCK_STEPS
+
+
+@dataclass(frozen=True)
+class ModalRecurrence:
+    """The RK4 steps of every Laplacian mode as affine maps, from x(0) = 0.
+
+    powers[r, c, j] is entry (r, c) of M^(j+1) and offsets[r, j] entry r of
+    sum_{i<=j} M^i g, each a contiguous array over the modes; last_step is the
+    (M, g) of the final partial step, or None when the grid ends on a full step.
+    """
+
+    powers: np.ndarray
+    offsets: np.ndarray
+    last_step: tuple | None
+    n_full: int
+    count: int
+
+    def chunks(self):
+        """Yield (r, theta, zeta): the modal phase and integrator state of rows r, r+1, ...
+
+        The chunks cover rows 0 .. count-1 in order: _CHUNK_STEPS rows each, and
+        the last takes the rest, so it has fewer only when it is the only chunk.
+        """
+        p, o = self.powers, self.offsets
+        block, n = p.shape[2], p.shape[3]
+        th = ze = np.zeros(n)
+        n_chunks = max(1, self.count // _CHUNK_STEPS)
+        for i in range(n_chunks):
+            r = i * _CHUNK_STEPS
+            # a chunk before the last also holds the row after it, which starts the next
+            end = self.count - 1 if i == n_chunks - 1 else r + _CHUNK_STEPS
+            theta = np.empty((end - r + 1, n))
+            zeta = np.empty((end - r + 1, n))
+            theta[0] = th
+            zeta[0] = ze
+            for s in range(r, min(end, self.n_full), block):
+                j = min(block, self.n_full - s, end - s)
+                k = s - r
+                th, ze = theta[k], zeta[k]
+                theta[k + 1:k + 1 + j] = p[0, 0, :j] * th + p[0, 1, :j] * ze + o[0, :j]
+                zeta[k + 1:k + 1 + j] = p[1, 0, :j] * th + p[1, 1, :j] * ze + o[1, :j]
+            if end == self.n_full + 1:
+                m, g = self.last_step
+                th, ze = theta[-2], zeta[-2]
+                theta[-1] = m[:, 0, 0] * th + m[:, 0, 1] * ze + g[:, 0]
+                zeta[-1] = m[:, 1, 0] * th + m[:, 1, 1] * ze + g[:, 1]
+            if i < n_chunks - 1:
+                th, ze = theta[-1], zeta[-1]
+                theta, zeta = theta[:-1], zeta[:-1]
+            yield r, theta, zeta
+
+
 @dataclass(frozen=True)
 class OdeTrace:
     """Sampled trajectory of the full system from x(0) = 0.
 
     omega is the per-node frequency and delta the per-edge relative buffer
     occupancy in frame units (directly comparable to frame-exact occupancy
-    offsets). The state is kept in Laplacian modal coordinates: column k of
+    offsets). The state is in Laplacian modal coordinates: column k of
     theta_hat/zeta_hat is the phase/integrator coordinate along column k of
-    modes, the Laplacian eigenvectors, with the drift mode in column 0.
+    modes, the Laplacian eigenvectors, with the drift mode in column 0. It is
+    not stored with the trace: the first access re-runs the recurrence that
+    produced omega and delta, with the same bits, and keeps the result.
     """
 
     times: np.ndarray
     omega: np.ndarray
     delta: np.ndarray
     omega_u: np.ndarray
-    theta_hat: np.ndarray
-    zeta_hat: np.ndarray
     modes: np.ndarray
+    recurrence: ModalRecurrence
+
+    @cached_property
+    def _modal_state(self) -> tuple:
+        shape = (self.recurrence.count, self.modes.shape[1])
+        theta = np.empty(shape)
+        zeta = np.empty(shape)
+        for r, th, ze in self.recurrence.chunks():
+            theta[r:r + len(th)] = th
+            zeta[r:r + len(ze)] = ze
+        return theta, zeta
+
+    @property
+    def theta_hat(self) -> np.ndarray:
+        return self._modal_state[0]
+
+    @property
+    def zeta_hat(self) -> np.ndarray:
+        return self._modal_state[1]
 
     @property
     def omega_avg(self) -> float:
@@ -173,11 +253,6 @@ def output_time_step(sd: SpectralData, gains: Gains, output_dt: float) -> float:
     return output_dt / np.ceil(output_dt / default_time_step(sd, gains))
 
 
-# RK4 steps advanced per vectorised block: the block's step maps take
-# 6 * _BLOCK_STEPS * n floats, and each block costs a few numpy calls
-_BLOCK_STEPS = 256
-
-
 def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None) -> OdeTrace:
     """RK4 trajectory of the full system from x(0) = 0.
 
@@ -188,9 +263,11 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
     on the same grid; the final partial step lands exactly on t_end. The input
     is constant, so a step is the affine map z -> M_k z + g_k, and j steps are
     z -> M_k^j z + sum_{i<j} M_k^i g_k; the blocks advance together, up to
-    _BLOCK_STEPS steps per numpy call. omega and delta are then one matrix
-    product each. delta uses only the disagreement modes, so the drift mode,
-    whose phase grows without bound, never cancels in it.
+    _BLOCK_STEPS steps per numpy call. The modal state is formed _CHUNK_STEPS
+    rows at a time and turned into omega and delta with one matrix product
+    each, written straight into the trace, so no other trace-sized array
+    exists. delta uses only the disagreement modes, so the drift mode, whose
+    phase grows without bound, never cancels in it.
     """
     sd = sys.spectral
     n = sd.graph.n
@@ -235,31 +312,25 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
     powers = np.ascontiguousarray(powers.transpose(2, 3, 0, 1))
     offsets = np.ascontiguousarray(offsets.transpose(2, 0, 1))
 
-    theta = np.empty((count, n))
-    zeta = np.empty((count, n))
-    theta[0] = 0.0
-    zeta[0] = 0.0
-    for s in range(0, n_full, block):
-        j = min(block, n_full - s)
-        th, ze = theta[s], zeta[s]
-        theta[s + 1:s + 1 + j] = powers[0, 0, :j] * th + powers[0, 1, :j] * ze + offsets[0, :j]
-        zeta[s + 1:s + 1 + j] = powers[1, 0, :j] * th + powers[1, 1, :j] * ze + offsets[1, :j]
-    times = np.arange(count) * dt
-    if count == n_full + 2:
-        m, g = step_map(remainder)
-        th, ze = theta[n_full], zeta[n_full]
-        theta[-1] = m[:, 0, 0] * th + m[:, 0, 1] * ze + g[:, 0]
-        zeta[-1] = m[:, 1, 0] * th + m[:, 1, 1] * ze + g[:, 1]
-    times[-1] = t_end
+    last_step = step_map(remainder) if count == n_full + 2 else None
+    recurrence = ModalRecurrence(powers=powers, offsets=offsets, last_step=last_step,
+                                 n_full=n_full, count=count)
 
-    omega_hat = theta * (-a_gain * lam)
-    omega_hat += b_gain * zeta
-    omega = omega_hat @ modes.T
-    del omega_hat
-    omega += omega_u
-    delta = theta[:, 1:] @ (-(sd.incidence.T @ modes[:, 1:])).T
-    return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u,
-                    theta_hat=theta, zeta_hat=zeta, modes=modes)
+    times = np.arange(count) * dt
+    times[-1] = t_end
+    omega = np.empty((count, n))
+    delta = np.empty((count, sd.graph.m))
+    phase_gain = -a_gain * lam
+    to_delta = (-(sd.incidence.T @ modes[:, 1:])).T
+    for r, theta, zeta in recurrence.chunks():
+        rows = slice(r, r + len(theta))
+        omega_hat = theta * phase_gain
+        omega_hat += b_gain * zeta
+        np.matmul(omega_hat, modes.T, out=omega[rows])
+        omega[rows] += omega_u
+        np.matmul(theta[:, 1:], to_delta, out=delta[rows])
+    return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u, modes=modes,
+                    recurrence=recurrence)
 
 
 @dataclass(frozen=True)
@@ -319,8 +390,8 @@ class DecoupledCoordinates:
 def decoupled_coordinates(trace: OdeTrace) -> DecoupledCoordinates:
     """Split a full-system trace into its disagreement and agreement components.
 
-    The trace is stored in the Laplacian eigenbasis, whose first column is the
-    normalised all-ones vector, so each component is a slice of it.
+    The trace's modal state is in the Laplacian eigenbasis, whose first column
+    is the normalised all-ones vector, so each component is a slice of it.
     """
     return DecoupledCoordinates(
         disagreement_phase=trace.theta_hat[:, 1:],

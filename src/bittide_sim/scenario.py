@@ -232,6 +232,10 @@ def load_scenario_dict(doc: dict):
             epoch=_number(afm.get("epoch", epoch_default), "afm.epoch"),
         )
     except ParameterError as exc:
+        key = {"startup_freq": "omega_m1", "prehistory_freq": "omega_m2"}.get(exc.field)
+        if key is not None and key not in afm:
+            raise ValidationError("frequencies.omega_u", (
+                f"{exc} (afm.{key} is absent, so it takes frequencies.omega_u)")) from exc
         raise field_error(exc) from exc
     return graph, scenario, gains
 

@@ -8,6 +8,7 @@ import pytest
 
 from bittide_sim import cli
 from bittide_sim.cli import main
+from bittide_sim.graph import spectral_data
 from bittide_sim.scenario import read_trace
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -81,6 +82,8 @@ class TestSimulate:
         ("afm.p=0", "afm.p"),
         ("run.output_dt=1e-300", "run.output_dt"),
         ("afm.p=1e-9", "afm.p"),
+        # afm.omega_m1 and afm.omega_m2 are absent and take frequencies.omega_u
+        ("frequencies.omega_u=-1", "frequencies.omega_u"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, monkeypatch,
                                          override, field):
@@ -171,6 +174,16 @@ class TestAnalyze:
         assert emp["freq_rel_gap"] <= 0.01
         assert emp["occ_rel_gap"] <= 0.01
 
+    def test_simulate_horizon_names_controller(self, tmp_path, capsys):
+        # the --simulate horizon is 30/|spectral abscissa|, not run.t_end
+        rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                   "--out", str(tmp_path), "--performance", "--simulate",
+                   "--set", "controller.k_p=1e3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: controller: ")
+        assert "--simulate horizon" in err and "run-size cap" in err
+
     def test_lyapunov_residuals(self, tmp_path):
         rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
                    "--out", str(tmp_path), "--lyapunov"])
@@ -234,6 +247,26 @@ class TestSweep:
         assert rc1 == rc2 == 0
         assert ((tmp_path / "serial" / "sweep.csv").read_text()
                 == (tmp_path / "par" / "sweep.csv").read_text())
+
+    def test_one_factorisation_per_graph(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return spectral_data(graph)
+
+        monkeypatch.setattr(cli, "spectral_data", counted)
+        args = ["sweep", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
+                "--out", str(tmp_path / "out"), "--jobs", "1"]
+        assert main(args + ["--param", "controller.k_p",
+                            "--values", "1e-8,2e-8,3e-8,4e-8"]) == 0
+        assert len(calls) == 1
+        # the cache lasts one sweep: the next factorises again
+        assert main(args + ["--param", "controller.k_i", "--values", "1e-15,2e-15"]) == 0
+        assert len(calls) == 2
+        # three points on two graphs
+        assert main(args + ["--param", "graph.cols", "--values", "6,5,6"]) == 0
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("text, code", [("[1]", 1), ("{not json", 1), (None, 3)])
     def test_unreadable_document(self, tmp_path, capsys, text, code):

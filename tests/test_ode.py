@@ -1,10 +1,12 @@
 """Tests for the continuous-time linear model."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bittide_sim import ode
 from bittide_sim.graph import complete, mesh, path, spectral_data
 from bittide_sim.numerics import rk4_step_operator
 from bittide_sim.ode import (RUN_SIZE_CAP, Gains, ParameterError, build_full_system,
@@ -198,6 +200,48 @@ class TestSimulateOde:
         assert info.value.field == "t_end"
         with pytest.raises(ParameterError, match="run-size cap"):
             simulate_ode(sys_full, np.ones(3), RUN_SIZE_CAP + 1.0, 1.0)
+
+    def test_chunks_match_one_chunk_bit_for_bit(self, monkeypatch):
+        # step counts around one and two chunk boundaries, a block past the
+        # first, and partial final steps; without joining a short last chunk
+        # to the one before it, a one-row product would round differently
+        c, b = ode._CHUNK_STEPS, ode._BLOCK_STEPS
+        rng = np.random.RandomState(12)
+        for steps in (c - 1, c, c + 1, c + b + 1, 2 * c - 1, 2 * c, 2 * c + 1,
+                      c + 0.5, 2 * c - 0.5, 2 * c + 0.25):
+            sd = spectral_data(random_connected_graph(rng, rng.randint(2, 9)))
+            sys_full = build_full_system(sd, Gains(k_p=10 ** rng.uniform(-2, 0.5),
+                                                   k_i=10 ** rng.uniform(-3, 0)))
+            omega_u = 1.0 + 0.1 * rng.randn(sd.graph.n)
+            dt = rng.uniform(0.01, 0.05)
+            chunked = simulate_ode(sys_full, omega_u, steps * dt, dt=dt)
+            with monkeypatch.context() as m:
+                m.setattr(ode, "_CHUNK_STEPS", 10 ** 9)
+                whole = simulate_ode(sys_full, omega_u, steps * dt, dt=dt)
+                whole_modal = (whole.theta_hat, whole.zeta_hat)
+            for name in ("times", "omega", "delta"):
+                assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), \
+                    (steps, name)
+            assert chunked.theta_hat.tobytes() == whole_modal[0].tobytes(), steps
+            assert chunked.zeta_hat.tobytes() == whole_modal[1].tobytes(), steps
+
+    def test_peak_memory_is_the_trace_and_a_few_chunks(self):
+        sd = spectral_data(mesh(3, 3))
+        n = sd.graph.n
+        sys_full = build_full_system(sd, Gains(k_p=1.0, k_i=0.2))
+        dt = 0.01
+        tracemalloc.start()
+        try:
+            trace = simulate_ode(sys_full, np.linspace(0.9, 1.1, n), 50_000.5 * dt, dt=dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.times.shape == (50_002,)
+        # the modal state and its temporaries take at most a dozen chunks of n
+        # columns; a trace-sized modal state alone would take 2 * 50_002 rows
+        chunk_bytes = ode._CHUNK_STEPS * n * 8
+        assert peak <= (trace.times.nbytes + trace.omega.nbytes + trace.delta.nbytes
+                        + 12 * chunk_bytes)
 
     def test_default_step_resolves_fast_mode(self):
         sd = spectral_data(complete(3))
