@@ -19,6 +19,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,8 +199,7 @@ class DiscreteControllerState:
     pending: list = field(default_factory=list)  # (k, correction), k ascending
 
 
-@dataclass(frozen=True)
-class AfmEvent:
+class AfmEvent(NamedTuple):
     """One logged event: a measurement, a correction taking hold, or a buffer bound hit."""
 
     time: float
@@ -300,9 +300,11 @@ def simulate_afm(scenario: AfmScenario, keep_histories: bool = False) -> AfmTrac
     n = g.n
     links = g.directed_links()
     offsets = frame_offsets(scenario)
+    # per receiver: (link, source, latency, frame offset, initial occupancy)
     in_links = [[] for _ in range(n)]
-    for q, (_, dst) in enumerate(links):
-        in_links[dst].append(q)
+    for q, (src, dst) in enumerate(links):
+        in_links[dst].append((q, src, scenario.latency[q], offsets[q],
+                              scenario.initial_occupancy[q]))
 
     hists = [
         PhaseHistory.initial(
@@ -311,129 +313,107 @@ def simulate_afm(scenario: AfmScenario, keep_histories: bool = False) -> AfmTrac
         )
         for i in range(n)
     ]
+    h_times, h_phases, h_slopes = zip(*((h.times, h.phases, h.slopes) for h in hists))
     ctrl = [DiscreteControllerState(node=i) for i in range(n)]
+    theta0 = scenario.initial_phase
     p = scenario.meas_period
     d = scenario.actuation_delay
     t_end = scenario.t_end
+    dt = scenario.output_dt
     cap = scenario.buffer_capacity
 
-    # heap of (time, node, kind, seq); live[kind][node] is the seq of that
-    # candidate's current entry, so an entry whose candidate was rescheduled
-    # is stale and dropped when it reaches the top
-    heap: list = []
-    live = ([-1] * n, [-1] * n)
-    seq = 0
-
-    def schedule(i: int, kind: int, t: float) -> None:
-        nonlocal seq
-        seq += 1
-        live[kind][i] = seq
-        if t <= t_end:
-            heapq.heappush(heap, (t, i, kind, seq))
-
-    def drop_stale() -> None:
-        while heap and live[heap[0][2]][heap[0][1]] != heap[0][3]:
-            heapq.heappop(heap)
-
-    for i in range(n):
-        schedule(i, _MEASURE, hists[i].next_crossing(scenario.initial_phase[i]))
-
-    sample_times: list[float] = []
-    sample_at: list[int] = []  # len(events) when each sample was taken
+    # No crossing target lies below its node's last breakpoint phase, so crossings
+    # use the last segment. No heap entry is ever stale: a measurement that crosses
+    # strictly after its node's scheduled hold is left for the hold to reschedule.
+    heap = [(0.0, i, _MEASURE) for i in range(n)]  # phase theta0 at t = 0; sorted
+    hold_at = [math.inf] * n  # crossing time of each node's scheduled hold
+    samples: list[tuple] = []  # (time, len(events) when the sample was taken)
     events: list[AfmEvent] = []
     # first overflow / underflow seen by a measurement: link -> index in events
     meas_hit: tuple[dict, dict] = ({}, {})
-
-    def add_sample(t: float) -> None:
-        if not sample_times or sample_times[-1] != t:
-            sample_times.append(t)
-            sample_at.append(len(events))
-
     grid_idx = 0
 
-    def grid_time(j: int) -> float:
-        return j * scenario.output_dt
-
-    while True:
-        drop_stale()
-        if not heap:
-            break
-        t_evt, i, kind, _ = heapq.heappop(heap)
-        live[kind][i] = -1
-        while grid_time(grid_idx) < t_evt and grid_time(grid_idx) <= t_end:
-            add_sample(grid_time(grid_idx))
+    while heap:
+        t_evt, i, kind = heapq.heappop(heap)
+        while grid_idx * dt < t_evt:
+            samples.append((grid_idx * dt, len(events)))
             grid_idx += 1
-
+        st = ctrl[i]
+        ts, ps, ss = h_times[i], h_phases[i], h_slopes[i]
         if kind == _MEASURE:
-            k = ctrl[i].next_k
+            k = st.next_k
+            floor_dst = math.floor(ps[-1] + ss[-1] * (t_evt - ts[-1]))
             r = 0
-            for q in in_links[i]:
-                src, dst = links[q]
-                b = occupancy(hists[src], hists[dst], scenario.latency[q], offsets[q], t_evt)
+            for q, src, lat, off, b0 in in_links[i]:
+                x = t_evt - lat
+                src_t = h_times[src]
+                j = len(src_t) - 1 if x >= src_t[-1] else bisect_right(src_t, x) - 1
+                b = (math.floor(h_phases[src][j] + h_slopes[src][j] * (x - src_t[j]))
+                     - floor_dst + off)
                 hit = 0 if b > cap else 1 if b < 0 else -1
                 if hit >= 0 and q not in meas_hit[hit]:
                     meas_hit[hit][q] = len(events)
                     events.append(AfmEvent(t_evt, i, _BOUND_KINDS[hit], q, float(b)))
-                r += b - scenario.initial_occupancy[q]
+                r += b - b0
             try:
-                c = pi_controller_step(ctrl[i], float(r), scenario)
+                c = pi_controller_step(st, float(r), scenario)
             except InadmissibleControlError as exc:
                 raise InadmissibleControlError(
                     f"t={t_evt}, measurement {k}: {exc}"
                 ) from exc
-            ctrl[i].pending.append((k, c))
-            ctrl[i].next_k = k + 1
+            st.pending.append((k, c))
+            st.next_k = k + 1
             events.append(AfmEvent(t_evt, i, "measure", k, float(r)))
-            schedule(i, _MEASURE, hists[i].next_crossing(
-                scenario.initial_phase[i] + ctrl[i].next_k * p
-            ))
-            if len(ctrl[i].pending) == 1:
-                schedule(i, _HOLD, hists[i].next_crossing(
-                    scenario.initial_phase[i] + k * p + d
-                ))
         else:
-            k, c = ctrl[i].pending.pop(0)
-            target = scenario.initial_phase[i] + k * p + d
-            hists[i].append_breakpoint(t_evt, target, c + scenario.uncorrected_freq[i])
+            k, c = st.pending.pop(0)
+            ts.append(t_evt)
+            ps.append(theta0[i] + k * p + d)
+            ss.append(c + scenario.uncorrected_freq[i])
             events.append(AfmEvent(t_evt, i, "hold", k, float(c)))
-            # the slope changed: recompute this node's crossings
-            schedule(i, _MEASURE, hists[i].next_crossing(
-                scenario.initial_phase[i] + ctrl[i].next_k * p
-            ))
-            if ctrl[i].pending:
-                schedule(i, _HOLD, hists[i].next_crossing(
-                    scenario.initial_phase[i] + ctrl[i].pending[0][0] * p + d
-                ))
+            hold_at[i] = math.inf
+        if st.pending and hold_at[i] == math.inf:
+            t_hold = hold_at[i] = ts[-1] + (theta0[i] + st.pending[0][0] * p + d - ps[-1]) / ss[-1]
+            if t_hold <= t_end:
+                heapq.heappush(heap, (t_hold, i, _HOLD))
+        t_meas = ts[-1] + (theta0[i] + st.next_k * p - ps[-1]) / ss[-1]
+        if t_meas <= hold_at[i] and t_meas <= t_end:
+            heapq.heappush(heap, (t_meas, i, _MEASURE))
 
-        drop_stale()
         if not heap or heap[0][0] > t_evt:
-            if grid_time(grid_idx) == t_evt:
+            if grid_idx * dt == t_evt:
                 grid_idx += 1
-            add_sample(t_evt)
+            samples.append((t_evt, len(events)))
 
-    while grid_time(grid_idx) <= t_end:
-        add_sample(grid_time(grid_idx))
+    while grid_idx * dt <= t_end:
+        samples.append((grid_idx * dt, len(events)))
         grid_idx += 1
-    add_sample(t_end)
+    if samples[-1][0] != t_end:
+        samples.append((t_end, len(events)))
 
-    times = np.array(sample_times)
+    times = np.array([t for t, _ in samples])
     segments = [(np.array(h.times), np.array(h.phases), np.array(h.slopes)) for h in hists]
     freq = np.empty((times.shape[0], n))
     phase = np.empty_like(freq)
-    for i, seg in enumerate(segments):
-        freq[:, i], phase[:, i] = _phase_rows(seg, times)
-    occ = np.empty((times.shape[0], len(links)), dtype=np.int64)
+    for i in range(n):
+        freq[:, i], phase[:, i] = _phase_rows(segments[i], times)
     floor_phase = np.floor(phase)
-    for q, (src, dst) in enumerate(links):
-        _, src_phase = _phase_rows(segments[src], times - scenario.latency[q])
-        occ[:, q] = np.floor(src_phase) - floor_phase[:, dst] + offsets[q]
+    # links that share a source and a latency read one row of floored phases
+    by_source = {}
+    for q, (src, _) in enumerate(links):
+        by_source.setdefault((src, scenario.latency[q]), []).append(q)
+    occ = np.empty((times.shape[0], len(links)), dtype=np.int64)
+    for (src, lat), qs in by_source.items():
+        src_floor = np.floor(_phase_rows(segments[src], times - lat)[1])
+        for q in qs:
+            occ[:, q] = src_floor - floor_phase[:, links[q][1]] + offsets[q]
 
     return AfmTrace(
         times=times,
         freq=freq,
         occupancy=occ,
         phase=phase,
-        events=_merge_sample_hits(events, meas_hit, occ, cap, times, sample_at, links),
+        events=_merge_sample_hits(events, meas_hit, occ, cap, times,
+                                  [at for _, at in samples], links),
         frame_offsets=offsets,
         scenario=scenario,
         histories=tuple(hists) if keep_histories else (),

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from .analysis import (build_lyapunov_certificate, empirical_norms, hurwitz_chec
                        predicted_performance, worst_case_frequency)
 from .graph import resistance_matrix, spectral_data
 from .ode import (ParameterError, build_full_system, build_reduced_system, output_time_step,
-                  simulate_ode)
+                  simulate_ode, spectral_abscissa)
 from .scenario import (ParseError, ScenarioError, ValidationError, apply_overrides,
                        compare_traces, emit_report, field_error, load_scenario_dict,
                        read_document, write_trace)
@@ -134,9 +133,8 @@ def cmd_analyze(args) -> int:
         perf = predicted_performance(sd, gains, np.array(scenario.uncorrected_freq))
         reports.append(perf)
         if args.simulate:
-            reduced = build_reduced_system(sd, gains)
-            hz = hurwitz_check(reduced.a_hat)
-            t_end = 30.0 / abs(hz.spectral_abscissa)
+            abscissa = spectral_abscissa(sd, gains)
+            t_end = 30.0 / abs(abscissa)
             sys_full = build_full_system(sd, gains)
             omega_u = np.array(scenario.uncorrected_freq)
             try:
@@ -146,7 +144,7 @@ def cmd_analyze(args) -> int:
                     f"the --simulate horizon 30/|spectral abscissa| = {t_end:.3g} s is "
                     f"set by the controller gains, and {exc}")) from exc
             omega_ss = np.full(graph.n, float(np.mean(omega_u)))
-            freq_sq, occ_sq = empirical_norms(trace, omega_ss, hz.spectral_abscissa)
+            freq_sq, occ_sq = empirical_norms(trace, omega_ss, abscissa)
             gap = lambda emp, pred: abs(emp - pred) / pred if pred else 0.0
             reports.append({
                 "type": "performance_empirical",
@@ -205,6 +203,8 @@ def cmd_sweep(args) -> int:
         raise ValidationError("values", str(exc)) from exc
     doc_json = json.dumps(doc)
     if args.jobs > 1:
+        # imported here: a serial run does not pay for loading the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, [doc_json] * len(values),
                                  [args.param] * len(values), values))

@@ -233,6 +233,19 @@ class OdeTrace:
         return np.hstack([self.theta_bar, self.zeta_hat @ self.modes.T])
 
 
+def spectral_abscissa(sd: SpectralData, gains: Gains) -> float:
+    """Largest real part of the roots of s^2 + a lambda_k s + b lambda_k, k >= 1.
+
+    The slower real root is -2 b lambda_k / (a lambda_k + sqrt(disc)): no cancellation."""
+    lam = sd.eigenvalues[1:]
+    damping = gains.k_p * lam
+    stiffness = gains.effective_integral_gain * lam
+    disc = damping * damping - 4.0 * stiffness
+    real = np.where(disc < 0.0, -damping / 2.0,
+                    -2.0 * stiffness / (damping + np.sqrt(np.maximum(disc, 0.0))))
+    return float(real.max())
+
+
 def default_time_step(sd: SpectralData, gains: Gains) -> float:
     """Step resolving the fastest closed-loop mode with a 20x safety factor.
 

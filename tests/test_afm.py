@@ -1,6 +1,7 @@
 """Tests for the frame-exact event-driven simulator."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from bittide_sim.afm import (AfmScenario, DiscreteControllerState, HistoryGapErr
                              simulate_afm)
 from bittide_sim.graph import OrientedGraph, complete, path
 from bittide_sim.ode import Gains, ParameterError
+from bittide_sim.scenario import load_scenario_dict, read_document
 from helpers import make_scenario, random_connected_graph
 
 GAINS = Gains(k_p=3e-5, k_i=2e-9, omega_c=1.0)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestPhaseHistory:
@@ -232,6 +235,19 @@ class TestSimulateAfm:
                 )
                 assert lhs == rhs
 
+    def test_many_links_short_run(self):
+        # complete(257) has 65,792 directed links, more than 2**16 occupancy
+        # cells per sample row
+        scn = make_scenario(complete(257), [1.0 + 1e-6 * (i % 7) for i in range(257)],
+                            GAINS, t_end=10.0)
+        trace = simulate_afm(scn, keep_histories=True)
+        hists = trace.histories
+        assert trace.occupancy.shape == (2, 65792)
+        assert trace.occupancy[0].tolist() == list(scn.initial_occupancy)
+        assert trace.occupancy[-1].tolist() == [
+            occupancy(hists[src], hists[dst], scn.latency[q], trace.frame_offsets[q], 10.0)
+            for q, (src, dst) in enumerate(scn.graph.directed_links())]
+
     def test_zero_latency_antisymmetry_and_conservation(self):
         scn = make_scenario(complete(3), (1.0001, 1.0, 0.9999), GAINS,
                             latency=0.0, p=500.0, d=50.0,
@@ -309,6 +325,37 @@ class TestSimulateAfm:
         assert np.abs(trace.occupancy[-1] - 64).max() <= 2
 
 
+class TestSettledRate:
+    """Where triangle_pi settles, and how that moves with the measurement phase theta0.
+
+    A node measures when its own phase is theta0 + k p, so each reading
+    floor(theta_src) - floor(theta_dst) stays at its initial value over phase
+    leads in [-frac(theta0), 1 - frac(theta0)): an asymmetric dead band, so
+    the loop stops short of the mean on one side.
+    """
+
+    @staticmethod
+    def settled(theta0):
+        doc = read_document(SCENARIOS / "triangle_pi.json", [f"afm.theta0={theta0}"])
+        _, scn, _ = load_scenario_dict(doc)
+        return np.array(scn.uncorrected_freq), simulate_afm(scn).freq[-1]
+
+    def test_final_spread_is_rounding(self):
+        # the uncorrected rates are 1e-4 apart; the settled ones agree to rounding
+        _, final = self.settled(0.1)
+        assert final.max() - final.min() <= 1e-12
+
+    @pytest.mark.parametrize("theta0, where", [(0.1, "slowest"), (0.5, "mean"),
+                                               (0.9, "fastest")])
+    def test_settled_rate_follows_theta0(self, theta0, where):
+        omega_u, final = self.settled(theta0)
+        if where == "mean":
+            assert np.abs(final - omega_u.mean()).max() <= 2e-7
+        else:
+            rate = omega_u.min() if where == "slowest" else omega_u.max()
+            assert np.abs(final - rate).max() <= 1e-12
+
+
 def bound_log_oracle(trace, scn):
     """The event log with bound hits placed by the rule, from the scalar lookups.
 
@@ -347,8 +394,52 @@ def bound_log_oracle(trace, scn):
     return out
 
 
+def loop_log_oracle(trace, scn):
+    """The measure and hold entries the model's rules give, from the scalar lookups.
+
+    Measurement k of node i sits at the crossing of theta0_i + k p and reads
+    the sum of its incoming occupancies less their initial values; the
+    correction pi_controller_step makes of it takes hold at the crossing of
+    theta0_i + k p + d. Entries up to t_end are in time order, ties broken by
+    node, then measurement before hold.
+    """
+    links = scn.graph.directed_links()
+    hists = trace.histories
+    out = []
+    for i, h in enumerate(hists):
+        state = DiscreteControllerState(node=i)
+        k = 0
+        while (t := h.next_crossing(scn.initial_phase[i] + k * scn.meas_period)) <= scn.t_end:
+            r = sum(occupancy(hists[src], h, scn.latency[q], trace.frame_offsets[q], t)
+                    - scn.initial_occupancy[q] for q, (src, dst) in enumerate(links) if dst == i)
+            c = pi_controller_step(state, float(r), scn)
+            out.append((t, i, 0, k, float(r)))
+            t_hold = h.next_crossing(scn.initial_phase[i] + k * scn.meas_period
+                                     + scn.actuation_delay)
+            if t_hold <= scn.t_end:
+                out.append((t_hold, i, 1, k, c))
+            k += 1
+    out.sort(key=lambda e: e[:3])
+    return [(t, i, ("measure", "hold")[kind], k, v) for t, i, kind, k, v in out]
+
+
+def assert_matches_scalar_oracles(trace, scn):
+    """Rows, the measure/hold log and the bound-hit placement, each from scalar lookups."""
+    hists = trace.histories
+    links = scn.graph.directed_links()
+    for row, t in enumerate(trace.times.tolist()):
+        assert trace.freq[row].tolist() == [h.slope_at(t) for h in hists]
+        assert trace.phase[row].tolist() == [h.phase_at(t) for h in hists]
+        assert trace.occupancy[row].tolist() == [
+            occupancy(hists[src], hists[dst], scn.latency[q], trace.frame_offsets[q], t)
+            for q, (src, dst) in enumerate(links)]
+    logged = [(ev.time, ev.node, ev.kind, ev.k, ev.value) for ev in trace.events]
+    assert [ev for ev in logged if ev[2] in ("measure", "hold")] == loop_log_oracle(trace, scn)
+    assert logged == bound_log_oracle(trace, scn)
+
+
 class TestRowOracle:
-    """Bulk trace rows against the scalar lookups on the returned histories."""
+    """Bulk trace rows and the event log against the scalar lookups on the returned histories."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_rows_and_bound_events_match_scalar_lookups(self, seed):
@@ -364,14 +455,32 @@ class TestRowOracle:
             theta0=theta0, beta_max=int(rng.choice([4, 8, 16])),
             t_end=float(rng.uniform(1000.0, 2000.0)), output_dt=7.0)
         trace = simulate_afm(scn, keep_histories=True)
-        hists = trace.histories
-        links = scn.graph.directed_links()
-        for row, t in enumerate(trace.times.tolist()):
-            assert trace.freq[row].tolist() == [h.slope_at(t) for h in hists]
-            assert trace.phase[row].tolist() == [h.phase_at(t) for h in hists]
-            assert trace.occupancy[row].tolist() == [
-                occupancy(hists[src], hists[dst], scn.latency[q], trace.frame_offsets[q], t)
-                for q, (src, dst) in enumerate(links)]
-        logged = [(ev.time, ev.node, ev.kind, ev.k, ev.value) for ev in trace.events]
-        assert logged == bound_log_oracle(trace, scn)
+        assert_matches_scalar_oracles(trace, scn)
+        assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
+
+    # dyadic phases and periods keep theta0 + k p + d exact, so with d a
+    # multiple of p a hold and a later measurement cross at the very same time
+    @pytest.mark.parametrize("d, latency", [
+        (8.0, None),   # d == p: each hold meets the next measurement
+        (24.0, None),  # d == 3p: three holds pending, each meeting a measurement
+        (24.0, 12.5),  # every link one latency: one source row per node
+        (8.0, 0.0),    # every link zero latency: sources read the node rows
+    ])
+    def test_tied_crossings_and_shared_latency(self, d, latency):
+        rng = np.random.RandomState(int(d) + (latency is None))
+        n = 5
+        g = random_connected_graph(rng, n, extra_edges=3)
+        if latency is None:
+            latency = tuple(rng.uniform(0.0, 30.0, 2 * g.m))
+        omega_u = 1.0 + rng.permutation(np.linspace(-0.02, 0.02, n))
+        scn = make_scenario(
+            g, omega_u, Gains(k_p=1e-6, k_i=1e-9, omega_c=1.0), latency=latency,
+            p=8.0, d=d, theta0=(0.25, 1.5, 2.75, 3.125, 0.5), beta_max=8,
+            t_end=1500.0, output_dt=7.0)
+        trace = simulate_afm(scn, keep_histories=True)
+        assert_matches_scalar_oracles(trace, scn)
+        kinds = [(ev.time, ev.node, ev.kind) for ev in trace.events]
+        tied = {(t, i) for t, i, kind in kinds if kind == "hold"} & {
+            (t, i) for t, i, kind in kinds if kind == "measure"}
+        assert len(tied) > 100
         assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)

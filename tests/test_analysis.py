@@ -1,17 +1,24 @@
 """Tests for the closed-form stability and performance layer."""
 
+import os
+import subprocess
+import sys
 import warnings
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bittide_sim
 from bittide_sim.analysis import (InsufficientHorizonWarning,
                                   build_lyapunov_certificate, empirical_norms,
                                   hurwitz_check, predicted_performance,
                                   two_node_perturbation, worst_case_frequency)
 from bittide_sim.graph import complete, laplacian, mesh, path, spectral_data
 from bittide_sim.numerics import eig_symmetric
-from bittide_sim.ode import Gains, build_full_system, build_reduced_system, simulate_ode
+from bittide_sim.ode import (Gains, build_full_system, build_reduced_system, simulate_ode,
+                             spectral_abscissa)
 from helpers import random_connected_graph
 
 
@@ -59,6 +66,61 @@ class TestHurwitzCheck:
         assert result.is_hurwitz
         assert result.spectral_abscissa == pytest.approx(real.max(), abs=1e-15)
 
+
+
+class TestSpectralAbscissa:
+    """The closed-form abscissa against the dense eigensolver, and its reproducibility."""
+
+    def test_single_edge_complex_pair(self):
+        # poles of s^2 + 2s + 2: -1 +/- i
+        assert spectral_abscissa(spectral_data(path(2)), Gains(k_p=1.0, k_i=1.0)) == -1.0
+
+    def test_overdamped_root_has_no_cancellation(self):
+        # s^2 + 2s + 2e-12: the slow root is about -1e-12, and the
+        # textbook (-2 + sqrt(4 - 8e-12)) / 2 keeps only about 4 digits of it
+        got = spectral_abscissa(spectral_data(path(2)), Gains(k_p=1.0, k_i=1e-12))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            damping, stiffness = Decimal(2.0), Decimal(1e-12) * 2
+            exact = -2 * stiffness / (damping + (damping ** 2 - 4 * stiffness).sqrt())
+            assert abs(Decimal(got) - exact) <= Decimal(1e-16) * abs(exact)
+
+    def test_matches_dense_eigenvalues(self):
+        # gains in the decades of the shipped scenarios, where the dense
+        # solver resolves the slowest pole; under- and overdamped modes occur
+        rng = np.random.RandomState(7)
+        cases = [(mesh(4, 6), Gains(k_p=2e-8, k_i=1e-15)),
+                 (mesh(12, 12), Gains(k_p=2e-8, k_i=1e-15)),
+                 (complete(3), Gains(k_p=3e-5, k_i=2e-9))]
+        for _ in range(60):
+            n = rng.randint(2, 25)
+            cases.append((random_connected_graph(rng, n, extra_edges=rng.randint(0, 2 * n)),
+                          Gains(k_p=10 ** rng.uniform(-9, -6), k_i=10 ** rng.uniform(-16, -12),
+                                omega_c=rng.uniform(0.5, 2.0))))
+        for g, gains in cases:
+            sd = spectral_data(g)
+            closed = spectral_abscissa(sd, gains)
+            dense = hurwitz_check(build_reduced_system(sd, gains).a_hat).spectral_abscissa
+            assert closed < 0
+            assert abs(closed - dense) <= 1e-12 * abs(closed)
+
+    def test_horizon_independent_of_blas_threads(self):
+        # the dense abscissa of this mesh moved with the BLAS thread count
+        code = ("from bittide_sim.graph import mesh, spectral_data\n"
+                "from bittide_sim.ode import Gains, spectral_abscissa\n"
+                "sd = spectral_data(mesh(12, 12))\n"
+                "print(repr(30.0 / abs(spectral_abscissa(sd, Gains(k_p=2e-8, k_i=1e-15)))))\n")
+        src = str(Path(bittide_sim.__file__).resolve().parents[1])
+        horizons = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True, timeout=120)
+            horizons.append(out.stdout.strip())
+        assert horizons[0] == horizons[1]
+        assert float(horizons[0]) == 30.0 / abs(
+            spectral_abscissa(spectral_data(mesh(12, 12)), Gains(k_p=2e-8, k_i=1e-15)))
 
 class TestLyapunovCertificate:
     def test_single_edge_x2_value(self):

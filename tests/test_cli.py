@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 from bittide_sim import cli
 from bittide_sim.cli import main
 from bittide_sim.graph import spectral_data
-from bittide_sim.scenario import read_trace
+from bittide_sim.ode import spectral_abscissa
+from bittide_sim.scenario import load_scenario, read_trace
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -174,6 +178,15 @@ class TestAnalyze:
         assert emp["freq_rel_gap"] <= 0.01
         assert emp["occ_rel_gap"] <= 0.01
 
+    def test_simulate_horizon_from_closed_form_abscissa(self, tmp_path):
+        rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                   "--out", str(tmp_path), "--performance", "--simulate"])
+        assert rc == 0
+        tree = json.loads((tmp_path / "analysis.json").read_text())
+        emp = {r["type"]: r for r in tree["reports"]}["performance_empirical"]
+        graph, _, gains = load_scenario(SCENARIOS / "triangle_pi.json")
+        assert emp["horizon"] == 30.0 / abs(spectral_abscissa(spectral_data(graph), gains))
+
     def test_simulate_horizon_names_controller(self, tmp_path, capsys):
         # the --simulate horizon is 30/|spectral abscissa|, not run.t_end
         rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
@@ -247,6 +260,16 @@ class TestSweep:
         assert rc1 == rc2 == 0
         assert ((tmp_path / "serial" / "sweep.csv").read_text()
                 == (tmp_path / "par" / "sweep.csv").read_text())
+
+    def test_process_pool_imported_only_for_parallel_sweeps(self):
+        # a fresh interpreter that loads the CLI does not pay for concurrent.futures
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bittide_sim.cli; print('concurrent.futures' in sys.modules)"],
+            env=env, check=True, capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_one_factorisation_per_graph(self, tmp_path, monkeypatch):
         calls = []
