@@ -3,21 +3,23 @@
 For positive gains the reduced dynamics are Hurwitz, and the L2 norms of the
 frequency deviation and relative occupancy have exact values
 
-    |omega - omega_ss|^2 = q / (2 a)        q = omega_u^T Lpinv omega_u
-    |delta|^2            = q / (2 a b)
+    |omega - omega_ss|^2 = q / (2 a)        q = d^T Lpinv d
+    |delta|^2            = q / (2 a b)      d = omega_u - mean(omega_u)
 
 with a the proportional gain and b the scaled integral gain. The quadratic
 form q reduces to the resistance distance R_ij when exactly two nodes are
 perturbed symmetrically, and is maximized over a norm ball by the Fiedler
 vector. Stability is certified two independent ways: eigenvalue abscissa of
 the reduced matrix, and explicit positive-definite Lyapunov solutions whose
-residuals are checked numerically.
+residuals are checked numerically. Each result that becomes a report names
+its report type in ``kind``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +38,7 @@ class InsufficientHorizonWarning(UserWarning):
 
 @dataclass(frozen=True)
 class HurwitzResult:
+    kind: ClassVar[str] = "hurwitz"
     is_hurwitz: bool
     spectral_abscissa: float
 
@@ -63,29 +66,23 @@ def hurwitz_check(a_hat: np.ndarray, tol: float | None = None) -> HurwitzResult:
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
-    """Explicit Lyapunov solutions for the reduced loop and their residuals.
+    """Residuals and smallest eigenvalues of the explicit Lyapunov solutions.
 
     x1 certifies the frequency-deviation norm, x2 the occupancy norm, and
     their sum solves the joint equation with the stacked output matrix;
     positive definiteness of the sum independently witnesses stability.
     """
 
-    x1: np.ndarray
-    x2: np.ndarray
+    kind: ClassVar[str] = "lyapunov_certificate"
     residual1: float
     residual2: float
     residual_sum: float
     min_eig_x1: float
     min_eig_x2: float
 
-    @property
-    def relative_residuals(self):
-        return (self.residual1, self.residual2, self.residual_sum)
 
-
-def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
-                               gains: Gains) -> LyapunovCertificate:
-    """Assemble the block Lyapunov solutions and verify them numerically.
+def lyapunov_solutions(sd: SpectralData, gains: Gains) -> tuple:
+    """The block Lyapunov solutions (x1, x2) of the reduced loop.
 
     With L the reduced Laplacian, a, b the gains, and I the identity:
 
@@ -93,8 +90,6 @@ def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
               [-b/2 I,             b^2/(2a) L^-1]]
         x2 = [[1/(2a) I,  0            ],
               [0,         b/(2a) L^-1  ]]
-
-    Residuals are reported relative to |C^T C|_F for each output block.
     """
     lap_hat = sd.reduced_laplacian
     n1 = lap_hat.shape[0]
@@ -111,6 +106,16 @@ def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
         [1.0 / (2.0 * a) * eye, np.zeros((n1, n1))],
         [np.zeros((n1, n1)), b / (2.0 * a) * lap_hat_inv],
     ])
+    return x1, x2
+
+
+def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
+                               gains: Gains) -> LyapunovCertificate:
+    """Verify the Lyapunov solutions of the reduced loop numerically.
+
+    Residuals are reported relative to |C^T C|_F for each output block.
+    """
+    x1, x2 = lyapunov_solutions(sd, gains)
     r1 = lyapunov_residual(reduced.a_hat, x1, reduced.c1_hat)
     r2 = lyapunov_residual(reduced.a_hat, x2, reduced.c2_hat)
     rs = lyapunov_residual(reduced.a_hat, x1 + x2, reduced.c_hat)
@@ -125,7 +130,7 @@ def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
             "this indicates an implementation bug, not a valid parameter case"
         )
     return LyapunovCertificate(
-        x1=x1, x2=x2, residual1=float(r1), residual2=float(r2),
+        residual1=float(r1), residual2=float(r2),
         residual_sum=float(rs), min_eig_x1=min1, min_eig_x2=min2,
     )
 
@@ -134,6 +139,7 @@ def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
 class PerformanceReport:
     """Closed-form L2 performance of a run: norms scale as q/2a and q/2ab."""
 
+    kind: ClassVar[str] = "performance"
     freq_dev_norm_sq: float
     occupancy_norm_sq: float
     quadratic_form: float
@@ -141,10 +147,7 @@ class PerformanceReport:
     integral_gain_scaled: float
 
 
-def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> PerformanceReport:
-    """Exact L2 norms from the Laplacian pseudo-inverse quadratic form."""
-    omega_u = np.asarray(omega_u, dtype=float)
-    q = float(omega_u @ sd.pseudo_inverse @ omega_u)
+def _performance(q: float, gains: Gains) -> PerformanceReport:
     a = gains.k_p
     b = gains.effective_integral_gain
     return PerformanceReport(
@@ -154,6 +157,18 @@ def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> Performanc
         k_p=a,
         integral_gain_scaled=b,
     )
+
+
+def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> PerformanceReport:
+    """Exact L2 norms from the Laplacian pseudo-inverse quadratic form.
+
+    q is formed from the deviations d = omega_u - mean(omega_u). L+ has the
+    all-ones vector in its kernel, so this is the same q in exact arithmetic,
+    but the common rate no longer cancels inside rounding.
+    """
+    d = np.asarray(omega_u, dtype=float)
+    d = d - d.mean()
+    return _performance(float(d @ sd.pseudo_inverse @ d), gains)
 
 
 def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int,
@@ -171,24 +186,14 @@ def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int,
     omega_u = np.full(n, float(base_freq))
     omega_u[i] += alpha
     omega_u[j] -= alpha
-    r_ij = resistance_distance(sd, i, j)
-    q = alpha * alpha * r_ij
-    a = gains.k_p
-    b = gains.effective_integral_gain
-    report = PerformanceReport(
-        freq_dev_norm_sq=q / (2.0 * a),
-        occupancy_norm_sq=q / (2.0 * a * b),
-        quadratic_form=q,
-        k_p=a,
-        integral_gain_scaled=b,
-    )
-    return omega_u, report
+    return omega_u, _performance(alpha * alpha * resistance_distance(sd, i, j), gains)
 
 
 @dataclass(frozen=True)
 class WorstCaseResult:
     """Worst frequency distribution on the |omega_u| <= gamma ball."""
 
+    kind: ClassVar[str] = "worst_case"
     omega_u: np.ndarray
     attained_quadratic_form: float
     degenerate: bool

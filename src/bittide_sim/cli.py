@@ -41,66 +41,49 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _fluid_trace(graph, scenario, gains):
+    """The fluid model's run of a scenario, with a row at every output instant."""
+    sd = spectral_data(graph)
+    return simulate_ode(build_full_system(sd, gains), np.array(scenario.uncorrected_freq),
+                        scenario.t_end, output_time_step(sd, gains, scenario.output_dt))
+
+
 def cmd_simulate(args) -> int:
     graph, scenario, gains = _load(args)
     out = _out_dir(args)
-    sd = spectral_data(graph)
+    bound_events = []
     if args.model == "afm":
         trace = simulate_afm(scenario)
         write_trace(trace, out / "trace_afm.csv")
         bound_events = [ev for ev in trace.events if ev.kind in ("overflow", "underflow")]
-        summary = {
-            "type": "run_summary",
-            "model": "afm",
-            "nodes": graph.n,
-            "edges": graph.m,
-            "t_end": scenario.t_end,
-            "samples": int(trace.times.shape[0]),
-            "events": len(trace.events),
-            "buffer_bound_events": len(bound_events),
-            "final_freq": [float(v) for v in trace.freq[-1]],
-        }
-        tree = emit_report([summary], out / "summary.txt", out / "report.json")
-        print(json.dumps(tree["reports"][0], indent=2, sort_keys=True))
-        if bound_events:
-            ev = bound_events[0]
-            print(
-                f"error: buffer {ev.kind} on link {ev.k} at t={ev.time} "
-                f"(occupancy {ev.value})",
-                file=sys.stderr,
-            )
-            return EXIT_RUNTIME
-        return EXIT_OK
-    # ode: delays and latencies do not exist in the fluid approximation
-    if scenario.actuation_delay or any(scenario.latency):
-        print("note: ode model ignores afm latencies and actuation delay", file=sys.stderr)
-    sys_full = build_full_system(sd, gains)
-    trace = simulate_ode(sys_full, np.array(scenario.uncorrected_freq), scenario.t_end,
-                         output_time_step(sd, gains, scenario.output_dt))
-    write_trace(trace, out / "trace_ode.csv")
-    summary = {
-        "type": "run_summary",
-        "model": "ode",
-        "nodes": graph.n,
-        "edges": graph.m,
-        "t_end": scenario.t_end,
-        "samples": int(trace.times.shape[0]),
-        "omega_avg": trace.omega_avg,
-        "final_freq": [float(v) for v in trace.omega[-1]],
-    }
+        final_freq = trace.freq[-1]
+        own = {"events": len(trace.events), "buffer_bound_events": len(bound_events)}
+    else:
+        # delays and latencies do not exist in the fluid approximation
+        if scenario.actuation_delay or any(scenario.latency):
+            print("note: ode model ignores afm latencies and actuation delay", file=sys.stderr)
+        trace = _fluid_trace(graph, scenario, gains)
+        write_trace(trace, out / "trace_ode.csv")
+        final_freq = trace.omega[-1]
+        own = {"omega_avg": trace.omega_avg}
+    summary = {"type": "run_summary", "model": args.model, "nodes": graph.n,
+               "edges": graph.m, "t_end": scenario.t_end,
+               "samples": int(trace.times.shape[0]), "final_freq": final_freq.tolist(), **own}
     tree = emit_report([summary], out / "summary.txt", out / "report.json")
     print(json.dumps(tree["reports"][0], indent=2, sort_keys=True))
+    if bound_events:
+        ev = bound_events[0]
+        print(f"error: buffer {ev.kind} on link {ev.k} at t={ev.time} "
+              f"(occupancy {ev.value})", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     graph, scenario, gains = _load(args)
     out = _out_dir(args)
-    sd = spectral_data(graph)
     afm_trace = simulate_afm(scenario)
-    sys_full = build_full_system(sd, gains)
-    ode_trace = simulate_ode(sys_full, np.array(scenario.uncorrected_freq), scenario.t_end,
-                             output_time_step(sd, gains, scenario.output_dt))
+    ode_trace = _fluid_trace(graph, scenario, gains)
     write_trace(afm_trace, out / "trace_afm.csv")
     write_trace(ode_trace, out / "trace_ode.csv")
     report = compare_traces(afm_trace, ode_trace, np.array(scenario.initial_occupancy))
@@ -162,7 +145,7 @@ def cmd_analyze(args) -> int:
         print("error: pick at least one of --resistance --worst-case "
               "--performance --lyapunov", file=sys.stderr)
         return EXIT_VALIDATION
-    tree = emit_report(reports, out / "analysis.txt", out / "analysis.json")
+    emit_report(reports, out / "analysis.txt", out / "analysis.json")
     print((out / "analysis.txt").read_text(), end="")
     return EXIT_OK
 

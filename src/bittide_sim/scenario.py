@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -120,25 +121,29 @@ def _count(value, field: str) -> int:
 
 def _build_graph(spec: dict) -> OrientedGraph:
     try:
-        if "generator" in spec:
-            kind = spec["generator"]
-            if kind == "complete":
-                return complete(_count(spec["n"], "graph.n"))
-            if kind == "path":
-                return path(_count(spec["n"], "graph.n"))
-            if kind == "mesh":
-                return mesh(_count(spec["rows"], "graph.rows"),
-                            _count(spec["cols"], "graph.cols"))
+        kind = spec.get("generator")
+        if kind == "complete":
+            graph = complete(_count(spec["n"], "graph.n"))
+        elif kind == "path":
+            graph = path(_count(spec["n"], "graph.n"))
+        elif kind == "mesh":
+            graph = mesh(_count(spec["rows"], "graph.rows"), _count(spec["cols"], "graph.cols"))
+        elif "generator" in spec:
             raise ValidationError("graph.generator", f"unknown generator {kind!r}")
-        if "edges" in spec:
+        elif "edges" in spec:
             edges = tuple(tuple(_count(v, f"graph.edges[{k}]") for v in e)
                           for k, e in enumerate(spec["edges"]))
-            return OrientedGraph(_count(spec["n"], "graph.n"), edges)
+            graph = OrientedGraph(_count(spec["n"], "graph.n"), edges)
+        else:
+            raise ValidationError("graph", "need either a generator spec or an edge list")
     except KeyError as exc:
         raise MissingFieldError(f"graph.{exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError("graph", str(exc)) from exc
-    raise ValidationError("graph", "need either a generator spec or an edge list")
+    if not graph.is_connected():
+        raise ValidationError("graph", f"not connected: {graph.m} edges do not join "
+                                       f"all {graph.n} nodes")
+    return graph
 
 
 def _per_entry(value, count: int, field: str, convert=_number) -> tuple:
@@ -450,10 +455,7 @@ class ComparisonReport:
     beta0 + delta, the buffer at the target gets beta0 - delta.
     """
 
-    freq_max_dev: np.ndarray
-    freq_max_time: np.ndarray
-    occ_max_dev: np.ndarray
-    occ_max_time: np.ndarray
+    kind: ClassVar[str] = "comparison"
     freq_steady_dev: np.ndarray
     occ_steady_dev: np.ndarray
     max_freq_dev: float
@@ -509,13 +511,7 @@ def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace, beta0,
 
     abs_freq = np.abs(freq_dev)
     abs_occ = np.abs(occ_dev)
-    freq_arg = np.argmax(abs_freq, axis=0)
-    occ_arg = np.argmax(abs_occ, axis=0)
-    report = ComparisonReport(
-        freq_max_dev=abs_freq.max(axis=0),
-        freq_max_time=times[freq_arg],
-        occ_max_dev=abs_occ.max(axis=0),
-        occ_max_time=times[occ_arg],
+    return ComparisonReport(
         freq_steady_dev=abs_freq[-1],
         occ_steady_dev=abs_occ[-1],
         max_freq_dev=float(abs_freq.max()),
@@ -524,7 +520,6 @@ def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace, beta0,
         freq_pass=None if freq_tol is None else bool(abs_freq.max() <= freq_tol),
         occ_pass=None if occ_tol is None else bool(abs_occ.max() <= occ_tol),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -532,54 +527,17 @@ def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace, beta0,
 # ---------------------------------------------------------------------------
 
 def _report_tree(report) -> dict:
-    from .analysis import (HurwitzResult, LyapunovCertificate, PerformanceReport,
-                           WorstCaseResult)
+    """A report as {"type": kind, field: value, ...}, with arrays as lists.
 
-    if isinstance(report, PerformanceReport):
-        return {
-            "type": "performance",
-            "freq_dev_norm_sq": report.freq_dev_norm_sq,
-            "occupancy_norm_sq": report.occupancy_norm_sq,
-            "quadratic_form": report.quadratic_form,
-            "k_p": report.k_p,
-            "integral_gain_scaled": report.integral_gain_scaled,
-        }
-    if isinstance(report, LyapunovCertificate):
-        return {
-            "type": "lyapunov_certificate",
-            "residual1": report.residual1,
-            "residual2": report.residual2,
-            "residual_sum": report.residual_sum,
-            "min_eig_x1": report.min_eig_x1,
-            "min_eig_x2": report.min_eig_x2,
-        }
-    if isinstance(report, HurwitzResult):
-        return {
-            "type": "hurwitz",
-            "is_hurwitz": report.is_hurwitz,
-            "spectral_abscissa": report.spectral_abscissa,
-        }
-    if isinstance(report, WorstCaseResult):
-        return {
-            "type": "worst_case",
-            "omega_u": [float(v) for v in report.omega_u],
-            "attained_quadratic_form": report.attained_quadratic_form,
-            "degenerate": report.degenerate,
-        }
-    if isinstance(report, ComparisonReport):
-        return {
-            "type": "comparison",
-            "max_freq_dev": report.max_freq_dev,
-            "max_occ_dev": report.max_occ_dev,
-            "freq_steady_dev": [float(v) for v in report.freq_steady_dev],
-            "occ_steady_dev": [float(v) for v in report.occ_steady_dev],
-            "n_samples": report.n_samples,
-            "freq_pass": report.freq_pass,
-            "occ_pass": report.occ_pass,
-        }
+    Reports the CLI builds itself are plain dicts and pass through unchanged.
+    """
     if isinstance(report, dict):
         return report
-    raise TypeError(f"cannot render report of type {type(report).__name__}")
+    tree = {"type": report.kind}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        tree[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return tree
 
 
 def render_reports(reports) -> tuple:

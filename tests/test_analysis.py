@@ -13,7 +13,7 @@ import pytest
 import bittide_sim
 from bittide_sim.analysis import (InsufficientHorizonWarning,
                                   build_lyapunov_certificate, empirical_norms,
-                                  hurwitz_check, predicted_performance,
+                                  hurwitz_check, lyapunov_solutions, predicted_performance,
                                   two_node_perturbation, worst_case_frequency)
 from bittide_sim.graph import complete, laplacian, mesh, path, spectral_data
 from bittide_sim.numerics import eig_symmetric
@@ -125,10 +125,8 @@ class TestSpectralAbscissa:
 class TestLyapunovCertificate:
     def test_single_edge_x2_value(self):
         sd = spectral_data(path(2))
-        gains = Gains(k_p=1.0, k_i=1.0)
-        red = build_reduced_system(sd, gains)
-        cert = build_lyapunov_certificate(red, sd, gains)
-        assert np.allclose(cert.x2, [[0.5, 0.0], [0.0, 0.25]], atol=1e-14)
+        _, x2 = lyapunov_solutions(sd, Gains(k_p=1.0, k_i=1.0))
+        assert np.allclose(x2, [[0.5, 0.0], [0.0, 0.25]], atol=1e-14)
 
     def test_residuals_on_random_draws(self):
         rng = np.random.RandomState(11)
@@ -144,18 +142,33 @@ class TestLyapunovCertificate:
 
     def test_schur_complement_positive(self):
         sd = spectral_data(mesh(2, 3))
-        gains = Gains(k_p=0.7, k_i=0.2, omega_c=1.3)
-        red = build_reduced_system(sd, gains)
-        cert = build_lyapunov_certificate(red, sd, gains)
+        x1, _ = lyapunov_solutions(sd, Gains(k_p=0.7, k_i=0.2, omega_c=1.3))
         n1 = sd.graph.n - 1
-        a11 = cert.x1[:n1, :n1]
-        a12 = cert.x1[:n1, n1:]
-        a22 = cert.x1[n1:, n1:]
+        a11 = x1[:n1, :n1]
+        a12 = x1[:n1, n1:]
+        a22 = x1[n1:, n1:]
         schur = a22 - a12.T @ np.linalg.solve(a11, a12)
         assert np.linalg.eigvalsh((schur + schur.T) / 2).min() > 0
 
 
 class TestPredictedPerformance:
+    def test_quadratic_form_is_resistance_distance(self):
+        # q is formed from the deviations from the mean rate, so the base rate
+        # 1.0 does not cancel inside rounding
+        alpha = 1e-4
+        gains = Gains(k_p=2e-8, k_i=1e-15)
+        rng = np.random.RandomState(21)
+        graphs = [mesh(4, 6), mesh(12, 12)] + [
+            random_connected_graph(rng, rng.randint(3, 30)) for _ in range(6)]
+        for g in graphs:
+            sd = spectral_data(g)
+            pairs = [(0, 1), (0, g.n - 1)] + [
+                tuple(rng.choice(g.n, 2, replace=False)) for _ in range(4)]
+            for i, j in pairs:
+                omega_u, expected = two_node_perturbation(sd, gains, i, j, alpha)
+                q = predicted_performance(sd, gains, omega_u).quadratic_form
+                assert abs(q - expected.quadratic_form) <= 1e-11 * expected.quadratic_form
+
     def test_uniform_input_zero(self):
         sd = spectral_data(complete(4))
         report = predicted_performance(sd, Gains(k_p=0.1, k_i=0.1), np.full(4, 3.0))

@@ -222,6 +222,46 @@ class TestAnalyze:
                    "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_readme_report_keys(self, tmp_path, capsys):
+        # each report's keys are its type plus its result's fields
+        rc = main(["analyze", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
+                   "--out", str(tmp_path), "--resistance", "--performance", "--simulate",
+                   "--lyapunov", "--worst-case"])
+        assert rc == 0
+        tree = json.loads((tmp_path / "analysis.json").read_text())
+        assert {r["type"]: sorted(r) for r in tree["reports"]} == {
+            "resistance": ["max", "mean_offdiag", "n", "table", "type"],
+            "worst_case": ["attained_quadratic_form", "degenerate", "omega_u", "type"],
+            "performance": ["freq_dev_norm_sq", "integral_gain_scaled", "k_p",
+                            "occupancy_norm_sq", "quadratic_form", "type"],
+            "performance_empirical": ["freq_dev_norm_sq", "freq_rel_gap", "horizon",
+                                      "occ_rel_gap", "occupancy_norm_sq", "type"],
+            "hurwitz": ["is_hurwitz", "spectral_abscissa", "type"],
+            "lyapunov_certificate": ["min_eig_x1", "min_eig_x2", "residual1", "residual2",
+                                     "residual_sum", "type"],
+        }
+        assert [r["type"] for r in tree["reports"]] == [
+            "resistance", "worst_case", "performance", "performance_empirical", "hurwitz",
+            "lyapunov_certificate"]
+
+
+class TestDisconnectedGraph:
+    """A graph that is not connected is refused at load, naming the field."""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--model", "afm"], ["simulate", "--model", "ode"], ["compare"],
+        ["analyze", "--resistance"]])
+    @pytest.mark.parametrize("sets", [
+        ['graph={"n":4,"edges":[[0,1],[2,3]]}', "frequencies.omega_u=[1.00005,1,1,0.99995]"],
+        ['graph={"n":3,"edges":[]}']])
+    def test_exit_1_names_graph(self, tmp_path, capsys, command, sets):
+        argv = command + ["--scenario", str(SCENARIOS / "triangle_pi.json"),
+                          "--out", str(tmp_path)]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: graph: ")
+
 
 class TestSweep:
     def test_proportional_gain_halves_norm(self, tmp_path):

@@ -1,10 +1,13 @@
-"""Pinned sha256 digests of the frame-model trace and event files.
+"""Pinned sha256 digests of the frame-model trace and event files, and of
+the report files the README commands write.
 
 Every event, sample row and formatted byte of these runs feeds a digest, so a
 change to event order, row evaluation, bound-event placement or float
 formatting shows here. The two mesh scenarios overflow and exit 2, so their
-event files also pin where bound events sit in the log. A change that alters
-an output on purpose records the new digests and says why in CHANGES.md.
+event files also pin where bound events sit in the log. The report digests pin
+every key and every formatted value of the text and JSON reports. A change
+that alters an output on purpose records the new digests and says why in
+CHANGES.md.
 """
 
 import hashlib
@@ -49,3 +52,29 @@ def test_frame_model_outputs_pinned(name, tmp_path, capsys):
     capsys.readouterr()
     assert sha256(tmp_path / "trace_afm.csv") == trace_digest
     assert sha256(tmp_path / "trace_afm_events.csv") == events_digest
+
+
+# command -> (exit code, {report file: sha256}); the digests are the same with
+# one and with two BLAS threads
+REPORT_CASES = {
+    "simulate_afm_triangle_pi": (
+        ["simulate", "--model", "afm", "--scenario", str(SCENARIOS / "triangle_pi.json")], 0,
+        {"summary.txt": "5b79aa35daae1c57b0017c56b87168b2091e71881772c315b7106f0df4894123",
+         "report.json": "96d9e14d815c387d98c2fcbcdd8b32b54eda79f075bc99c1a9e53d408a9a2733"}),
+    "simulate_ode_triangle_pi": (
+        ["simulate", "--model", "ode", "--scenario", str(SCENARIOS / "triangle_pi.json")], 0,
+        {"summary.txt": "2933090f62e0bb0efdd9466dab42a3794844e47344d349071704bfbadf5ed799",
+         "report.json": "1ff939f3f40229a53a14839403290d64bc3a9f273cf1cadafc8b500eed76be01"}),
+    "compare_readme_flags": (
+        ["compare", "--scenario", str(SCENARIOS / "triangle_pi.json")] + README_COMPARE_FLAGS, 0,
+        {"comparison.txt": "4828bf598e4e13cadcb8d48b40f5008dac5f33c9e8496e9e4438f8c6a2a6d4c9",
+         "comparison.json": "89eadbfc9470f2817b1f929494bc608872b4824c128ef98892044e247daca6f6"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_report_files_pinned(name, tmp_path, capsys):
+    argv, exit_code, digests = REPORT_CASES[name]
+    assert main(argv + ["--out", str(tmp_path)]) == exit_code
+    capsys.readouterr()
+    assert {f: sha256(tmp_path / f) for f in digests} == digests
