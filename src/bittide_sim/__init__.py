@@ -16,8 +16,7 @@ from .graph import (NotConnectedError, OrientedGraph, SpectralData, complete,
                     fiedler_vector, incidence_matrix, laplacian, mesh, path,
                     resistance_distance, resistance_matrix, spectral_data)
 from .ode import (Gains, OdeSystem, OdeTrace, ReducedSystem, build_full_system,
-                  build_reduced_system, decoupled_coordinates, simulate_ode,
-                  steady_state)
+                  build_reduced_system, simulate_ode)
 from .scenario import (ComparisonReport, ValidationError, compare_traces, emit_report,
                        load_scenario, read_trace, save_scenario, write_trace)
 
@@ -33,7 +32,7 @@ __all__ = [
     "fiedler_vector", "incidence_matrix", "laplacian", "mesh", "path",
     "resistance_distance", "resistance_matrix", "spectral_data",
     "Gains", "OdeSystem", "OdeTrace", "ReducedSystem", "build_full_system",
-    "build_reduced_system", "decoupled_coordinates", "simulate_ode", "steady_state",
+    "build_reduced_system", "simulate_ode",
     "ComparisonReport", "ValidationError", "compare_traces", "emit_report",
     "load_scenario", "read_trace", "save_scenario", "write_trace",
 ]

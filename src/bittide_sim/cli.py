@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -93,6 +94,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if not (args.resistance or args.worst_case or args.performance or args.lyapunov):
+        print("error: pick at least one of --resistance --worst-case "
+              "--performance --lyapunov", file=sys.stderr)
+        return EXIT_VALIDATION
+    if not (math.isfinite(args.gamma) and args.gamma > 0):
+        raise ValidationError("gamma", f"expected a finite number > 0, got {args.gamma!r}")
     graph, scenario, gains = _load(args)
     out = _out_dir(args)
     sd = spectral_data(graph)
@@ -141,10 +148,6 @@ def cmd_analyze(args) -> int:
         reduced = build_reduced_system(sd, gains)
         reports.append(hurwitz_check(reduced.a_hat))
         reports.append(build_lyapunov_certificate(reduced, sd, gains))
-    if not reports:
-        print("error: pick at least one of --resistance --worst-case "
-              "--performance --lyapunov", file=sys.stderr)
-        return EXIT_VALIDATION
     emit_report(reports, out / "analysis.txt", out / "analysis.json")
     print((out / "analysis.txt").read_text(), end="")
     return EXIT_OK

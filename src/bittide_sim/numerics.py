@@ -1,7 +1,7 @@
 """Small dense linear-algebra and integration kernel shared by all modules.
 
 Everything here is deterministic: identical inputs produce identical outputs
-on one platform. Eigendecomposition and linear solves are backed by LAPACK
+on one platform. The symmetric eigendecomposition is backed by LAPACK
 through numpy; the RK4 step map and quadrature are written out explicitly
 so traces are reproducible and comparable across runs.
 """
@@ -13,10 +13,6 @@ import numpy as np
 
 class NotSymmetricError(ValueError):
     """Matrix handed to the symmetric eigensolver is not symmetric."""
-
-
-class SingularMatrixError(ValueError):
-    """Linear system is singular or too ill-conditioned to solve reliably."""
 
 
 class NonpositiveStepError(ValueError):
@@ -42,32 +38,6 @@ def eig_symmetric(m: np.ndarray, asym_tol: float = 1e-12):
         )
     w, v = np.linalg.eigh((m + m.T) / 2.0)
     return w, v
-
-
-def solve(m: np.ndarray, rhs: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
-    """Solve m @ x = rhs for a numerically nonsingular square matrix.
-
-    The solution is verified a posteriori: if the residual exceeds
-    residual_tol * (|m| * |x| + |rhs|) the system is reported singular.
-    """
-    m = np.asarray(m, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if rhs.shape[0] != m.shape[0]:
-        raise ValueError(f"rhs length {rhs.shape[0]} != matrix size {m.shape[0]}")
-    try:
-        x = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    m_norm = np.linalg.norm(m)
-    resid = np.linalg.norm(m @ x - rhs)
-    bound = residual_tol * (m_norm * np.linalg.norm(x) + np.linalg.norm(rhs))
-    if not np.isfinite(x).all() or resid > max(bound, 1e-300):
-        raise SingularMatrixError(
-            f"solve residual {resid:.3e} exceeds bound {bound:.3e}"
-        )
-    return x
 
 
 def rk4_step_operator(a: np.ndarray, dt: float):

@@ -5,21 +5,22 @@ removed, is a linear state-space system driven by the constant uncorrected
 frequencies. State is x = (phase offsets, scaled integrator states); outputs
 are per-node frequency and per-edge relative buffer occupancy.
 
-The full 2n-state system carries the drift mode (mean phase grows linearly),
-which is what the frame-exact model exhibits, so trajectory comparisons use
-it. Stability and performance analysis use the reduced system obtained by
-projecting onto the disagreement subspace.
+In the Laplacian eigenbasis the loop splits into one 2x2 block per
+eigenvalue, and OdeSystem holds it in that form. Its block for the zero
+eigenvalue carries the drift mode (mean phase grows linearly), which is what
+the frame-exact model exhibits, so trajectory comparisons use the full
+system. The Hurwitz check and the Lyapunov certificate use the reduced
+system obtained by projecting onto the disagreement subspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .graph import SpectralData
-from .numerics import SingularMatrixError, rk4_step_operator, solve
+from .numerics import rk4_step_operator
 
 
 class ParameterError(ValueError):
@@ -62,12 +63,16 @@ class Gains:
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """Full 2n-state closed loop: dx/dt = a x + b2 w,  omega = c1 x + w,  delta = c2 x."""
+    """The closed loop as one 2x2 block per Laplacian eigenvalue lambda_k.
 
-    a: np.ndarray
-    b2: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
+    blocks[k] = [[-a lambda_k, b], [-lambda_k, 0]] acts on the modal state
+    (theta_k, zeta_k), the phase and integrator coordinates along column k of
+    spectral.eigenvectors, and is driven by (w_k, 0) with w = V^T omega_u.
+    Row 0 also gives the modal frequency: (V^T omega)_k = w_k + blocks[k, 0] @ z_k.
+    Column 0 is the drift mode; delta reads only the disagreement modes.
+    """
+
+    blocks: np.ndarray
     spectral: SpectralData
     gains: Gains
 
@@ -77,7 +82,6 @@ class ReducedSystem:
     """Disagreement-subspace dynamics: (2n-2)-state, Hurwitz for positive gains."""
 
     a_hat: np.ndarray
-    b2_hat: np.ndarray
     c1_hat: np.ndarray
     c2_hat: np.ndarray
     c_hat: np.ndarray
@@ -86,19 +90,13 @@ class ReducedSystem:
 
 
 def build_full_system(sd: SpectralData, gains: Gains) -> OdeSystem:
-    """Assemble the full closed-loop state-space matrices."""
-    lap = sd.laplacian
-    b_inc = sd.incidence
-    n = sd.graph.n
-    a_gain = gains.k_p
-    b_gain = gains.effective_integral_gain
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a = np.block([[-a_gain * lap, b_gain * eye], [-lap, zero]])
-    b2 = np.vstack([eye, zero])
-    c1 = np.hstack([-a_gain * lap, b_gain * eye])
-    c2 = np.hstack([-b_inc.T, np.zeros((sd.graph.m, n))])
-    return OdeSystem(a=a, b2=b2, c1=c1, c2=c2, spectral=sd, gains=gains)
+    """The per-mode blocks of the full closed loop."""
+    lam = sd.eigenvalues
+    blocks = np.zeros((sd.graph.n, 2, 2))
+    blocks[:, 0, 0] = -gains.k_p * lam
+    blocks[:, 0, 1] = gains.effective_integral_gain
+    blocks[:, 1, 0] = -lam
+    return OdeSystem(blocks=blocks, spectral=sd, gains=gains)
 
 
 def build_reduced_system(sd: SpectralData, gains: Gains) -> ReducedSystem:
@@ -110,14 +108,11 @@ def build_reduced_system(sd: SpectralData, gains: Gains) -> ReducedSystem:
     b_gain = gains.effective_integral_gain
     eye = np.eye(n1)
     a_hat = np.block([[-a_gain * lap_hat, b_gain * eye], [-lap_hat, np.zeros((n1, n1))]])
-    b2_hat = np.vstack([u1.T, np.zeros((n1, sd.graph.n))])
     c1_hat = np.hstack([-a_gain * sd.laplacian @ u1, b_gain * u1])
     c2_hat = np.hstack([-sd.incidence.T @ u1, np.zeros((sd.graph.m, n1))])
     c_hat = np.vstack([c1_hat, c2_hat])
-    return ReducedSystem(
-        a_hat=a_hat, b2_hat=b2_hat, c1_hat=c1_hat, c2_hat=c2_hat, c_hat=c_hat,
-        spectral=sd, gains=gains,
-    )
+    return ReducedSystem(a_hat=a_hat, c1_hat=c1_hat, c2_hat=c2_hat, c_hat=c_hat,
+                         spectral=sd, gains=gains)
 
 
 # RK4 steps advanced per vectorised block: the block's step maps take
@@ -130,54 +125,43 @@ _BLOCK_STEPS = 256
 _CHUNK_STEPS = 8 * _BLOCK_STEPS
 
 
-@dataclass(frozen=True)
-class ModalRecurrence:
-    """The RK4 steps of every Laplacian mode as affine maps, from x(0) = 0.
+def _modal_chunks(powers, offsets, last_step, n_full: int, count: int):
+    """Yield (r, theta, zeta): the modal phase and integrator state of rows r, r+1, ...
 
     powers[r, c, j] is entry (r, c) of M^(j+1) and offsets[r, j] entry r of
     sum_{i<=j} M^i g, each a contiguous array over the modes; last_step is the
     (M, g) of the final partial step, or None when the grid ends on a full step.
+    The chunks cover rows 0 .. count-1 in order from x(0) = 0: _CHUNK_STEPS
+    rows each, and the last takes the rest, so it has fewer only when it is the
+    only chunk.
     """
-
-    powers: np.ndarray
-    offsets: np.ndarray
-    last_step: tuple | None
-    n_full: int
-    count: int
-
-    def chunks(self):
-        """Yield (r, theta, zeta): the modal phase and integrator state of rows r, r+1, ...
-
-        The chunks cover rows 0 .. count-1 in order: _CHUNK_STEPS rows each, and
-        the last takes the rest, so it has fewer only when it is the only chunk.
-        """
-        p, o = self.powers, self.offsets
-        block, n = p.shape[2], p.shape[3]
-        th = ze = np.zeros(n)
-        n_chunks = max(1, self.count // _CHUNK_STEPS)
-        for i in range(n_chunks):
-            r = i * _CHUNK_STEPS
-            # a chunk before the last also holds the row after it, which starts the next
-            end = self.count - 1 if i == n_chunks - 1 else r + _CHUNK_STEPS
-            theta = np.empty((end - r + 1, n))
-            zeta = np.empty((end - r + 1, n))
-            theta[0] = th
-            zeta[0] = ze
-            for s in range(r, min(end, self.n_full), block):
-                j = min(block, self.n_full - s, end - s)
-                k = s - r
-                th, ze = theta[k], zeta[k]
-                theta[k + 1:k + 1 + j] = p[0, 0, :j] * th + p[0, 1, :j] * ze + o[0, :j]
-                zeta[k + 1:k + 1 + j] = p[1, 0, :j] * th + p[1, 1, :j] * ze + o[1, :j]
-            if end == self.n_full + 1:
-                m, g = self.last_step
-                th, ze = theta[-2], zeta[-2]
-                theta[-1] = m[:, 0, 0] * th + m[:, 0, 1] * ze + g[:, 0]
-                zeta[-1] = m[:, 1, 0] * th + m[:, 1, 1] * ze + g[:, 1]
-            if i < n_chunks - 1:
-                th, ze = theta[-1], zeta[-1]
-                theta, zeta = theta[:-1], zeta[:-1]
-            yield r, theta, zeta
+    p, o = powers, offsets
+    block, n = p.shape[2], p.shape[3]
+    th = ze = np.zeros(n)
+    n_chunks = max(1, count // _CHUNK_STEPS)
+    for i in range(n_chunks):
+        r = i * _CHUNK_STEPS
+        # a chunk before the last also holds the row after it, which starts the next
+        end = count - 1 if i == n_chunks - 1 else r + _CHUNK_STEPS
+        theta = np.empty((end - r + 1, n))
+        zeta = np.empty((end - r + 1, n))
+        theta[0] = th
+        zeta[0] = ze
+        for s in range(r, min(end, n_full), block):
+            j = min(block, n_full - s, end - s)
+            k = s - r
+            th, ze = theta[k], zeta[k]
+            theta[k + 1:k + 1 + j] = p[0, 0, :j] * th + p[0, 1, :j] * ze + o[0, :j]
+            zeta[k + 1:k + 1 + j] = p[1, 0, :j] * th + p[1, 1, :j] * ze + o[1, :j]
+        if end == n_full + 1:
+            m, g = last_step
+            th, ze = theta[-2], zeta[-2]
+            theta[-1] = m[:, 0, 0] * th + m[:, 0, 1] * ze + g[:, 0]
+            zeta[-1] = m[:, 1, 0] * th + m[:, 1, 1] * ze + g[:, 1]
+        if i < n_chunks - 1:
+            th, ze = theta[-1], zeta[-1]
+            theta, zeta = theta[:-1], zeta[:-1]
+        yield r, theta, zeta
 
 
 @dataclass(frozen=True)
@@ -186,51 +170,17 @@ class OdeTrace:
 
     omega is the per-node frequency and delta the per-edge relative buffer
     occupancy in frame units (directly comparable to frame-exact occupancy
-    offsets). The state is in Laplacian modal coordinates: column k of
-    theta_hat/zeta_hat is the phase/integrator coordinate along column k of
-    modes, the Laplacian eigenvectors, with the drift mode in column 0. It is
-    not stored with the trace: the first access re-runs the recurrence that
-    produced omega and delta, with the same bits, and keeps the result.
+    offsets).
     """
 
     times: np.ndarray
     omega: np.ndarray
     delta: np.ndarray
     omega_u: np.ndarray
-    modes: np.ndarray
-    recurrence: ModalRecurrence
-
-    @cached_property
-    def _modal_state(self) -> tuple:
-        shape = (self.recurrence.count, self.modes.shape[1])
-        theta = np.empty(shape)
-        zeta = np.empty(shape)
-        for r, th, ze in self.recurrence.chunks():
-            theta[r:r + len(th)] = th
-            zeta[r:r + len(ze)] = ze
-        return theta, zeta
-
-    @property
-    def theta_hat(self) -> np.ndarray:
-        return self._modal_state[0]
-
-    @property
-    def zeta_hat(self) -> np.ndarray:
-        return self._modal_state[1]
 
     @property
     def omega_avg(self) -> float:
         return float(np.mean(self.omega_u))
-
-    @property
-    def theta_bar(self) -> np.ndarray:
-        """Phase offset per node."""
-        return self.theta_hat @ self.modes.T
-
-    @property
-    def state(self) -> np.ndarray:
-        """The full-system state x = (phase offsets, scaled integrator states)."""
-        return np.hstack([self.theta_bar, self.zeta_hat @ self.modes.T])
 
 
 def spectral_abscissa(sd: SpectralData, gains: Gains) -> float:
@@ -269,10 +219,9 @@ def output_time_step(sd: SpectralData, gains: Gains, output_dt: float) -> float:
 def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None) -> OdeTrace:
     """RK4 trajectory of the full system from x(0) = 0.
 
-    In the Laplacian eigenbasis the system splits into one 2x2 block per
-    eigenvalue lambda_k, A_k = [[-a lambda_k, b], [-lambda_k, 0]], driven by
-    (w_k, 0) with w = V^T omega_u. Classical RK4 commutes with that change of
-    basis, so each block takes the same RK4 steps as the full system would,
+    Each block A_k = sys.blocks[k] is driven by (w_k, 0) with
+    w = V^T omega_u. Classical RK4 commutes with the change to the Laplacian
+    eigenbasis, so each block takes the same RK4 steps as the full system would,
     on the same grid; the final partial step lands exactly on t_end. The input
     is constant, so a step is the affine map z -> M_k z + g_k, and j steps are
     z -> M_k^j z + sum_{i<j} M_k^i g_k; the blocks advance together, up to
@@ -298,18 +247,11 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
     n_full = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
     count = n_full + (2 if remainder > 1e-12 * max(t_end, 1.0) else 1)
-    lam = sd.eigenvalues
     modes = sd.eigenvectors
-    a_gain = sys.gains.k_p
-    b_gain = sys.gains.effective_integral_gain
-    a_modes = np.zeros((n, 2, 2))
-    a_modes[:, 0, 0] = -a_gain * lam
-    a_modes[:, 0, 1] = b_gain
-    a_modes[:, 1, 0] = -lam
     w_hat = omega_u @ modes
 
     def step_map(h):
-        m, g = rk4_step_operator(a_modes, h)
+        m, g = rk4_step_operator(sys.blocks, h)
         return m, g[:, :, 0] * w_hat[:, None]
 
     # powers[j] = M^(j+1) and offsets[j] = sum_{i<=j} M^i g, laid out so that
@@ -324,91 +266,20 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
         offsets[j] = (m @ offsets[j - 1][:, :, None])[:, :, 0] + g
     powers = np.ascontiguousarray(powers.transpose(2, 3, 0, 1))
     offsets = np.ascontiguousarray(offsets.transpose(2, 0, 1))
-
     last_step = step_map(remainder) if count == n_full + 2 else None
-    recurrence = ModalRecurrence(powers=powers, offsets=offsets, last_step=last_step,
-                                 n_full=n_full, count=count)
 
     times = np.arange(count) * dt
     times[-1] = t_end
     omega = np.empty((count, n))
     delta = np.empty((count, sd.graph.m))
-    phase_gain = -a_gain * lam
+    phase_gain, integral_gain = sys.blocks[:, 0, 0], sys.blocks[:, 0, 1]
     to_delta = (-(sd.incidence.T @ modes[:, 1:])).T
-    for r, theta, zeta in recurrence.chunks():
+    for r, theta, zeta in _modal_chunks(powers, offsets, last_step, n_full, count):
         rows = slice(r, r + len(theta))
         omega_hat = theta * phase_gain
-        omega_hat += b_gain * zeta
+        omega_hat += integral_gain * zeta
         np.matmul(omega_hat, modes.T, out=omega[rows])
         omega[rows] += omega_u
         np.matmul(theta[:, 1:], to_delta, out=delta[rows])
-    return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u, modes=modes,
-                    recurrence=recurrence)
+    return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u)
 
-
-@dataclass(frozen=True)
-class SteadyState:
-    """Steady state of the reduced dynamics, via closed form and linear solve.
-
-    omega_ss is the common steady-state frequency vector (the average of the
-    uncorrected frequencies at every node).
-    """
-
-    x_closed: np.ndarray
-    x_solved: np.ndarray
-    omega_ss: np.ndarray
-    rel_gap: float
-
-
-def steady_state(reduced: ReducedSystem, omega_u) -> SteadyState:
-    """Steady state of the reduced system under constant drive.
-
-    The closed form stacks a zero block over -(1/b) U1^T omega_u: transient
-    phase modes vanish and the integrators absorb the per-node frequency
-    errors (b x2 -> omega_avg - omega_u in node coordinates). The solve-based
-    route -A_hat^{-1} B2_hat omega_u must agree to rounding.
-    """
-    omega_u = np.asarray(omega_u, dtype=float)
-    u1 = reduced.spectral.disagreement_basis
-    b_gain = reduced.gains.effective_integral_gain
-    n1 = u1.shape[1]
-    x_closed = np.concatenate([np.zeros(n1), -(1.0 / b_gain) * (u1.T @ omega_u)])
-    try:
-        x_solved = -solve(reduced.a_hat, reduced.b2_hat @ omega_u)
-    except SingularMatrixError:
-        raise SingularMatrixError(
-            "reduced system matrix is singular; this signals non-positive gains"
-        )
-    scale = max(np.linalg.norm(x_closed), 1e-300)
-    rel_gap = float(np.linalg.norm(x_closed - x_solved) / scale)
-    omega_ss = np.full(omega_u.shape, float(np.mean(omega_u)))
-    return SteadyState(x_closed=x_closed, x_solved=x_solved, omega_ss=omega_ss, rel_gap=rel_gap)
-
-
-@dataclass(frozen=True)
-class DecoupledCoordinates:
-    """Trajectory of the full system expressed in the spectral basis.
-
-    disagreement_phase/integ are the (n-1)-dimensional transient blocks that
-    decay to the steady state; agreement_phase is the drift mode growing as
-    sqrt(n) * omega_avg * t, and agreement_integ stays identically zero.
-    """
-
-    disagreement_phase: np.ndarray
-    disagreement_integ: np.ndarray
-    agreement_phase: np.ndarray
-    agreement_integ: np.ndarray
-
-
-def decoupled_coordinates(trace: OdeTrace) -> DecoupledCoordinates:
-    """Split a full-system trace into its disagreement and agreement components.
-
-    The trace's modal state is in the Laplacian eigenbasis, whose first column
-    is the normalised all-ones vector, so each component is a slice of it.
-    """
-    return DecoupledCoordinates(
-        disagreement_phase=trace.theta_hat[:, 1:],
-        disagreement_integ=trace.zeta_hat[:, 1:],
-        agreement_phase=trace.theta_hat[:, 0],
-        agreement_integ=trace.zeta_hat[:, 0],
-    )

@@ -1,13 +1,14 @@
 """Shared test utilities: random graphs, scenario builders, independent oracles."""
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from bittide_sim.afm import AfmScenario
-from bittide_sim.graph import OrientedGraph
+from bittide_sim.graph import OrientedGraph, SpectralData
 from bittide_sim.numerics import NonpositiveStepError
-from bittide_sim.ode import Gains
+from bittide_sim.ode import Gains, ReducedSystem, default_time_step
 from bittide_sim.scenario import _trace_table
 
 
@@ -131,6 +132,86 @@ def rk4_integrate(deriv, x0: np.ndarray, t0: float, t1: float, dt: float):
         times.append(t1)
         states.append(x.copy())
     return np.array(times), np.array(states)
+
+
+@dataclass(frozen=True)
+class DenseSystem:
+    """Full 2n-state closed loop: dx/dt = a x + b2 w,  omega = c1 x + w,  delta = c2 x.
+
+    x = (phase offsets, scaled integrator states) in node coordinates. Oracle
+    for the per-mode blocks of ``build_full_system``.
+    """
+
+    a: np.ndarray
+    b2: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+
+
+def dense_system(sd: SpectralData, gains: Gains) -> DenseSystem:
+    lap = sd.laplacian
+    n = sd.graph.n
+    a_gain = gains.k_p
+    b_gain = gains.effective_integral_gain
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    return DenseSystem(
+        a=np.block([[-a_gain * lap, b_gain * eye], [-lap, zero]]),
+        b2=np.vstack([eye, zero]),
+        c1=np.hstack([-a_gain * lap, b_gain * eye]),
+        c2=np.hstack([-sd.incidence.T, np.zeros((sd.graph.m, n))]),
+    )
+
+
+def dense_rk4(sd: SpectralData, gains: Gains, omega_u, t_end: float, dt: float | None = None):
+    """Generic RK4 on the dense system from x(0) = 0, on ``simulate_ode``'s grid.
+
+    Returns (dense system, times, states).
+    """
+    dense = dense_system(sd, gains)
+    drive = dense.b2 @ np.asarray(omega_u, dtype=float)
+    if dt is None:
+        dt = default_time_step(sd, gains)
+    times, states = rk4_integrate(lambda t, x: dense.a @ x + drive,
+                                  np.zeros(2 * sd.graph.n), 0.0, t_end, dt)
+    return dense, times, states
+
+
+def modal_states(sd: SpectralData, states: np.ndarray) -> tuple:
+    """(theta_hat, zeta_hat): node-coordinate states in the Laplacian eigenbasis.
+
+    Column 0 is the drift mode, along the normalised all-ones vector.
+    """
+    n = sd.graph.n
+    return states[:, :n] @ sd.eigenvectors, states[:, n:] @ sd.eigenvectors
+
+
+@dataclass(frozen=True)
+class SteadyState:
+    x_closed: np.ndarray
+    x_solved: np.ndarray
+    omega_ss: np.ndarray
+    rel_gap: float
+
+
+def steady_state(reduced: ReducedSystem, omega_u) -> SteadyState:
+    """Steady state of the reduced system under constant drive, two ways.
+
+    The closed form stacks a zero block over -(1/b) U1^T omega_u: transient
+    phase modes vanish and the integrators absorb the per-node frequency
+    errors (b x2 -> omega_avg - omega_u in node coordinates). The dense solve
+    -A_hat^{-1} (U1^T omega_u, 0) must agree to rounding.
+    """
+    omega_u = np.asarray(omega_u, dtype=float)
+    u1 = reduced.spectral.disagreement_basis
+    b_gain = reduced.gains.effective_integral_gain
+    n1 = u1.shape[1]
+    x_closed = np.concatenate([np.zeros(n1), -(1.0 / b_gain) * (u1.T @ omega_u)])
+    x_solved = -np.linalg.solve(reduced.a_hat, np.concatenate([u1.T @ omega_u, np.zeros(n1)]))
+    scale = max(np.linalg.norm(x_closed), 1e-300)
+    rel_gap = float(np.linalg.norm(x_closed - x_solved) / scale)
+    omega_ss = np.full(omega_u.shape, float(np.mean(omega_u)))
+    return SteadyState(x_closed=x_closed, x_solved=x_solved, omega_ss=omega_ss, rel_gap=rel_gap)
 
 
 def legacy_trace_text(table) -> str:

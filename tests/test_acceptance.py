@@ -15,10 +15,9 @@ from bittide_sim.analysis import (build_lyapunov_certificate, empirical_norms,
                                   hurwitz_check, lyapunov_solutions, predicted_performance)
 from bittide_sim.graph import (OrientedGraph, complete, fiedler_vector, mesh, path,
                                resistance_matrix, spectral_data)
-from bittide_sim.ode import (Gains, build_full_system, build_reduced_system,
-                             simulate_ode, steady_state)
+from bittide_sim.ode import Gains, build_full_system, build_reduced_system, simulate_ode
 from bittide_sim.scenario import compare_traces
-from helpers import bfs_distance, make_scenario, random_connected_graph
+from helpers import bfs_distance, make_scenario, random_connected_graph, steady_state
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -222,6 +222,28 @@ class TestAnalyze:
                    "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--simulate"]])
+    def test_flags_checked_before_any_work(self, tmp_path, capsys, monkeypatch, flags):
+        def refuse(graph):
+            raise AssertionError("analyze factorised a graph it had no report for")
+
+        monkeypatch.setattr(cli, "spectral_data", refuse)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                   "--out", str(out)] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: pick at least one of ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
+    def test_gamma_must_be_finite_and_positive(self, tmp_path, capsys, gamma):
+        out = tmp_path / "out"
+        rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                   "--out", str(out), "--worst-case", "--gamma", gamma])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: gamma: ")
+        assert not out.exists()
+
     def test_readme_report_keys(self, tmp_path, capsys):
         # each report's keys are its type plus its result's fields
         rc = main(["analyze", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),

@@ -1,5 +1,5 @@
-"""Pinned sha256 digests of the frame-model trace and event files, and of
-the report files the README commands write.
+"""Pinned sha256 digests of the frame-model trace and event files, of the
+fluid-model trace files, and of the report files the README commands write.
 
 Every event, sample row and formatted byte of these runs feeds a digest, so a
 change to event order, row evaluation, bound-event placement or float
@@ -52,6 +52,29 @@ def test_frame_model_outputs_pinned(name, tmp_path, capsys):
     capsys.readouterr()
     assert sha256(tmp_path / "trace_afm.csv") == trace_digest
     assert sha256(tmp_path / "trace_afm_events.csv") == events_digest
+
+
+# command -> (exit code, sha256 of trace_ode.csv); the digests are the same
+# with one and with two BLAS threads
+FLUID_CASES = {
+    "simulate_ode_triangle_pi": (
+        ["simulate", "--model", "ode", "--scenario", str(SCENARIOS / "triangle_pi.json")], 0,
+        "346236e0e193e381560c6b4bd95cf3f1487e734c75c31782a9e9ad6288c7fd67"),
+    "simulate_ode_mesh_far_pair": (
+        ["simulate", "--model", "ode", "--scenario", str(SCENARIOS / "mesh_far_pair.json")], 0,
+        "da47e1deb488d90a2a432afb4376f66c84bbc22bd56a8c88af153544ff1b3d9c"),
+    "compare_readme_flags": (
+        ["compare", "--scenario", str(SCENARIOS / "triangle_pi.json")] + README_COMPARE_FLAGS, 0,
+        "346236e0e193e381560c6b4bd95cf3f1487e734c75c31782a9e9ad6288c7fd67"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLUID_CASES))
+def test_fluid_model_traces_pinned(name, tmp_path, capsys):
+    argv, exit_code, trace_digest = FLUID_CASES[name]
+    assert main(argv + ["--out", str(tmp_path)]) == exit_code
+    capsys.readouterr()
+    assert sha256(tmp_path / "trace_ode.csv") == trace_digest
 
 
 # command -> (exit code, {report file: sha256}); the digests are the same with

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from bittide_sim.numerics import (NonpositiveStepError, NotSymmetricError,
-                                  SingularMatrixError, eig_symmetric,
-                                  l2_norm_squared, lyapunov_residual,
-                                  rk4_step_operator, solve)
+from bittide_sim.numerics import (NonpositiveStepError, NotSymmetricError, eig_symmetric,
+                                  l2_norm_squared, lyapunov_residual, rk4_step_operator)
 from helpers import rk4_integrate
 
 
@@ -39,29 +37,6 @@ class TestEigSymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(NotSymmetricError):
             eig_symmetric(np.ones((2, 3)))
-
-
-class TestSolve:
-    def test_identity(self):
-        rhs = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(solve(np.eye(3), rhs), rhs)
-
-    def test_diagonal(self):
-        x = solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-        assert np.allclose(x, [1.0, 1.0])
-
-    def test_random_residual(self):
-        rng = np.random.RandomState(3)
-        m = rng.randn(10, 10) + 10 * np.eye(10)
-        rhs = rng.randn(10)
-        x = solve(m, rhs)
-        resid = np.linalg.norm(m @ x - rhs)
-        assert resid <= 1e-9 * (np.linalg.norm(m) * np.linalg.norm(x) + np.linalg.norm(rhs))
-
-    def test_singular_raises(self):
-        m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrixError):
-            solve(m, np.array([1.0, 0.0]))
 
 
 class TestRk4:

@@ -10,10 +10,10 @@ from bittide_sim import ode
 from bittide_sim.graph import complete, mesh, path, spectral_data
 from bittide_sim.numerics import rk4_step_operator
 from bittide_sim.ode import (RUN_SIZE_CAP, Gains, ParameterError, build_full_system,
-                             build_reduced_system, decoupled_coordinates, default_time_step,
-                             simulate_ode, steady_state)
+                             build_reduced_system, default_time_step, simulate_ode)
 from bittide_sim.scenario import load_scenario
-from helpers import random_connected_graph, rk4_integrate
+from helpers import (dense_rk4, dense_system, modal_states, random_connected_graph,
+                     steady_state)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -37,35 +37,65 @@ class TestGains:
 class TestBuildFullSystem:
     def test_single_edge_blocks(self):
         sd = spectral_data(path(2))
-        sys_full = build_full_system(sd, Gains(k_p=1.0, k_i=1.0))
+        gains = Gains(k_p=1.0, k_i=1.0)
+        sys_full = build_full_system(sd, gains)
+        assert sys_full.blocks.shape == (2, 2, 2)
+        assert np.allclose(sys_full.blocks, [[[0.0, 1.0], [0.0, 0.0]],
+                                             [[-2.0, 1.0], [-2.0, 0.0]]], rtol=0.0, atol=1e-12)
+        # and the dense oracle the blocks are checked against
+        dense = dense_system(sd, gains)
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(sys_full.a, np.block([
+        assert np.array_equal(dense.a, np.block([
             [-lap, np.eye(2)], [-lap, np.zeros((2, 2))]
         ]))
-        assert np.array_equal(sys_full.b2, np.vstack([np.eye(2), np.zeros((2, 2))]))
-        assert np.array_equal(sys_full.c1, np.hstack([-lap, np.eye(2)]))
-        assert np.array_equal(sys_full.c2, np.array([[-1.0, 1.0, 0.0, 0.0]]))
+        assert np.array_equal(dense.b2, np.vstack([np.eye(2), np.zeros((2, 2))]))
+        assert np.array_equal(dense.c1, np.hstack([-lap, np.eye(2)]))
+        assert np.array_equal(dense.c2, np.array([[-1.0, 1.0, 0.0, 0.0]]))
+
+    def test_blocks_are_the_dense_system_in_the_eigenbasis(self):
+        # V2^T a V2 with V2 = I2 (x) V holds block k at rows and columns (k, n+k)
+        rng = np.random.RandomState(8)
+        for _ in range(10):
+            sd = spectral_data(random_connected_graph(rng, rng.randint(2, 12)))
+            gains = Gains(k_p=10 ** rng.uniform(-2, 0.5), k_i=10 ** rng.uniform(-3, 0),
+                          omega_c=10 ** rng.uniform(-0.5, 0.5))
+            n = sd.graph.n
+            blocks = build_full_system(sd, gains).blocks
+            assert blocks.shape == (n, 2, 2)
+            v2 = np.kron(np.eye(2), sd.eigenvectors)
+            modal = v2.T @ dense_system(sd, gains).a @ v2
+            for k in range(n):
+                idx = np.ix_([k, n + k], [k, n + k])
+                assert np.abs(modal[idx] - blocks[k]).max() <= 1e-12
+                modal[idx] = 0.0
+            assert np.abs(modal).max() <= 1e-12
 
     def test_ones_vector_in_kernel(self):
+        # the drift mode's phase feeds back into nothing
         sd = spectral_data(complete(4))
         sys_full = build_full_system(sd, PAPER_GAINS)
+        assert np.abs(sys_full.blocks[0, :, 0]).max() <= 1e-12
+        assert np.abs(sys_full.blocks[1:, :, 0]).min() > 1e-12
         vec = np.concatenate([np.ones(4), np.zeros(4)])
-        assert np.abs(sys_full.a @ vec).max() <= 1e-12
+        assert np.abs(dense_system(sd, PAPER_GAINS).a @ vec).max() <= 1e-12
 
     def test_zero_state_output_is_omega_u(self):
         sd = spectral_data(complete(3))
         sys_full = build_full_system(sd, PAPER_GAINS)
         omega_u = np.array([1.3, 0.7, 1.0])
-        assert np.array_equal(sys_full.c1 @ np.zeros(6) + omega_u, omega_u)
+        trace = simulate_ode(sys_full, omega_u, 1000.0)
+        assert np.array_equal(trace.omega[0], omega_u)
+        assert np.array_equal(trace.delta[0], np.zeros(3))
 
     def test_exactly_two_zero_eigenvalues(self):
         # the drift subspace over the Laplacian kernel is a 2x2 Jordan block,
         # so its zero pair perturbs at sqrt(machine eps) scale
         sd = spectral_data(complete(3))
-        sys_full = build_full_system(sd, Gains(k_p=0.3, k_i=0.1))
-        eigs = np.sort(np.abs(np.linalg.eigvals(sys_full.a)))
-        assert eigs[1] <= 1e-6
-        assert eigs[2] > 1e-3
+        gains = Gains(k_p=0.3, k_i=0.1)
+        for a in (build_full_system(sd, gains).blocks, dense_system(sd, gains).a):
+            eigs = np.sort(np.abs(np.linalg.eigvals(a)).ravel())
+            assert eigs[1] <= 1e-6
+            assert eigs[2] > 1e-3
 
 
 class TestBuildReducedSystem:
@@ -110,8 +140,8 @@ class TestSimulateOde:
         sd = spectral_data(path(3))
         sys_full = build_full_system(sd, PAPER_GAINS)
         trace = simulate_ode(sys_full, np.zeros(3), 1000.0)
-        assert np.abs(trace.state).max() == 0.0
         assert np.abs(trace.omega).max() == 0.0
+        assert np.abs(trace.delta).max() == 0.0
 
     def test_converges_to_average(self):
         sd = spectral_data(complete(3))
@@ -143,10 +173,9 @@ class TestSimulateOde:
         omega_u = np.array([1.1, 1.0, 0.9])
         dt = 0.25
         trace = simulate_ode(sys_full, omega_u, 10.0, dt=dt)
-        drive = sys_full.b2 @ omega_u
-        _, states = rk4_integrate(lambda t, x: sys_full.a @ x + drive,
-                                  np.zeros(6), 0.0, 10.0, dt)
-        assert np.allclose(trace.state, states, rtol=1e-10, atol=1e-12)
+        dense, _, states = dense_rk4(sd, gains, omega_u, 10.0, dt)
+        assert np.allclose(trace.omega, states @ dense.c1.T + omega_u, rtol=1e-10, atol=1e-12)
+        assert np.allclose(trace.delta, states @ dense.c2.T, rtol=1e-10, atol=1e-12)
 
     def test_matches_generic_rk4_random_graphs(self):
         # per-mode stepping must reproduce the dense RK4 recurrence, partial
@@ -160,12 +189,12 @@ class TestSimulateOde:
             dt = default_time_step(sd, gains)
             t_end = (rng.randint(50, 400) + rng.uniform(0.1, 0.9)) * dt
             trace = simulate_ode(sys_full, omega_u, t_end)
-            drive = sys_full.b2 @ omega_u
-            times, states = rk4_integrate(lambda t, x: sys_full.a @ x + drive,
-                                          np.zeros(2 * sd.graph.n), 0.0, t_end, dt)
+            dense, times, states = dense_rk4(sd, gains, omega_u, t_end, dt)
             assert trace.times.shape == times.shape
             assert np.allclose(trace.times, times, rtol=1e-14, atol=0.0)
-            assert np.allclose(trace.state, states, rtol=1e-10, atol=1e-12)
+            assert np.allclose(trace.omega, states @ dense.c1.T + omega_u,
+                               rtol=1e-10, atol=1e-12)
+            assert np.allclose(trace.delta, states @ dense.c2.T, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
                         reason="needs an extended-precision long double")
@@ -182,13 +211,14 @@ class TestSimulateOde:
         trace = simulate_ode(sys_full, omega_u, steps * dt, dt=dt)
         assert trace.times.shape == (steps + 1,)
         ld = np.longdouble
-        phi, gamma = rk4_step_operator(sys_full.a.astype(ld), ld(dt))
-        drive = gamma @ (sys_full.b2.astype(ld) @ omega_u.astype(ld))
-        states = np.zeros((steps + 1, sys_full.a.shape[0]), dtype=ld)
+        dense = dense_system(sd, gains)
+        phi, gamma = rk4_step_operator(dense.a.astype(ld), ld(dt))
+        drive = gamma @ (dense.b2.astype(ld) @ omega_u.astype(ld))
+        states = np.zeros((steps + 1, dense.a.shape[0]), dtype=ld)
         for k in range(steps):
             states[k + 1] = phi @ states[k] + drive
-        omega = states @ sys_full.c1.T.astype(ld) + omega_u.astype(ld)
-        delta = states @ sys_full.c2.T.astype(ld)
+        omega = states @ dense.c1.T.astype(ld) + omega_u.astype(ld)
+        delta = states @ dense.c2.T.astype(ld)
         assert float(np.abs(trace.omega - omega).max()) <= 1e-13
         assert float(np.abs(trace.delta - delta).max()) <= 1e-6
 
@@ -218,12 +248,9 @@ class TestSimulateOde:
             with monkeypatch.context() as m:
                 m.setattr(ode, "_CHUNK_STEPS", 10 ** 9)
                 whole = simulate_ode(sys_full, omega_u, steps * dt, dt=dt)
-                whole_modal = (whole.theta_hat, whole.zeta_hat)
             for name in ("times", "omega", "delta"):
                 assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), \
                     (steps, name)
-            assert chunked.theta_hat.tobytes() == whole_modal[0].tobytes(), steps
-            assert chunked.zeta_hat.tobytes() == whole_modal[1].tobytes(), steps
 
     def test_peak_memory_is_the_trace_and_a_few_chunks(self):
         sd = spectral_data(mesh(3, 3))
@@ -296,68 +323,56 @@ class TestSteadyState:
 
 
 class TestDecoupledCoordinates:
+    """The dense oracle's states in the Laplacian eigenbasis: column 0 of the
+    phase is the drift mode, and the other columns decay to the steady state."""
+
     def test_uniform_input_pure_drift(self):
         sd = spectral_data(complete(3))
-        sys_full = build_full_system(sd, PAPER_GAINS)
         c = 1.25
-        trace = simulate_ode(sys_full, np.full(3, c), 2000.0)
-        dec = decoupled_coordinates(trace)
+        _, times, states = dense_rk4(sd, PAPER_GAINS, np.full(3, c), 2000.0)
+        theta_hat, zeta_hat = modal_states(sd, states)
         bound = 1e-9 * np.linalg.norm(np.full(3, c)) * 2000.0
-        assert np.abs(dec.disagreement_phase).max() <= bound
-        assert np.abs(dec.disagreement_integ).max() <= bound
-        assert np.allclose(dec.agreement_phase, np.sqrt(3.0) * c * trace.times, rtol=1e-12)
+        assert np.abs(theta_hat[:, 1:]).max() <= bound
+        assert np.abs(zeta_hat[:, 1:]).max() <= bound
+        assert np.allclose(theta_hat[:, 0], np.sqrt(3.0) * c * times, rtol=1e-12)
 
     def test_agreement_integ_identically_zero(self):
         sd = spectral_data(mesh(2, 3))
-        sys_full = build_full_system(sd, Gains(k_p=0.2, k_i=0.05))
         rng = np.random.RandomState(4)
         omega_u = 1.0 + 0.05 * rng.randn(6)
         t_end = 800.0
-        trace = simulate_ode(sys_full, omega_u, t_end)
-        dec = decoupled_coordinates(trace)
-        assert np.abs(dec.agreement_integ).max() <= 1e-9 * np.linalg.norm(omega_u) * t_end
-        drift = np.sqrt(6.0) * omega_u.mean() * trace.times
-        assert np.abs(dec.agreement_phase - drift).max() <= 1e-8 * max(drift.max(), 1.0)
-
-    def test_phase_decomposition(self):
-        # theta_bar = U1 x1_hat + omega_avg * t * ones, to integrator accuracy
-        sd = spectral_data(complete(3))
-        sys_full = build_full_system(sd, Gains(k_p=0.3, k_i=0.1))
-        omega_u = np.array([1.02, 1.0, 0.98])
-        trace = simulate_ode(sys_full, omega_u, 300.0)
-        dec = decoupled_coordinates(trace)
-        rebuilt = (dec.disagreement_phase @ sd.disagreement_basis.T
-                   + omega_u.mean() * trace.times[:, None])
-        assert np.abs(rebuilt - trace.theta_bar).max() <= 1e-8
+        _, times, states = dense_rk4(sd, Gains(k_p=0.2, k_i=0.05), omega_u, t_end)
+        theta_hat, zeta_hat = modal_states(sd, states)
+        assert np.abs(zeta_hat[:, 0]).max() <= 1e-9 * np.linalg.norm(omega_u) * t_end
+        drift = np.sqrt(6.0) * omega_u.mean() * times
+        assert np.abs(theta_hat[:, 0] - drift).max() <= 1e-8 * max(drift.max(), 1.0)
 
     def test_disagreement_converges_to_steady_state(self):
         sd = spectral_data(path(3))
         gains = Gains(k_p=0.4, k_i=0.2)
-        sys_full = build_full_system(sd, gains)
         red = build_reduced_system(sd, gains)
         omega_u = np.array([1.05, 1.0, 0.95])
-        trace = simulate_ode(sys_full, omega_u, 400.0)
-        dec = decoupled_coordinates(trace)
+        _, _, states = dense_rk4(sd, gains, omega_u, 400.0)
+        theta_hat, zeta_hat = modal_states(sd, states)
         ss = steady_state(red, omega_u)
         n1 = 2
-        assert np.abs(dec.disagreement_phase[-1] - ss.x_closed[:n1]).max() <= 1e-8
-        assert np.abs(dec.disagreement_integ[-1] - ss.x_closed[n1:]).max() <= 1e-8
+        assert np.abs(theta_hat[-1, 1:] - ss.x_closed[:n1]).max() <= 1e-8
+        assert np.abs(zeta_hat[-1, 1:] - ss.x_closed[n1:]).max() <= 1e-8
 
     def test_projected_derivative_satisfies_reduced_dynamics(self):
         # the exact state derivative, projected, equals the reduced dynamics
         sd = spectral_data(mesh(2, 3))
         gains = Gains(k_p=0.2, k_i=0.05)
-        sys_full = build_full_system(sd, gains)
         red = build_reduced_system(sd, gains)
         rng = np.random.RandomState(5)
         omega_u = 1.0 + 0.05 * rng.randn(6)
-        trace = simulate_ode(sys_full, omega_u, 300.0)
+        dense, _, states = dense_rk4(sd, gains, omega_u, 300.0)
         n = 6
         u1 = sd.disagreement_basis
-        xdot = trace.state @ sys_full.a.T + sys_full.b2 @ omega_u
+        xdot = states @ dense.a.T + dense.b2 @ omega_u
         xdot_proj = np.hstack([xdot[:, :n] @ u1, xdot[:, n:] @ u1])
-        x_tilde = np.hstack([trace.state[:, :n] @ u1, trace.state[:, n:] @ u1])
-        rhs = x_tilde @ red.a_hat.T + red.b2_hat @ omega_u
+        x_tilde = np.hstack([states[:, :n] @ u1, states[:, n:] @ u1])
+        rhs = x_tilde @ red.a_hat.T + np.concatenate([u1.T @ omega_u, np.zeros(n - 1)])
         assert np.abs(xdot_proj - rhs).max() <= 1e-10
 
 
