@@ -214,7 +214,8 @@ class AfmTrace:
     """Sampled run output: the uniform output grid plus every event instant.
 
     occupancy columns follow directed_links() order and are exact integers;
-    freq is the active oscillator rate (right-continuous at events).
+    freq is the active oscillator rate (right-continuous at events);
+    histories holds each node's full PhaseHistory.
     """
 
     times: np.ndarray
@@ -224,7 +225,7 @@ class AfmTrace:
     events: tuple
     frame_offsets: tuple
     scenario: AfmScenario
-    histories: tuple = ()  # populated only when keep_histories=True
+    histories: tuple
 
 
 def frame_offsets(scenario: AfmScenario) -> tuple:
@@ -279,7 +280,7 @@ _MEASURE, _HOLD = 0, 1
 _BOUND_KINDS = ("overflow", "underflow")
 
 
-def simulate_afm(scenario: AfmScenario, keep_histories: bool = False) -> AfmTrace:
+def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     """Run the frame-exact model to t_end.
 
     Events (measurements and correction holds) are processed in global time
@@ -288,7 +289,7 @@ def simulate_afm(scenario: AfmScenario, keep_histories: bool = False) -> AfmTrac
     uniform output grid plus each event instant. Trace rows are evaluated from
     the recorded histories after the loop, with the same floating-point
     operations as PhaseHistory.phase_at/slope_at and occupancy(), so they
-    equal the scalar lookups bit for bit.
+    equal the scalar lookups bit for bit; the trace keeps the histories.
 
     Buffer bound violations are logged and the run continues. The first
     overflow and the first underflow of each link are logged once each, at the
@@ -416,7 +417,7 @@ def simulate_afm(scenario: AfmScenario, keep_histories: bool = False) -> AfmTrac
                                   [at for _, at in samples], links),
         frame_offsets=offsets,
         scenario=scenario,
-        histories=tuple(hists) if keep_histories else (),
+        histories=tuple(hists),
     )
 
 

@@ -9,10 +9,11 @@ frequency deviation and relative occupancy have exact values
 with a the proportional gain and b the scaled integral gain. The quadratic
 form q reduces to the resistance distance R_ij when exactly two nodes are
 perturbed symmetrically, and is maximized over a norm ball by the Fiedler
-vector. Stability is certified two independent ways: eigenvalue abscissa of
-the reduced matrix, and explicit positive-definite Lyapunov solutions whose
-residuals are checked numerically. Each result that becomes a report names
-its report type in ``kind``.
+vector. Stability is certified two independent ways: the spectral abscissa,
+in closed form from the roots of each mode's s^2 + a lambda_k s + b lambda_k,
+and explicit positive-definite Lyapunov solutions whose residuals are checked
+numerically on the dense reduced matrix. Each result that becomes a report
+names its report type in ``kind``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .graph import SpectralData, fiedler_vector, resistance_distance
-from .numerics import l2_norm_squared, lyapunov_residual
-from .ode import Gains, OdeTrace, ReducedSystem
+from .ode import Gains, OdeTrace, ReducedSystem, spectral_abscissa
 
 
 class PositivityViolationError(RuntimeError):
@@ -43,25 +43,16 @@ class HurwitzResult:
     spectral_abscissa: float
 
 
-def hurwitz_check(a_hat: np.ndarray, tol: float | None = None) -> HurwitzResult:
-    """Stability via the eigenvalue abscissa of the reduced system matrix.
+def hurwitz_check(sd: SpectralData, gains: Gains) -> HurwitzResult:
+    """Stability of the reduced loop from its closed-form spectral abscissa.
 
-    Hurwitz iff the maximum real part stays below -tol. tol defaults to
-    10 * dim * eps * |a_hat|_F, a small multiple of the eigensolver's
-    backward error, so that only rounding on the imaginary axis is absorbed;
-    slow but stable modes, such as k_p * lambda_2 / 2 on a large mesh, stay
-    Hurwitz.
+    The reduced loop is one 2x2 block per nonzero Laplacian eigenvalue, so its
+    poles are the roots of s^2 + a lambda_k s + b lambda_k; it is Hurwitz iff
+    the largest real part among them is negative. Only the eigenvalues enter,
+    so the result does not depend on the BLAS thread count.
     """
-    a_hat = np.asarray(a_hat, dtype=float)
-    if tol is None:
-        tol = 10.0 * a_hat.shape[0] * np.finfo(float).eps * float(np.linalg.norm(a_hat))
-    try:
-        eigs = np.linalg.eigvals(a_hat)
-    except np.linalg.LinAlgError:
-        # non-converged eigenvalue iteration counts as a stability failure
-        return HurwitzResult(is_hurwitz=False, spectral_abscissa=float("nan"))
-    abscissa = float(np.max(eigs.real))
-    return HurwitzResult(is_hurwitz=bool(abscissa < -tol), spectral_abscissa=abscissa)
+    abscissa = spectral_abscissa(sd, gains)
+    return HurwitzResult(is_hurwitz=abscissa < 0, spectral_abscissa=abscissa)
 
 
 @dataclass(frozen=True)
@@ -109,6 +100,11 @@ def lyapunov_solutions(sd: SpectralData, gains: Gains) -> tuple:
     return x1, x2
 
 
+def _lyapunov_residual(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> float:
+    """Frobenius norm of a^T x + x a + c^T c."""
+    return float(np.linalg.norm(a.T @ x + x @ a + c.T @ c))
+
+
 def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
                                gains: Gains) -> LyapunovCertificate:
     """Verify the Lyapunov solutions of the reduced loop numerically.
@@ -116,9 +112,9 @@ def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
     Residuals are reported relative to |C^T C|_F for each output block.
     """
     x1, x2 = lyapunov_solutions(sd, gains)
-    r1 = lyapunov_residual(reduced.a_hat, x1, reduced.c1_hat)
-    r2 = lyapunov_residual(reduced.a_hat, x2, reduced.c2_hat)
-    rs = lyapunov_residual(reduced.a_hat, x1 + x2, reduced.c_hat)
+    r1 = _lyapunov_residual(reduced.a_hat, x1, reduced.c1_hat)
+    r2 = _lyapunov_residual(reduced.a_hat, x2, reduced.c2_hat)
+    rs = _lyapunov_residual(reduced.a_hat, x1 + x2, reduced.c_hat)
     r1 /= np.linalg.norm(reduced.c1_hat.T @ reduced.c1_hat)
     r2 /= np.linalg.norm(reduced.c2_hat.T @ reduced.c2_hat)
     rs /= np.linalg.norm(reduced.c_hat.T @ reduced.c_hat)
@@ -207,8 +203,8 @@ def worst_case_frequency(sd: SpectralData, gamma: float) -> WorstCaseResult:
     the maximizer is any unit vector of the eigenspace; the result is
     flagged so callers do not treat the returned one as unique.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
     fied = fiedler_vector(sd)
     return WorstCaseResult(
         omega_u=gamma * fied.vector,
@@ -217,13 +213,43 @@ def worst_case_frequency(sd: SpectralData, gamma: float) -> WorstCaseResult:
     )
 
 
-def empirical_norms(trace: OdeTrace, omega_ss, spectral_abscissa: float | None = None,
-                    tail_tol: float = 1e-3):
+# rows per deviation block in l2_norm_squared: a long trace then needs no
+# temporary of its own size
+_L2_BLOCK_ROWS = 1024
+
+
+def l2_norm_squared(times: np.ndarray, values: np.ndarray, reference) -> float:
+    """Trapezoid approximation of the integral of |y(t) - ref|^2 over the trace.
+
+    values has one row per sample; reference is a constant vector (or scalar)
+    subtracted from every row.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.size < 2:
+        raise ValueError("need at least 2 samples for quadrature")
+    if values.ndim == 1:
+        values = values[:, None]
+    reference = np.asarray(reference, dtype=float)
+    integrand = np.empty(values.shape[0])
+    for k in range(0, values.shape[0], _L2_BLOCK_ROWS):
+        dev = values[k:k + _L2_BLOCK_ROWS] - reference
+        integrand[k:k + _L2_BLOCK_ROWS] = np.einsum("ij,ij->i", dev, dev)
+    dt = np.diff(times)
+    return float(np.sum(dt * (integrand[:-1] + integrand[1:]) / 2.0))
+
+
+# the largest estimated truncated tail, as a share of its integral, that
+# empirical_norms accepts without a warning
+TAIL_TOL = 1e-3
+
+
+def empirical_norms(trace: OdeTrace, omega_ss, spectral_abscissa: float | None = None):
     """Quadrature estimates of the two performance integrals from a trace.
 
     Integrates |omega(t) - omega_ss|^2 and |delta(t)|^2 over the trace window
     by the composite trapezoid rule. If the estimated truncated tail (decay
-    extrapolation of the final integrand) exceeds tail_tol of the integral,
+    extrapolation of the final integrand) exceeds TAIL_TOL of the integral,
     an InsufficientHorizonWarning is issued.
     """
     omega_ss = np.asarray(omega_ss, dtype=float)
@@ -240,10 +266,10 @@ def empirical_norms(trace: OdeTrace, omega_ss, spectral_abscissa: float | None =
         if integral <= 0 or tail_rate is None:
             continue
         tail = final_sq / (2.0 * tail_rate)
-        if tail > tail_tol * integral:
+        if tail > TAIL_TOL * integral:
             warnings.warn(
                 f"{label} integral tail estimate {tail:.3e} exceeds "
-                f"{tail_tol:.1e} of the integral {integral:.3e}; extend t_end",
+                f"{TAIL_TOL:.1e} of the integral {integral:.3e}; extend t_end",
                 InsufficientHorizonWarning,
                 stacklevel=2,
             )

@@ -98,6 +98,9 @@ def cmd_analyze(args) -> int:
         print("error: pick at least one of --resistance --worst-case "
               "--performance --lyapunov", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.simulate and not args.performance:
+        print("error: --simulate needs --performance", file=sys.stderr)
+        return EXIT_VALIDATION
     if not (math.isfinite(args.gamma) and args.gamma > 0):
         raise ValidationError("gamma", f"expected a finite number > 0, got {args.gamma!r}")
     graph, scenario, gains = _load(args)
@@ -145,9 +148,8 @@ def cmd_analyze(args) -> int:
                 "horizon": t_end,
             })
     if args.lyapunov:
-        reduced = build_reduced_system(sd, gains)
-        reports.append(hurwitz_check(reduced.a_hat))
-        reports.append(build_lyapunov_certificate(reduced, sd, gains))
+        reports.append(hurwitz_check(sd, gains))
+        reports.append(build_lyapunov_certificate(build_reduced_system(sd, gains), sd, gains))
     emit_report(reports, out / "analysis.txt", out / "analysis.json")
     print((out / "analysis.txt").read_text(), end="")
     return EXIT_OK

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import eig_symmetric
-
 
 class NotConnectedError(ValueError):
     """The underlying undirected graph is not connected."""
@@ -188,7 +186,8 @@ def spectral_data(g: OrientedGraph, tol: float = 1e-9) -> SpectralData:
     threshold only guards numerics.
     """
     lap = laplacian(g)
-    w, v = eig_symmetric(lap)
+    # built from integer entries, so exactly symmetric
+    w, v = np.linalg.eigh(lap)
     lam_max = w[-1]
     if lam_max <= 0:
         raise NotConnectedError("graph has no edges or all-zero spectrum")

@@ -9,8 +9,11 @@ In the Laplacian eigenbasis the loop splits into one 2x2 block per
 eigenvalue, and OdeSystem holds it in that form. Its block for the zero
 eigenvalue carries the drift mode (mean phase grows linearly), which is what
 the frame-exact model exhibits, so trajectory comparisons use the full
-system. The Hurwitz check and the Lyapunov certificate use the reduced
-system obtained by projecting onto the disagreement subspace.
+system. Each other block has the characteristic polynomial
+s^2 + a lambda_k s + b lambda_k, whose roots give the spectral abscissa in
+closed form (spectral_abscissa); it sets the analysis horizon and is the
+Hurwitz witness. The Lyapunov certificate uses the reduced system obtained by
+projecting onto the disagreement subspace.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SpectralData
-from .numerics import rk4_step_operator
 
 
 class ParameterError(ValueError):
@@ -113,6 +115,28 @@ def build_reduced_system(sd: SpectralData, gains: Gains) -> ReducedSystem:
     c_hat = np.vstack([c1_hat, c2_hat])
     return ReducedSystem(a_hat=a_hat, c1_hat=c1_hat, c2_hat=c2_hat, c_hat=c_hat,
                          spectral=sd, gains=gains)
+
+
+def rk4_step_operator(a: np.ndarray, dt: float):
+    """One-step map of classical RK4 for the affine system dx/dt = a x + u.
+
+    For constant u over the step, RK4 is exactly x' = phi @ x + gamma @ u with
+
+        phi   = I + h a + h^2 a^2/2 + h^3 a^3/6 + h^4 a^4/24
+        gamma = h I + h^2 a/2 + h^3 a^2/6 + h^4 a^3/24
+
+    A stack of square matrices, shape (..., d, d), gives a stack of maps.
+    Floating inputs keep their precision (np.longdouble stays long double);
+    others become float64.
+    """
+    a = np.asarray(a, dtype=np.result_type(a, float))
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a3 @ a
+    phi = eye + dt * a + dt**2 / 2.0 * a2 + dt**3 / 6.0 * a3 + dt**4 / 24.0 * a4
+    gamma = dt * eye + dt**2 / 2.0 * a + dt**3 / 6.0 * a2 + dt**4 / 24.0 * a3
+    return phi, gamma
 
 
 # RK4 steps advanced per vectorised block: the block's step maps take

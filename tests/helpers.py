@@ -7,7 +7,6 @@ import numpy as np
 
 from bittide_sim.afm import AfmScenario
 from bittide_sim.graph import OrientedGraph, SpectralData
-from bittide_sim.numerics import NonpositiveStepError
 from bittide_sim.ode import Gains, ReducedSystem, default_time_step
 from bittide_sim.scenario import _trace_table
 
@@ -108,7 +107,7 @@ def rk4_integrate(deriv, x0: np.ndarray, t0: float, t1: float, dt: float):
     Returns (times, states) with states[k] the state at times[k].
     """
     if dt <= 0:
-        raise NonpositiveStepError(f"dt must be > 0, got {dt}")
+        raise ValueError(f"dt must be > 0, got {dt}")
     span = t1 - t0
     n_full = int(np.floor(span / dt + 1e-12))
     remainder = span - n_full * dt
@@ -184,6 +183,16 @@ def modal_states(sd: SpectralData, states: np.ndarray) -> tuple:
     """
     n = sd.graph.n
     return states[:, :n] @ sd.eigenvectors, states[:, n:] @ sd.eigenvectors
+
+
+def dense_abscissa(a_hat: np.ndarray) -> float:
+    """Largest real part among the dense eigenvalues of a matrix.
+
+    Oracle for the closed-form ``spectral_abscissa`` on the reduced matrix
+    ``build_reduced_system(...).a_hat``. Its last bits depend on the BLAS
+    thread count.
+    """
+    return float(np.max(np.linalg.eigvals(a_hat).real))
 
 
 @dataclass(frozen=True)

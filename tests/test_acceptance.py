@@ -17,7 +17,8 @@ from bittide_sim.graph import (OrientedGraph, complete, fiedler_vector, mesh, pa
                                resistance_matrix, spectral_data)
 from bittide_sim.ode import Gains, build_full_system, build_reduced_system, simulate_ode
 from bittide_sim.scenario import compare_traces
-from helpers import bfs_distance, make_scenario, random_connected_graph, steady_state
+from helpers import (bfs_distance, dense_abscissa, make_scenario, random_connected_graph,
+                     steady_state)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -54,7 +55,7 @@ def test_criterion_2_norm_formula_cross_validation():
     """Integrated norms match the closed forms within 1%; ratio equals b within 0.5%."""
     t0 = time.time()
     rng = np.random.RandomState(2024)
-    worst_freq = worst_occ = worst_ratio = 0.0
+    worst_freq = worst_occ = worst_ratio = worst_abscissa = 0.0
     n_cases = 25
     for _ in range(n_cases):
         g = random_connected_graph(rng, rng.randint(2, 9))
@@ -63,8 +64,11 @@ def test_criterion_2_norm_formula_cross_validation():
                       omega_c=rng.uniform(0.5, 2.0))
         omega_u = 1.0 + 0.02 * rng.randn(g.n)
         omega_u -= (omega_u.mean() - 1.0)  # keep a unit mean, random zero-mean part
-        hz = hurwitz_check(build_reduced_system(sd, gains).a_hat)
+        hz = hurwitz_check(sd, gains)
         assert hz.spectral_abscissa < 0
+        dense = dense_abscissa(build_reduced_system(sd, gains).a_hat)
+        worst_abscissa = max(worst_abscissa, abs(hz.spectral_abscissa - dense)
+                             / abs(hz.spectral_abscissa))
         horizon = 30.0 / abs(hz.spectral_abscissa)
         trace = simulate_ode(build_full_system(sd, gains), omega_u, horizon)
         omega_ss = np.full(g.n, omega_u.mean())
@@ -77,14 +81,17 @@ def test_criterion_2_norm_formula_cross_validation():
                         / pred.occupancy_norm_sq)
         worst_ratio = max(worst_ratio, abs(freq_sq / occ_sq - b) / b)
     elapsed = time.time() - t0
-    ok = worst_freq <= 0.01 and worst_occ <= 0.01 and worst_ratio <= 0.005 and elapsed < 30.0
+    ok = (worst_freq <= 0.01 and worst_occ <= 0.01 and worst_ratio <= 0.005
+          and worst_abscissa <= 1e-12 and elapsed < 30.0)
     report("2 (closed-form norm cross-validation)", ok,
            f"{n_cases} cases, worst freq err {worst_freq:.2e}, occ err {worst_occ:.2e}, "
-           f"ratio err {worst_ratio:.2e}, runtime {elapsed:.1f}s")
+           f"ratio err {worst_ratio:.2e}, abscissa vs dense {worst_abscissa:.2e}, "
+           f"runtime {elapsed:.1f}s")
 
 
 def test_criterion_3_stability_two_witnesses():
-    """100 random draws: eigenvalue abscissa < 0 and positive Lyapunov sum."""
+    """100 random draws: closed-form abscissa < 0, matching the dense eigenvalues
+    within 1e-12 relative, and positive Lyapunov sum."""
     rng = np.random.RandomState(3)
     failures = 0
     for _ in range(100):
@@ -93,12 +100,14 @@ def test_criterion_3_stability_two_witnesses():
         gains = Gains(k_p=10 ** rng.uniform(-4, 1), k_i=10 ** rng.uniform(-4, 1),
                       omega_c=10 ** rng.uniform(-1, 1))
         red = build_reduced_system(sd, gains)
-        hz = hurwitz_check(red.a_hat)
+        hz = hurwitz_check(sd, gains)
+        dense = dense_abscissa(red.a_hat)
         cert = build_lyapunov_certificate(red, sd, gains)
         x1, x2 = lyapunov_solutions(sd, gains)
         x_sum = x1 + x2
         min_eig = np.linalg.eigvalsh((x_sum + x_sum.T) / 2).min()
-        if not (hz.is_hurwitz and min_eig > 0 and cert.residual_sum <= 1e-9):
+        if not (hz.is_hurwitz and abs(hz.spectral_abscissa - dense) <= 1e-12 * abs(dense)
+                and min_eig > 0 and cert.residual_sum <= 1e-9):
             failures += 1
     report("3 (stability, both witnesses)", failures == 0,
            f"100 draws, {failures} failures")
@@ -172,7 +181,7 @@ def test_criterion_6_structural_invariants():
     scn = make_scenario(g, tuple(omega_u), gains,
                         latency=(40.0, 90.0, 10.0, 140.0, 60.0, 20.0),
                         p=500.0, d=50.0, t_end=30000.0, output_dt=500.0)
-    trace = simulate_afm(scn, keep_histories=True)
+    trace = simulate_afm(scn)
     links = g.directed_links()
     identity_ok = True
     event_times = sorted({ev.time for ev in trace.events})
@@ -187,7 +196,7 @@ def test_criterion_6_structural_invariants():
             if lhs != rhs:
                 identity_ok = False
 
-    rerun = simulate_afm(scn, keep_histories=True)
+    rerun = simulate_afm(scn)
     deterministic = (trace.events == rerun.events
                      and np.array_equal(trace.occupancy, rerun.occupancy)
                      and np.array_equal(trace.freq, rerun.freq))

@@ -209,7 +209,7 @@ class TestSimulateAfm:
         scn = make_scenario(complete(3), (1.0001, 1.0, 0.9999), GAINS,
                             latency=500.0, p=1000.0, d=100.0,
                             t_end=20000.0, output_dt=1000.0)
-        trace = simulate_afm(scn, keep_histories=True)
+        trace = simulate_afm(scn)
         meas = {(ev.node, ev.k): ev.time for ev in trace.events if ev.kind == "measure"}
         for ev in trace.events:
             if ev.kind != "hold":
@@ -222,7 +222,7 @@ class TestSimulateAfm:
         scn = make_scenario(complete(3), (1.0002, 1.0, 0.9999), GAINS,
                             latency=(50.0, 120.0, 30.0, 75.0, 200.0, 10.0),
                             p=500.0, d=50.0, t_end=20000.0, output_dt=500.0)
-        trace = simulate_afm(scn, keep_histories=True)
+        trace = simulate_afm(scn)
         links = scn.graph.directed_links()
         for row, t in enumerate(trace.times):
             for q, (src, dst) in enumerate(links):
@@ -240,7 +240,7 @@ class TestSimulateAfm:
         # cells per sample row
         scn = make_scenario(complete(257), [1.0 + 1e-6 * (i % 7) for i in range(257)],
                             GAINS, t_end=10.0)
-        trace = simulate_afm(scn, keep_histories=True)
+        trace = simulate_afm(scn)
         hists = trace.histories
         assert trace.occupancy.shape == (2, 65792)
         assert trace.occupancy[0].tolist() == list(scn.initial_occupancy)
@@ -273,7 +273,7 @@ class TestSimulateAfm:
         scn = make_scenario(complete(3), (1.0001, 1.0, 0.9999), GAINS,
                             latency=500.0, p=1000.0, d=100.0,
                             t_end=50000.0, output_dt=500.0)
-        trace = simulate_afm(scn, keep_histories=True)
+        trace = simulate_afm(scn)
         for h in trace.histories:
             assert all(s > scn.omega_min for s in h.slopes)
             assert all(p2 > p1 for p1, p2 in zip(h.phases, h.phases[1:]))
@@ -301,19 +301,6 @@ class TestSimulateAfm:
         meas = sum(1 for ev in trace.events if ev.kind == "measure")
         holds = sum(1 for ev in trace.events if ev.kind == "hold")
         assert meas > holds  # the last few corrections are still in flight
-
-    def test_long_history_results_independent_of_keep_histories(self):
-        scn = make_scenario(path(2), (1.00002, 0.99998), GAINS,
-                            latency=5.0, p=10.0, d=3.0,
-                            t_end=60000.0, output_dt=5000.0)
-        plain = simulate_afm(scn)
-        kept = simulate_afm(scn, keep_histories=True)
-        # about 6000 holds per node: rows are looked up in long histories
-        assert min(len(h.times) for h in kept.histories) > 4096
-        assert plain.events == kept.events
-        assert np.array_equal(plain.occupancy, kept.occupancy)
-        assert np.array_equal(plain.freq, kept.freq)
-        assert np.array_equal(plain.phase, kept.phase)
 
     def test_converges_toward_average(self):
         wu = (1.00005, 1.0, 0.99995)
@@ -454,9 +441,18 @@ class TestRowOracle:
             latency=tuple(rng.uniform(0.0, 30.0, 2 * g.m)), p=10.0, d=float(rng.choice([0, 25])),
             theta0=theta0, beta_max=int(rng.choice([4, 8, 16])),
             t_end=float(rng.uniform(1000.0, 2000.0)), output_dt=7.0)
-        trace = simulate_afm(scn, keep_histories=True)
+        trace = simulate_afm(scn)
         assert_matches_scalar_oracles(trace, scn)
         assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
+
+    def test_long_histories(self):
+        scn = make_scenario(path(2), (1.00002, 0.99998), GAINS,
+                            latency=5.0, p=10.0, d=3.0,
+                            t_end=60000.0, output_dt=5000.0)
+        trace = simulate_afm(scn)
+        # about 6000 holds per node: rows are looked up in long histories
+        assert min(len(h.times) for h in trace.histories) > 4096
+        assert_matches_scalar_oracles(trace, scn)
 
     # dyadic phases and periods keep theta0 + k p + d exact, so with d a
     # multiple of p a hold and a later measurement cross at the very same time
@@ -477,7 +473,7 @@ class TestRowOracle:
             g, omega_u, Gains(k_p=1e-6, k_i=1e-9, omega_c=1.0), latency=latency,
             p=8.0, d=d, theta0=(0.25, 1.5, 2.75, 3.125, 0.5), beta_max=8,
             t_end=1500.0, output_dt=7.0)
-        trace = simulate_afm(scn, keep_histories=True)
+        trace = simulate_afm(scn)
         assert_matches_scalar_oracles(trace, scn)
         kinds = [(ev.time, ev.node, ev.kind) for ev in trace.events]
         tied = {(t, i) for t, i, kind in kinds if kind == "hold"} & {

@@ -16,10 +16,9 @@ from bittide_sim.analysis import (InsufficientHorizonWarning,
                                   hurwitz_check, lyapunov_solutions, predicted_performance,
                                   two_node_perturbation, worst_case_frequency)
 from bittide_sim.graph import complete, laplacian, mesh, path, spectral_data
-from bittide_sim.numerics import eig_symmetric
 from bittide_sim.ode import (Gains, build_full_system, build_reduced_system, simulate_ode,
                              spectral_abscissa)
-from helpers import random_connected_graph
+from helpers import dense_abscissa, random_connected_graph
 
 
 class TestHurwitzCheck:
@@ -29,18 +28,17 @@ class TestHurwitzCheck:
         # eigenvalues of [[-2,1],[-2,0]] are -1 +/- i
         eigs = sorted(np.linalg.eigvals(red.a_hat), key=lambda z: z.imag)
         assert eigs[0] == pytest.approx(-1.0 - 1.0j, abs=1e-12)
-        result = hurwitz_check(red.a_hat)
+        result = hurwitz_check(sd, Gains(k_p=1.0, k_i=1.0))
         assert result.is_hurwitz
-        assert result.spectral_abscissa == pytest.approx(-1.0, abs=1e-12)
+        assert result.spectral_abscissa == -1.0
 
     def test_negative_gain_not_hurwitz(self):
+        # Gains refuses k_p <= 0, so the dense witness is checked directly:
         # forcing the proportional block positive flips stability
         lap_hat = np.array([[2.0]])
         a_hat = np.block([[+1.0 * lap_hat, 1.0 * np.eye(1)],
                           [-lap_hat, np.zeros((1, 1))]])
-        result = hurwitz_check(a_hat)
-        assert not result.is_hurwitz
-        assert result.spectral_abscissa > 0
+        assert dense_abscissa(a_hat) > 0
 
     def test_random_draws_always_hurwitz(self):
         rng = np.random.RandomState(10)
@@ -48,23 +46,26 @@ class TestHurwitzCheck:
             sd = spectral_data(random_connected_graph(rng, rng.randint(2, 11)))
             gains = Gains(k_p=10 ** rng.uniform(-4, 1), k_i=10 ** rng.uniform(-4, 1),
                           omega_c=10 ** rng.uniform(-1, 1))
-            red = build_reduced_system(sd, gains)
-            assert hurwitz_check(red.a_hat).is_hurwitz
+            assert hurwitz_check(sd, gains).is_hurwitz
+            assert dense_abscissa(build_reduced_system(sd, gains).a_hat) < 0
 
     def test_slow_mesh_mode_is_hurwitz(self):
         # mesh_far_pair gains on a 12x12 mesh: the slowest mode decays at
         # about -6.8e-10, which a tolerance of 1e-10 * |A_hat|_F = 5e-9 hid
         sd = spectral_data(mesh(12, 12))
         gains = Gains(k_p=2e-8, k_i=1e-15)
-        result = hurwitz_check(build_reduced_system(sd, gains).a_hat)
-        # closed form: max real part of the roots of s^2 + a lam s + b lam
+        result = hurwitz_check(sd, gains)
+        # textbook roots of s^2 + a lam s + b lam, and the dense eigenvalues
         lam = sd.eigenvalues[1:]
         a, b = gains.k_p, gains.effective_integral_gain
         disc = (a * lam) ** 2 - 4.0 * b * lam
         real = np.where(disc < 0, -a * lam / 2.0,
                         (-a * lam + np.sqrt(np.maximum(disc, 0.0))) / 2.0)
         assert result.is_hurwitz
+        assert result.spectral_abscissa == spectral_abscissa(sd, gains)
         assert result.spectral_abscissa == pytest.approx(real.max(), abs=1e-15)
+        dense = dense_abscissa(build_reduced_system(sd, gains).a_hat)
+        assert abs(result.spectral_abscissa - dense) <= 1e-12 * abs(dense)
 
 
 
@@ -100,27 +101,35 @@ class TestSpectralAbscissa:
         for g, gains in cases:
             sd = spectral_data(g)
             closed = spectral_abscissa(sd, gains)
-            dense = hurwitz_check(build_reduced_system(sd, gains).a_hat).spectral_abscissa
+            dense = dense_abscissa(build_reduced_system(sd, gains).a_hat)
             assert closed < 0
             assert abs(closed - dense) <= 1e-12 * abs(closed)
 
     def test_horizon_independent_of_blas_threads(self):
-        # the dense abscissa of this mesh moved with the BLAS thread count
-        code = ("from bittide_sim.graph import mesh, spectral_data\n"
+        # the dense abscissa of this mesh moved with the BLAS thread count;
+        # the horizon and the Hurwitz report come from the closed form
+        code = ("from bittide_sim.analysis import hurwitz_check\n"
+                "from bittide_sim.graph import mesh, spectral_data\n"
                 "from bittide_sim.ode import Gains, spectral_abscissa\n"
                 "sd = spectral_data(mesh(12, 12))\n"
-                "print(repr(30.0 / abs(spectral_abscissa(sd, Gains(k_p=2e-8, k_i=1e-15)))))\n")
+                "gains = Gains(k_p=2e-8, k_i=1e-15)\n"
+                "print(repr(30.0 / abs(spectral_abscissa(sd, gains))))\n"
+                "print(repr(hurwitz_check(sd, gains)))\n")
         src = str(Path(bittide_sim.__file__).resolve().parents[1])
-        horizons = []
+        outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                  capture_output=True, text=True, timeout=120)
-            horizons.append(out.stdout.strip())
-        assert horizons[0] == horizons[1]
-        assert float(horizons[0]) == 30.0 / abs(
-            spectral_abscissa(spectral_data(mesh(12, 12)), Gains(k_p=2e-8, k_i=1e-15)))
+            outputs.append(out.stdout.splitlines())
+        assert outputs[0] == outputs[1]
+        sd = spectral_data(mesh(12, 12))
+        gains = Gains(k_p=2e-8, k_i=1e-15)
+        horizon, hurwitz = outputs[0]
+        assert float(horizon) == 30.0 / abs(spectral_abscissa(sd, gains))
+        assert hurwitz == repr(hurwitz_check(sd, gains))
+        assert hurwitz_check(sd, gains).spectral_abscissa == -6.814834742186376e-10
 
 class TestLyapunovCertificate:
     def test_single_edge_x2_value(self):
@@ -290,7 +299,7 @@ class TestWorstCaseFrequency:
         result = worst_case_frequency(sd, 1.0)
         assert result.degenerate
         lam2 = sd.eigenvalues[1]
-        w_path, v_path = eig_symmetric(laplacian(path(4)))
+        w_path, v_path = np.linalg.eigh(laplacian(path(4)))
         profile = v_path[:, 1]
         diag_mode = np.add.outer(profile, profile).reshape(-1)
         diag_mode /= np.linalg.norm(diag_mode)
@@ -301,6 +310,11 @@ class TestWorstCaseFrequency:
         sd = spectral_data(path(3))
         with pytest.raises(ValueError):
             worst_case_frequency(sd, 0.0)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_gamma_not_finite_positive(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            worst_case_frequency(spectral_data(path(3)), gamma)
 
 
 class TestEmpiricalNorms:
@@ -316,8 +330,7 @@ class TestEmpiricalNorms:
         gains = Gains(k_p=0.2, k_i=0.05)
         sd = spectral_data(path(2))
         sys_full = build_full_system(sd, gains)
-        red = build_reduced_system(sd, gains)
-        abscissa = hurwitz_check(red.a_hat).spectral_abscissa
+        abscissa = spectral_abscissa(sd, gains)
         omega_u = np.array([1.0 + alpha, 1.0 - alpha])
         trace = simulate_ode(sys_full, omega_u, 30.0 / abs(abscissa))
         freq_sq, occ_sq = empirical_norms(trace, np.full(2, 1.0), abscissa)
@@ -330,8 +343,7 @@ class TestEmpiricalNorms:
         gains = Gains(k_p=0.2, k_i=0.05)
         sd = spectral_data(path(2))
         sys_full = build_full_system(sd, gains)
-        red = build_reduced_system(sd, gains)
-        abscissa = hurwitz_check(red.a_hat).spectral_abscissa
+        abscissa = spectral_abscissa(sd, gains)
         trace = simulate_ode(sys_full, np.array([1.1, 0.9]), 0.5 / abs(abscissa))
         with pytest.warns(InsufficientHorizonWarning):
             empirical_norms(trace, np.ones(2), abscissa)
@@ -340,8 +352,7 @@ class TestEmpiricalNorms:
         gains = Gains(k_p=0.2, k_i=0.05)
         sd = spectral_data(path(2))
         sys_full = build_full_system(sd, gains)
-        red = build_reduced_system(sd, gains)
-        abscissa = hurwitz_check(red.a_hat).spectral_abscissa
+        abscissa = spectral_abscissa(sd, gains)
         trace = simulate_ode(sys_full, np.array([1.1, 0.9]), 30.0 / abs(abscissa))
         with warnings.catch_warnings():
             warnings.simplefilter("error", InsufficientHorizonWarning)

@@ -208,6 +208,16 @@ class TestAnalyze:
         assert cert["residual1"] <= 1e-9
         assert cert["residual2"] <= 1e-9
 
+    def test_lyapunov_reports_closed_form_abscissa(self, tmp_path):
+        rc = main(["analyze", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
+                   "--out", str(tmp_path), "--lyapunov"])
+        assert rc == 0
+        tree = json.loads((tmp_path / "analysis.json").read_text())
+        graph, _, gains = load_scenario(SCENARIOS / "mesh_close_pair.json")
+        assert tree["reports"][0] == {
+            "type": "hurwitz", "is_hurwitz": True,
+            "spectral_abscissa": spectral_abscissa(spectral_data(graph), gains)}
+
     def test_worst_case(self, tmp_path):
         rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
                    "--out", str(tmp_path), "--worst-case"])
@@ -233,6 +243,15 @@ class TestAnalyze:
                    "--out", str(out)] + flags)
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: pick at least one of ")
+        assert not out.exists()
+
+    def test_simulate_needs_performance(self, tmp_path, capsys):
+        # refused before the scenario is read: the file does not exist
+        out = tmp_path / "out"
+        rc = main(["analyze", "--scenario", str(tmp_path / "missing.json"),
+                   "--out", str(out), "--resistance", "--simulate"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --simulate needs --performance\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])

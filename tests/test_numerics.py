@@ -1,42 +1,12 @@
-"""Tests for the shared linear-algebra and integration kernel."""
+"""Tests for the numerical kernels: the RK4 step map (ode), the trapezoid L2
+norm and the Lyapunov residual (analysis), and the generic RK4 oracle (helpers)."""
 
 import numpy as np
 import pytest
 
-from bittide_sim.numerics import (NonpositiveStepError, NotSymmetricError, eig_symmetric,
-                                  l2_norm_squared, lyapunov_residual, rk4_step_operator)
+from bittide_sim.analysis import _lyapunov_residual, l2_norm_squared
+from bittide_sim.ode import rk4_step_operator
 from helpers import rk4_integrate
-
-
-class TestEigSymmetric:
-    def test_identity(self):
-        w, v = eig_symmetric(np.eye(3))
-        assert np.allclose(w, [1.0, 1.0, 1.0])
-        assert np.allclose(v @ v.T, np.eye(3), atol=1e-12)
-
-    def test_diagonal_sorted_ascending(self):
-        w, v = eig_symmetric(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-        # eigenvectors are signed permutation columns
-        assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
-
-    def test_reconstruction_random(self):
-        rng = np.random.RandomState(7)
-        m = rng.randn(20, 20)
-        m = (m + m.T) / 2
-        w, v = eig_symmetric(m)
-        resid = np.linalg.norm(v @ np.diag(w) @ v.T - m)
-        assert resid <= 1e-9 * np.linalg.norm(m)
-        assert np.linalg.norm(v.T @ v - np.eye(20)) <= 1e-10
-
-    def test_rejects_asymmetric(self):
-        m = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(NotSymmetricError):
-            eig_symmetric(m)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(NotSymmetricError):
-            eig_symmetric(np.ones((2, 3)))
 
 
 class TestRk4:
@@ -69,7 +39,7 @@ class TestRk4:
         assert len(times) == 7  # 5 full steps + shortened final + t0
 
     def test_nonpositive_step(self):
-        with pytest.raises(NonpositiveStepError):
+        with pytest.raises(ValueError):
             rk4_integrate(lambda t, x: x, np.array([1.0]), 0.0, 1.0, 0.0)
 
 
@@ -83,10 +53,6 @@ class TestRk4StepOperator:
         phi, gamma = rk4_step_operator(a, dt)
         _, states = rk4_integrate(lambda t, x: a @ x + u, x0, 0.0, dt, dt)
         assert np.allclose(phi @ x0 + gamma @ u, states[-1], rtol=1e-12, atol=1e-13)
-
-    def test_nonpositive_step(self):
-        with pytest.raises(NonpositiveStepError):
-            rk4_step_operator(np.eye(2), -1.0)
 
 
 class TestL2NormSquared:
@@ -126,16 +92,10 @@ class TestL2NormSquared:
 class TestLyapunovResidual:
     def test_exact_solution(self):
         a = -0.5 * np.eye(3)
-        assert lyapunov_residual(a, np.eye(3), np.eye(3)) == pytest.approx(0.0, abs=1e-15)
+        assert _lyapunov_residual(a, np.eye(3), np.eye(3)) == pytest.approx(0.0, abs=1e-15)
 
     def test_perturbed_nonzero(self):
         a = -0.5 * np.eye(3)
         eps = 1e-6
-        resid = lyapunov_residual(a, np.eye(3) + eps * np.eye(3), np.eye(3))
+        resid = _lyapunov_residual(a, np.eye(3) + eps * np.eye(3), np.eye(3))
         assert resid == pytest.approx(eps * np.linalg.norm(a + a.T), rel=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            lyapunov_residual(np.eye(3), np.eye(2), np.eye(3))
-        with pytest.raises(ValueError):
-            lyapunov_residual(np.eye(3), np.eye(3), np.ones((2, 4)))

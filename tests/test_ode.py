@@ -8,9 +8,9 @@ import pytest
 
 from bittide_sim import ode
 from bittide_sim.graph import complete, mesh, path, spectral_data
-from bittide_sim.numerics import rk4_step_operator
 from bittide_sim.ode import (RUN_SIZE_CAP, Gains, ParameterError, build_full_system,
-                             build_reduced_system, default_time_step, simulate_ode)
+                             build_reduced_system, default_time_step, rk4_step_operator,
+                             simulate_ode, spectral_abscissa)
 from bittide_sim.scenario import load_scenario
 from helpers import (dense_rk4, dense_system, modal_states, random_connected_graph,
                      steady_state)
@@ -231,6 +231,12 @@ class TestSimulateOde:
         with pytest.raises(ParameterError, match="run-size cap"):
             simulate_ode(sys_full, np.ones(3), RUN_SIZE_CAP + 1.0, 1.0)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_nonpositive_step_refused(self, dt):
+        sys_full = build_full_system(spectral_data(path(3)), PAPER_GAINS)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            simulate_ode(sys_full, np.ones(3), 10.0, dt)
+
     def test_chunks_match_one_chunk_bit_for_bit(self, monkeypatch):
         # step counts around one and two chunk boundaries, a block past the
         # first, and partial final steps; without joining a short last chunk
@@ -378,11 +384,9 @@ class TestDecoupledCoordinates:
 
 class TestConvergenceHorizon:
     def test_delta_decays_within_twenty_time_constants(self):
-        from bittide_sim.analysis import hurwitz_check
         sd = spectral_data(complete(3))
         sys_full = build_full_system(sd, PAPER_GAINS)
-        red = build_reduced_system(sd, PAPER_GAINS)
-        abscissa = hurwitz_check(red.a_hat).spectral_abscissa
+        abscissa = spectral_abscissa(sd, PAPER_GAINS)
         t_end = 20.0 / abs(abscissa)
         trace = simulate_ode(sys_full, np.array([1.0001, 1.0, 0.9999]), t_end)
         peak = np.linalg.norm(trace.delta, axis=1).max()

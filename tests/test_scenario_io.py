@@ -373,7 +373,7 @@ class TestEmitReport:
         gains = Gains(k_p=0.1, k_i=0.05)
         red = build_reduced_system(sd, gains)
         reports = [
-            hurwitz_check(red.a_hat),
+            hurwitz_check(sd, gains),
             build_lyapunov_certificate(red, sd, gains),
             predicted_performance(sd, gains, np.array([1.1, 1.0, 0.9])),
             worst_case_frequency(sd, 1.0),
