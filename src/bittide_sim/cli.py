@@ -22,8 +22,8 @@ from .graph import resistance_matrix, spectral_data
 from .ode import (ParameterError, build_full_system, build_reduced_system, output_time_step,
                   simulate_ode, spectral_abscissa)
 from .scenario import (ParseError, ScenarioError, ValidationError, apply_overrides,
-                       compare_traces, emit_report, field_error, load_scenario_dict,
-                       read_document, write_trace)
+                       check_keys, compare_traces, emit_report, field_error,
+                       load_scenario_dict, read_document, write_trace)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -155,57 +155,45 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(doc_json: str, param: str, value: float, spectra: dict | None = None) -> dict:
-    """Worker for one sweep point; must stay importable for process pools.
+SWEEP_COLUMNS = ("value", "status", "freq_dev_norm_sq", "occupancy_norm_sq", "quadratic_form")
 
-    spectra maps each graph already factorised in this sweep to its spectral
-    data; the gains do not enter it, so a gain sweep factorises once.
+
+def _sweep_one(doc_json: str, param: str, value: float, spectra: dict) -> dict:
+    """One sweep point, on its own copy of the document.
+
+    spectra holds each graph this sweep has factorised, so a gain sweep factorises once.
     """
-    doc = json.loads(doc_json)
-    apply_overrides(doc, [f"{param}={value!r}"])
+    doc = apply_overrides(json.loads(doc_json), [f"{param}={value!r}"])
     try:
         graph, scenario, gains = load_scenario_dict(doc)
-        if spectra is None:
-            spectra = {}
         sd = spectra.get(graph)
         if sd is None:
             sd = spectra[graph] = spectral_data(graph)
         perf = predicted_performance(sd, gains, np.array(scenario.uncorrected_freq))
-        return {
-            "value": value,
-            "status": "ok",
-            "freq_dev_norm_sq": perf.freq_dev_norm_sq,
-            "occupancy_norm_sq": perf.occupancy_norm_sq,
-            "quadratic_form": perf.quadratic_form,
-        }
+        return {"value": value, "status": "ok",
+                **{c: getattr(perf, c) for c in SWEEP_COLUMNS[2:]}}
     except (ScenarioError, ValueError) as exc:
         return {"value": value, "status": f"error: {exc}"}
 
 
 def cmd_sweep(args) -> int:
-    doc = read_document(args.scenario, args.set)
-    out = _out_dir(args)
+    doc_json = json.dumps(read_document(args.scenario, args.set))
+    # checked once, before any point runs: the document's keys and the parameter's path
+    check_keys(apply_overrides(json.loads(doc_json), [f"{args.param}=0"]))
     try:
         values = sorted(float(v) for v in args.values.split(","))
     except ValueError as exc:
         raise ValidationError("values", str(exc)) from exc
-    doc_json = json.dumps(doc)
-    if args.jobs > 1:
-        # imported here: a serial run does not pay for loading the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_one, [doc_json] * len(values),
-                                 [args.param] * len(values), values))
-    else:
-        spectra = {}
-        rows = [_sweep_one(doc_json, args.param, v, spectra) for v in values]
-    rows.sort(key=lambda r: r["value"])
-    columns = ["value", "status", "freq_dev_norm_sq", "occupancy_norm_sq", "quadratic_form"]
-    lines = [",".join(columns)]
+    if not all(map(math.isfinite, values)):
+        raise ValidationError("values", f"expected finite numbers, got {args.values!r}")
+    out = _out_dir(args)
+    spectra = {}
+    rows = [_sweep_one(doc_json, args.param, v, spectra) for v in values]
+    lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(
             repr(row[c]) if isinstance(row.get(c), float) else str(row.get(c, ""))
-            for c in columns
+            for c in SWEEP_COLUMNS
         ))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     failures = [r for r in rows if r["status"] != "ok"]
@@ -258,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_swp)
     p_swp.add_argument("--param", required=True, help="dotted scenario field to vary")
     p_swp.add_argument("--values", required=True, help="comma-separated numeric values")
-    p_swp.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    p_swp.add_argument("--jobs", type=int, default=1,
+                       help="ignored: sweep points run in this process")
     p_swp.set_defaults(func=cmd_sweep)
     return parser
 

@@ -49,15 +49,17 @@ class GridMismatchError(ValueError):
     """Trace comparison windows do not overlap."""
 
 
-_DEFAULTS = {
-    "afm.p": 1000.0,
-    "afm.d": 0.0,
-    "afm.latency": 0.0,
-    "afm.beta_max": 128,
-    "afm.theta0": 0.1,
-    "afm.omega_min": 0.5,
-    "afm.omega_max": 2.0,
-    "run.t_end": 100000.0,
+# the keys each section of a document may hold; "" is the top level, and a
+# dotted name is a section inside a section
+_KEYS = {
+    "": ("graph", "frequencies", "controller", "afm", "run"),
+    "graph": ("generator", "n", "rows", "cols", "edges"),
+    "frequencies": ("omega_u", "two_node"),
+    "frequencies.two_node": ("i", "j", "alpha", "base"),
+    "controller": ("k_p", "k_i", "omega_c"),
+    "afm": ("p", "d", "latency", "beta_max", "beta0", "theta0", "omega_m1", "omega_m2",
+            "omega_min", "omega_max", "epoch"),
+    "run": ("t_end", "output_dt"),
 }
 
 # AfmScenario and Gains fields -> the document field each is read from
@@ -87,15 +89,29 @@ def field_error(exc: ParameterError) -> ValidationError:
     return ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc))
 
 
+def check_keys(doc: dict, section: str = "") -> None:
+    """Refuse keys their section does not hold; sections must be mappings, values not.
+
+    A misspelled key would otherwise be ignored, and the field it meant would
+    silently keep its value or default.
+    """
+    for key, value in doc.items():
+        path = f"{section}.{key}" if section else key
+        if key not in _KEYS[section]:
+            raise ValidationError(path, "unknown key, expected one of "
+                                        + ", ".join(_KEYS[section]))
+        if path in _KEYS:
+            if not isinstance(value, dict):
+                raise ValidationError(path, f"expected a mapping, got {type(value).__name__}")
+            check_keys(value, path)
+        elif isinstance(value, dict):
+            raise ValidationError(path, "expected a value, got a mapping")
+
+
 def _section(doc: dict, name: str, required: bool = True) -> dict:
-    sec = doc.get(name)
-    if sec is None:
-        if required:
-            raise MissingFieldError(name)
-        return {}
-    if not isinstance(sec, dict):
-        raise ValidationError(name, f"expected a mapping, got {type(sec).__name__}")
-    return sec
+    if required and name not in doc:
+        raise MissingFieldError(name)
+    return doc.get(name, {})
 
 
 def _number(value, field: str) -> float:
@@ -160,9 +176,6 @@ def _build_frequencies(spec: dict, n: int) -> tuple:
         return _per_entry(spec["omega_u"], n, "frequencies.omega_u")
     if "two_node" in spec:
         tn = spec["two_node"]
-        if not isinstance(tn, dict):
-            raise ValidationError("frequencies.two_node",
-                                  f"expected a mapping, got {type(tn).__name__}")
         for key in ("i", "j", "alpha"):
             if key not in tn:
                 raise MissingFieldError(f"frequencies.two_node.{key}")
@@ -182,6 +195,7 @@ def _build_frequencies(spec: dict, n: int) -> tuple:
 
 def load_scenario_dict(doc: dict):
     """Validate a scenario document and build (graph, AfmScenario, Gains)."""
+    check_keys(doc)
     graph = _build_graph(_section(doc, "graph"))
     n = graph.n
     n_links = 2 * graph.m
@@ -204,34 +218,31 @@ def load_scenario_dict(doc: dict):
     afm = _section(doc, "afm", required=False)
     run = _section(doc, "run", required=False)
 
-    omega_min = _number(afm.get("omega_min", _DEFAULTS["afm.omega_min"]), "afm.omega_min")
-    d = _number(afm.get("d", _DEFAULTS["afm.d"]), "afm.d")
-    latency = _per_entry(afm.get("latency", _DEFAULTS["afm.latency"]),
-                         n_links, "afm.latency")
-    beta_max = _count(afm.get("beta_max", _DEFAULTS["afm.beta_max"]), "afm.beta_max")
+    omega_min = _number(afm.get("omega_min", 0.5), "afm.omega_min")
+    d = _number(afm.get("d", 0.0), "afm.d")
+    latency = _per_entry(afm.get("latency", 0.0), n_links, "afm.latency")
+    beta_max = _count(afm.get("beta_max", 128), "afm.beta_max")
     beta0 = _per_entry(afm.get("beta0", beta_max // 2), n_links, "afm.beta0", _count)
     delay_s = d / omega_min if omega_min > 0 else 0.0
     epoch_default = -(max(latency, default=0.0) + delay_s) - 1.0
-    t_end = _number(run.get("t_end", _DEFAULTS["run.t_end"]), "run.t_end")
+    t_end = _number(run.get("t_end", 100000.0), "run.t_end")
     output_dt = _number(run.get("output_dt", t_end / 400.0), "run.output_dt")
 
     try:
         scenario = AfmScenario(
             graph=graph,
             uncorrected_freq=omega_u,
-            initial_phase=_per_entry(afm.get("theta0", _DEFAULTS["afm.theta0"]),
-                                     n, "afm.theta0"),
+            initial_phase=_per_entry(afm.get("theta0", 0.1), n, "afm.theta0"),
             startup_freq=_per_entry(afm.get("omega_m1", list(omega_u)), n, "afm.omega_m1"),
             prehistory_freq=_per_entry(afm.get("omega_m2", list(omega_u)), n, "afm.omega_m2"),
             initial_occupancy=beta0,
             buffer_capacity=beta_max,
             latency=latency,
-            meas_period=_number(afm.get("p", _DEFAULTS["afm.p"]), "afm.p"),
+            meas_period=_number(afm.get("p", 1000.0), "afm.p"),
             actuation_delay=d,
             gains=gains,
             omega_min=omega_min,
-            omega_max=_number(afm.get("omega_max", _DEFAULTS["afm.omega_max"]),
-                              "afm.omega_max"),
+            omega_max=_number(afm.get("omega_max", 2.0), "afm.omega_max"),
             t_end=t_end,
             output_dt=output_dt,
             epoch=_number(afm.get("epoch", epoch_default), "afm.epoch"),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,12 @@ class TestSimulate:
         ("afm.p=1e-9", "afm.p"),
         # afm.omega_m1 and afm.omega_m2 are absent and take frequencies.omega_u
         ("frequencies.omega_u=-1", "frequencies.omega_u"),
+        # a misspelled key is refused, not ignored in favour of the file's value
+        ("controller.kp=5", "controller.kp"),
+        ("controler.k_p=5", "controler"),
+        ("frequencies.two_node.alfa=1e-4", "frequencies.two_node.alfa"),
+        ("afm=null", "afm"),
+        ('afm.p={"x": 1}', "afm.p"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, monkeypatch,
                                          override, field):
@@ -333,24 +340,32 @@ class TestSweep:
         assert freqs[0] == pytest.approx(freqs[2], rel=1e-12)
         assert occs[0] / occs[2] == pytest.approx(4.0, rel=1e-9)
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_jobs_flag_changes_nothing(self, tmp_path):
+        # --jobs still parses, and the points run in this process either way
         args = ["sweep", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
                 "--param", "controller.k_p", "--values", "1e-8,3e-8,2e-8,4e-8"]
-        rc1 = main(args + ["--out", str(tmp_path / "serial"), "--jobs", "1"])
-        rc2 = main(args + ["--out", str(tmp_path / "par"), "--jobs", "3"])
+        rc1 = main(args + ["--out", str(tmp_path / "plain")])
+        rc2 = main(args + ["--out", str(tmp_path / "jobs"), "--jobs", "2"])
         assert rc1 == rc2 == 0
-        assert ((tmp_path / "serial" / "sweep.csv").read_text()
-                == (tmp_path / "par" / "sweep.csv").read_text())
+        assert ((tmp_path / "plain" / "sweep.csv").read_bytes()
+                == (tmp_path / "jobs" / "sweep.csv").read_bytes())
 
-    def test_process_pool_imported_only_for_parallel_sweeps(self):
-        # a fresh interpreter that loads the CLI does not pay for concurrent.futures
+    def test_process_pool_never_imported(self, tmp_path):
+        # a fresh interpreter that loads the CLI and runs a --jobs 2 sweep
+        # does not pay for concurrent.futures
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, bittide_sim.cli; print('concurrent.futures' in sys.modules)"],
-            env=env, check=True, capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        argv = ["sweep", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
+                "--out", str(tmp_path / "out"), "--param", "controller.k_p",
+                "--values", "1e-8,2e-8", "--jobs", "2"]
+        code = ("import sys, bittide_sim.cli\n"
+                "loaded = 'concurrent.futures' in sys.modules\n"
+                f"rc = bittide_sim.cli.main({argv!r})\n"
+                "print(loaded, rc, 'concurrent.futures' in sys.modules, file=sys.stderr)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stderr.strip() == "False 0 False"
+        assert (tmp_path / "out" / "sweep.csv").read_text().count(",ok,") == 2
 
     def test_one_factorisation_per_graph(self, tmp_path, monkeypatch):
         calls = []
@@ -361,7 +376,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "spectral_data", counted)
         args = ["sweep", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
-                "--out", str(tmp_path / "out"), "--jobs", "1"]
+                "--out", str(tmp_path / "out"), "--jobs", "2"]
         assert main(args + ["--param", "controller.k_p",
                             "--values", "1e-8,2e-8,3e-8,4e-8"]) == 0
         assert len(calls) == 1
@@ -371,6 +386,34 @@ class TestSweep:
         # three points on two graphs
         assert main(args + ["--param", "graph.cols", "--values", "6,5,6"]) == 0
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("param, sets, field", [
+        ("controler.k_p", [], "controler"), ("controller.kp", [], "controller.kp"),
+        ("controller", [], "controller"), ("frequencies.two_node", [], "frequencies.two_node"),
+        ("afm.p.x", [], "afm.p.x"), ("afm.epoch.x", [], "afm.epoch"),
+        ("controller.k_p", ["--set", "afm.beta_0=3"], "afm.beta_0")])
+    def test_key_not_a_value_refused(self, tmp_path, capsys, monkeypatch, param, sets, field):
+        # checked once, before any point runs: no point loads a document
+        def refuse(doc):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cli, "load_scenario_dict", refuse)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
+                   "--out", str(out), "--param", param, "--values", "1e-8,2e-8", *sets])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and err.count("error") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["1e-8,nan,2e-8", "inf", "-inf,1e-8"])
+    def test_values_not_finite_refused(self, tmp_path, capsys, values):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
+                   "--out", str(out), "--param", "controller.k_p", f"--values={values}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: values: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, code", [("[1]", 1), ("{not json", 1), (None, 3)])
     def test_unreadable_document(self, tmp_path, capsys, text, code):
@@ -391,3 +434,16 @@ class TestSweep:
         text = (out / "sweep.csv").read_text()
         assert "error" in text
         assert "ok" in text
+
+
+def test_readme_command_lines_parse():
+    # a README line that names a removed flag or command fails here
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("bittide-sim ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.func.__name__ == f"cmd_{args.command}"

@@ -114,6 +114,28 @@ class TestLoadScenario:
         assert scn.initial_phase == (0.1, 0.1)
         assert scn.startup_freq == scn.uncorrected_freq
         assert gains.omega_c == 1.0
+        # the README's defaults
+        assert (scn.meas_period, scn.actuation_delay, scn.latency) == (1000.0, 0.0, (0.0, 0.0))
+        assert (scn.omega_min, scn.omega_max) == (0.5, 2.0)
+        assert (scn.t_end, scn.output_dt) == (1e5, 1e5 / 400)
+
+    @pytest.mark.parametrize("path, value, field, message", [
+        ("controller.kp", 5, "controller.kp", "unknown key"),
+        ("controler", {"k_p": 5}, "controler", "unknown key"),
+        ("afm.beta_0", 3, "afm.beta_0", "unknown key"),
+        ("run.tend", 3, "run.tend", "unknown key"),
+        ("graph.col", 3, "graph.col", "unknown key"),
+        ("frequencies.two_node", {"i": 0, "j": 1, "alpha": 1e-4, "bas": 1.0},
+         "frequencies.two_node.bas", "unknown key"),
+        ("afm", None, "afm", "expected a mapping"),
+        ("frequencies", [1.0], "frequencies", "expected a mapping"),
+        ("frequencies.two_node", 5, "frequencies.two_node", "expected a mapping"),
+        ("afm.p", {"x": 1}, "afm.p", "expected a value"),
+    ])
+    def test_key_outside_the_sections_refused(self, path, value, field, message):
+        doc = apply_overrides(triangle_doc(), [f"{path}={json.dumps(value)}"])
+        with pytest.raises(ValidationError, match=f"^{field}: {message}"):
+            load_scenario_dict(doc)
 
     def test_overrides(self):
         doc = triangle_doc()
