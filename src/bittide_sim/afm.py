@@ -215,7 +215,9 @@ class AfmTrace:
 
     occupancy columns follow directed_links() order and are exact integers;
     freq is the active oscillator rate (right-continuous at events);
-    histories holds each node's full PhaseHistory.
+    histories holds each node's full PhaseHistory. freq, phase and occupancy
+    are indexed (row, column) but are transposed views of node-major and
+    link-major arrays, so each node's and each link's column is contiguous.
     """
 
     times: np.ndarray
@@ -393,20 +395,22 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
 
     times = np.array([t for t, _ in samples])
     segments = [(np.array(h.times), np.array(h.phases), np.array(h.slopes)) for h in hists]
-    freq = np.empty((times.shape[0], n))
+    # node-major and link-major: each node and each link fills one contiguous row
+    freq = np.empty((n, times.shape[0]))
     phase = np.empty_like(freq)
     for i in range(n):
-        freq[:, i], phase[:, i] = _phase_rows(segments[i], times)
+        freq[i], phase[i] = _phase_rows(segments[i], times)
     floor_phase = np.floor(phase)
     # links that share a source and a latency read one row of floored phases
     by_source = {}
     for q, (src, _) in enumerate(links):
         by_source.setdefault((src, scenario.latency[q]), []).append(q)
-    occ = np.empty((times.shape[0], len(links)), dtype=np.int64)
+    occ = np.empty((len(links), times.shape[0]), dtype=np.int64)
     for (src, lat), qs in by_source.items():
         src_floor = np.floor(_phase_rows(segments[src], times - lat)[1])
         for q in qs:
-            occ[:, q] = src_floor - floor_phase[:, links[q][1]] + offsets[q]
+            occ[q] = src_floor - floor_phase[links[q][1]] + offsets[q]
+    freq, phase, occ = freq.T, phase.T, occ.T
 
     return AfmTrace(
         times=times,

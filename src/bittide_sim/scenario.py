@@ -50,11 +50,14 @@ class GridMismatchError(ValueError):
 
 
 # the keys each section of a document may hold; "" is the top level, and a
-# dotted name is a section inside a section
+# dotted name is a section inside a section. A section given in one of several
+# forms maps each form to its keys: the form is the value of its generator
+# key, else the first of its keys that names a form
 _KEYS = {
     "": ("graph", "frequencies", "controller", "afm", "run"),
-    "graph": ("generator", "n", "rows", "cols", "edges"),
-    "frequencies": ("omega_u", "two_node"),
+    "graph": {"complete": ("generator", "n"), "path": ("generator", "n"),
+              "mesh": ("generator", "rows", "cols"), "edges": ("n", "edges")},
+    "frequencies": {"omega_u": ("omega_u",), "two_node": ("two_node",)},
     "frequencies.two_node": ("i", "j", "alpha", "base"),
     "controller": ("k_p", "k_i", "omega_c"),
     "afm": ("p", "d", "latency", "beta_max", "beta0", "theta0", "omega_m1", "omega_m2",
@@ -93,19 +96,27 @@ def check_keys(doc: dict, section: str = "") -> None:
     """Refuse keys their section does not hold; sections must be mappings, values not.
 
     A misspelled key would otherwise be ignored, and the field it meant would
-    silently keep its value or default.
+    silently keep its value or default; so would a key of another form of its
+    section, such as graph.n beside a mesh generator's rows and cols.
     """
+    keys, form = _KEYS[section], None
+    if isinstance(keys, dict):
+        name = doc.get("generator", next((k for k in doc if k in keys), None))
+        form = next((ks for f, ks in keys.items() if f == name), None)
+        keys = tuple(dict.fromkeys(k for ks in keys.values() for k in ks))
     for key, value in doc.items():
         path = f"{section}.{key}" if section else key
-        if key not in _KEYS[section]:
-            raise ValidationError(path, "unknown key, expected one of "
-                                        + ", ".join(_KEYS[section]))
+        if key not in keys:
+            raise ValidationError(path, "unknown key, expected one of " + ", ".join(keys))
         if path in _KEYS:
             if not isinstance(value, dict):
                 raise ValidationError(path, f"expected a mapping, got {type(value).__name__}")
             check_keys(value, path)
         elif isinstance(value, dict):
             raise ValidationError(path, "expected a value, got a mapping")
+        if form is not None and key not in form:
+            raise ValidationError(path, f"not held by the {name!r} form of {section}, "
+                                        "which holds only " + ", ".join(form))
 
 
 def _section(doc: dict, name: str, required: bool = True) -> dict:
@@ -389,9 +400,18 @@ def write_trace(trace, path_like) -> None:
     mostly repeat the cell above them, so each cell is formatted once per run
     of equal bit patterns down its column, and every row is assembled from
     those strings. Bits, not floats, are compared: ``-0.0 == 0.0`` would
-    reuse the wrong text.
+    reuse the wrong text. Frame-model events happen at row times, so an
+    event's time is printed from the text of the row with the same bits; an
+    event on no row (a hand-built trace) is formatted on its own.
     """
     table = _trace_table(trace)
+    events = trace.events if isinstance(trace, AfmTrace) else ()
+    ev_time = np.array([ev.time for ev in events], dtype=float)
+    ev_row = np.searchsorted(table.times, ev_time)
+    by_row = np.argsort(ev_row, kind="stable")  # event indices in row order
+    row_of = ev_row[by_row]
+    # copied out of the blocks, so their strings can go; no float repr exceeds 24 characters
+    ev_text = np.full(len(events), "", dtype="U24")
     p = Path(path_like)
     width = 1 + len(table.columns)
     rows = max(1, _WRITE_BLOCK_CELLS // width)
@@ -420,13 +440,18 @@ def write_trace(trace, path_like) -> None:
             cells = pool[where]
             fh.write("\n".join(map(",".join, cells.tolist())) + "\n")
             last_bits, last_text = bits[-1].copy(), cells[-1]
-    if isinstance(trace, AfmTrace) and trace.events:
+            lo, hi = np.searchsorted(row_of, (k, k + bits.shape[0]))
+            at, r = by_row[lo:hi], row_of[lo:hi] - k
+            same = bits[r, 0] == ev_time[at].view(np.uint64)
+            ev_text[at[same]] = cells[r[same], 0]
+    if events:
         per_write = _WRITE_BLOCK_CELLS // 4
         with events_path_for(p).open("w") as fh:
             fh.write("time,node,kind,value\n")
-            for k in range(0, len(trace.events), per_write):
-                fh.write("".join(f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n"
-                                 for ev in trace.events[k:k + per_write]))
+            for k in range(0, len(events), per_write):
+                fh.write("".join(f"{t or repr(ev.time)},{ev.node},{ev.kind},{ev.value!r}\n"
+                                 for t, ev in zip(ev_text[k:k + per_write].tolist(),
+                                                  events[k:k + per_write])))
 
 
 def read_trace(path_like) -> TraceTable:

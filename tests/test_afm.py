@@ -1,6 +1,7 @@
 """Tests for the frame-exact event-driven simulator."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from bittide_sim.afm import (AfmScenario, DiscreteControllerState, HistoryGapErr
                              InadmissibleControlError, PhaseHistory, TargetInPastError,
                              frame_offsets, occupancy, pi_controller_step,
                              simulate_afm)
-from bittide_sim.graph import OrientedGraph, complete, path
+from bittide_sim.graph import OrientedGraph, complete, mesh, path
 from bittide_sim.ode import Gains, ParameterError
 from bittide_sim.scenario import load_scenario_dict, read_document
 from helpers import make_scenario, random_connected_graph
@@ -480,3 +481,57 @@ class TestRowOracle:
             (t, i) for t, i, kind in kinds if kind == "measure"}
         assert len(tied) > 100
         assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
+
+
+def on_rows(trace) -> bool:
+    """Whether every event time equals some row time bit for bit."""
+    times = np.array([ev.time for ev in trace.events])
+    return bool(np.isin(times.view(np.uint64), trace.times.view(np.uint64)).all())
+
+
+class TestRowLayout:
+    """Rows are filled node by node and link by link; every event lies on a row."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_event_times_are_row_times(self, seed):
+        rng = np.random.RandomState(100 + seed)
+        n = rng.randint(2, 8)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n + 1))
+        omega_u = 1.0 + rng.permutation(np.linspace(-0.02, 0.02, n))
+        scn = make_scenario(
+            g, omega_u, Gains(k_p=1e-6, k_i=1e-9, omega_c=1.0),
+            latency=tuple(rng.uniform(0.0, 30.0, 2 * g.m)), p=10.0,
+            d=float(rng.choice([5, 25])), theta0=tuple(rng.uniform(0.05, 3.95, n)),
+            beta_max=int(rng.choice([4, 8, 16])), t_end=float(rng.uniform(1000.0, 2000.0)),
+            output_dt=float(rng.choice([7.0, 10.0])))
+        trace = simulate_afm(scn)
+        assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
+        assert on_rows(trace)
+
+    @pytest.mark.parametrize("name", ["mesh_close_pair", "mesh_far_pair"])
+    def test_event_times_are_row_times_on_shipped_meshes(self, name):
+        # both overflow, so the CLI exits 2 on them; the bound hits still sit on rows
+        _, scn, _ = load_scenario_dict(read_document(SCENARIOS / f"{name}.json"))
+        trace = simulate_afm(scn)
+        assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
+        assert on_rows(trace)
+
+    def test_columns_contiguous_and_row_memory_bounded(self):
+        g = mesh(8, 8)
+        omega_u = 1.0 + np.random.RandomState(3).uniform(-5e-5, 5e-5, g.n)
+        scn = make_scenario(g, omega_u, Gains(k_p=2e-8, k_i=1e-15), p=100.0, latency=5.0,
+                            d=10.0, t_end=2000.0, output_dt=50.0, beta_max=1024, beta0=512)
+        tracemalloc.start()
+        try:
+            trace = simulate_afm(scn)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows, links = trace.occupancy.shape
+        assert all(a.T.flags.c_contiguous for a in (trace.freq, trace.phase, trace.occupancy))
+        # beyond what the trace keeps (freq, phase, occupancy, histories, events),
+        # the run may hold the floored phases, the two bound masks of the rows,
+        # and a few per-row arrays, the sample list among them (about 13 rows of
+        # floats in all); occupancy built in one indexed expression holds about 250
+        per_row = 8 * rows
+        assert peak - kept <= per_row * g.n + 2 * rows * links + 32 * per_row

@@ -338,6 +338,11 @@ class TestEmpiricalNorms:
         assert freq_sq == pytest.approx(alpha ** 2 / (2 * a), rel=0.01)
         assert occ_sq == pytest.approx(alpha ** 2 / (2 * a * b), rel=0.01)
         assert freq_sq / occ_sq == pytest.approx(b, rel=0.01)
+        # sharper, at a few times the gaps RK4 at the default step leaves:
+        # 8.33e-4 for the frequency norm and the ratio, 5.93e-8 for occupancy
+        assert freq_sq == pytest.approx(alpha ** 2 / (2 * a), rel=2e-3)
+        assert occ_sq == pytest.approx(alpha ** 2 / (2 * a * b), rel=1e-6)
+        assert freq_sq / occ_sq == pytest.approx(b, rel=2e-3)
 
     def test_short_horizon_warns(self):
         gains = Gains(k_p=0.2, k_i=0.05)

@@ -261,6 +261,20 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: --simulate needs --performance\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, flag, sets, field", [
+        # omega_u used to win over two_node, and the mesh generator over the edge list
+        ("triangle_pi", "--performance",
+         ['frequencies.two_node={"i":0,"j":1,"alpha":1}'], "frequencies.two_node"),
+        ("mesh_close_pair", "--resistance", ["graph.edges=[[0,1]]", "graph.n=2"], "graph.edges"),
+    ])
+    def test_key_of_another_form_refused(self, tmp_path, capsys, name, flag, sets, field):
+        out = tmp_path / "out"
+        rc = main(["analyze", "--scenario", str(SCENARIOS / f"{name}.json"), "--out", str(out),
+                   flag, *[a for s in sets for a in ("--set", s)]])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: not held by the ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
     def test_gamma_must_be_finite_and_positive(self, tmp_path, capsys, gamma):
         out = tmp_path / "out"
@@ -391,7 +405,11 @@ class TestSweep:
         ("controler.k_p", [], "controler"), ("controller.kp", [], "controller.kp"),
         ("controller", [], "controller"), ("frequencies.two_node", [], "frequencies.two_node"),
         ("afm.p.x", [], "afm.p.x"), ("afm.epoch.x", [], "afm.epoch"),
-        ("controller.k_p", ["--set", "afm.beta_0=3"], "afm.beta_0")])
+        ("controller.k_p", ["--set", "afm.beta_0=3"], "afm.beta_0"),
+        # keys of another form of their section: a mesh holds no n, and
+        # frequencies given by two_node hold no omega_u
+        ("graph.n", [], "graph.n"), ("frequencies.omega_u", [], "frequencies.omega_u"),
+        ("controller.k_p", ["--set", "graph.edges=[[0,1]]"], "graph.edges")])
     def test_key_not_a_value_refused(self, tmp_path, capsys, monkeypatch, param, sets, field):
         # checked once, before any point runs: no point loads a document
         def refuse(doc):

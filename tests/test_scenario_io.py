@@ -1,5 +1,6 @@
 """Tests for scenario files, trace serialization, comparison, and reports."""
 
+import dataclasses
 import json
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bittide_sim import scenario
-from bittide_sim.afm import simulate_afm
+from bittide_sim.afm import AfmEvent, simulate_afm
 from bittide_sim.analysis import (build_lyapunov_certificate, hurwitz_check,
                                   predicted_performance, worst_case_frequency)
 from bittide_sim.graph import OrientedGraph, complete, spectral_data
@@ -131,11 +132,44 @@ class TestLoadScenario:
         ("frequencies", [1.0], "frequencies", "expected a mapping"),
         ("frequencies.two_node", 5, "frequencies.two_node", "expected a mapping"),
         ("afm.p", {"x": 1}, "afm.p", "expected a value"),
+        # triangle_doc is the 'complete' form of graph and the 'omega_u' form of frequencies
+        ("graph.rows", 3, "graph.rows", "not held by the 'complete' form of graph"),
+        ("graph.edges", [[0, 1]], "graph.edges", "not held by the 'complete' form of graph"),
+        ("frequencies.two_node", {"i": 0, "j": 1, "alpha": 1e-4},
+         "frequencies.two_node", "not held by the 'omega_u' form of frequencies"),
     ])
     def test_key_outside_the_sections_refused(self, path, value, field, message):
         doc = apply_overrides(triangle_doc(), [f"{path}={json.dumps(value)}"])
         with pytest.raises(ValidationError, match=f"^{field}: {message}"):
             load_scenario_dict(doc)
+
+    @pytest.mark.parametrize("graph, field, form", [
+        ({"generator": "mesh", "rows": 3, "cols": 1, "n": 3}, "graph.n", "mesh"),
+        ({"generator": "mesh", "rows": 1, "cols": 3, "edges": [[0, 1]]}, "graph.edges", "mesh"),
+        ({"generator": "path", "n": 3, "cols": 3}, "graph.cols", "path"),
+        ({"n": 3, "edges": [[0, 1], [1, 2]], "rows": 1}, "graph.rows", "edges"),
+        ({"edges": [[0, 1], [1, 2]], "n": 3, "generator": "complete"}, "graph.edges",
+         "complete"),
+    ])
+    def test_one_form_per_section(self, graph, field, form):
+        doc = {**triangle_doc(), "graph": graph}
+        with pytest.raises(ValidationError,
+                           match=f"^{field}: not held by the '{form}' form of graph"):
+            load_scenario_dict(doc)
+        # given alone, each form loads
+        del graph[field.split(".")[1]]
+        load_scenario_dict(doc)
+
+    def test_frequency_forms_exclude_each_other(self):
+        two_node = {"i": 0, "j": 1, "alpha": 1e-5}
+        doc = {**triangle_doc(), "frequencies": {"two_node": two_node, "omega_u": 1.0}}
+        # the first form given is kept, and the other refused
+        with pytest.raises(ValidationError, match="^frequencies.omega_u: not held by the "
+                                                  "'two_node' form of frequencies"):
+            load_scenario_dict(doc)
+        del doc["frequencies"]["omega_u"]
+        _, scn, _ = load_scenario_dict(doc)
+        assert scn.uncorrected_freq == (1.0 + 1e-5, 1.0 - 1e-5, 1.0)
 
     def test_overrides(self):
         doc = triangle_doc()
@@ -262,6 +296,51 @@ class TestTraceWriterOracle:
         assert_same_text(dest.read_text(), legacy_trace_text(trace))
         assert_same_text(events_path_for(dest).read_text(), "time,node,kind,value\n" + "".join(
             f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n" for ev in trace.events))
+
+    def test_views_and_contiguous_copies_write_the_same_bytes(self, tmp_path):
+        rng = np.random.RandomState(5)
+        g = complete(4)
+        scn = make_scenario(g, 1.0 + rng.permutation(np.linspace(-0.02, 0.02, 4)),
+                            Gains(k_p=1e-6, k_i=1e-9), p=10.0, d=25.0, beta_max=8,
+                            latency=tuple(rng.uniform(0.0, 30.0, 2 * g.m)),
+                            t_end=1500.0, output_dt=7.0)
+        trace = simulate_afm(scn)
+        assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
+        assert not trace.occupancy.flags.c_contiguous
+        copied = dataclasses.replace(trace, **{
+            name: np.ascontiguousarray(getattr(trace, name))
+            for name in ("freq", "phase", "occupancy")})
+        texts = []
+        for k, t in enumerate((trace, copied)):
+            dest = tmp_path / f"trace_{k}.csv"
+            # short blocks: events fall on rows of many blocks
+            with mock.patch.object(scenario, "_WRITE_BLOCK_CELLS", 64):
+                write_trace(t, dest)
+            texts.append((dest.read_bytes(), events_path_for(dest).read_bytes()))
+        assert texts[0] == texts[1]
+        assert_same_text(texts[0][0].decode(), legacy_trace_text(trace))
+        assert_same_text(texts[0][1].decode(), "time,node,kind,value\n" + "".join(
+            f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n" for ev in trace.events))
+
+    def test_event_on_no_row_formatted_on_its_own(self, tmp_path):
+        scn = make_scenario(OrientedGraph(2, ((0, 1),)), (1.0001, 0.9999),
+                            Gains(k_p=3e-5, k_i=2e-9), p=100.0, t_end=2000.0, output_dt=100.0)
+        trace = simulate_afm(scn)
+        t = trace.times
+        assert t[0] == 0.0
+        # out of time order: a row time, a time between rows, -0.0 beside the
+        # 0.0 row, times before the first and after the last row
+        times = [t[3], t[3] + (t[4] - t[3]) / 3, -0.0, t[-1] + 1.0, -1.0, t[0], t[-1]]
+        events = tuple(AfmEvent(float(x), 1, "measure", k, 0.5) for k, x in enumerate(times))
+        want = "time,node,kind,value\n" + "".join(
+            f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n" for ev in events)
+        for k, hand_built in enumerate((
+                dataclasses.replace(trace, events=events),
+                dataclasses.replace(trace, events=events, times=t[:0], freq=trace.freq[:0],
+                                    occupancy=trace.occupancy[:0], phase=trace.phase[:0]))):
+            dest = tmp_path / f"trace_{k}.csv"
+            write_trace(hand_built, dest)
+            assert events_path_for(dest).read_text() == want
 
     def test_fluid_trace(self, tmp_path):
         gains = Gains(k_p=0.2, k_i=0.05)
