@@ -11,6 +11,8 @@ linear segments invert in closed form; no numeric root-finding is involved,
 so two runs of the same scenario produce identical event logs. The event
 loop only schedules and handles measurements and holds; trace rows are
 evaluated in bulk from the recorded phase histories after the loop ends.
+These are the package's only phase lookups; their scalar oracles (phase_at,
+slope_at, next_crossing, occupancy) live in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -35,15 +37,11 @@ class HistoryGapError(LookupError):
     """Phase queried at a time older than the recorded history."""
 
 
-class TargetInPastError(ValueError):
-    """Phase-crossing target lies before the start of the recorded history."""
-
-
 class PhaseHistory:
-    """Piecewise-linear clock phase record supporting delayed lookups.
+    """Piecewise-linear clock phase record: three parallel breakpoint lists.
 
-    Breakpoints are (time, phase, slope) with the last segment extending
-    forward indefinitely at its slope. Phase is continuous and strictly
+    Segment k starts at (times[k], phases[k]) with rate slopes[k]; the last
+    extends forward indefinitely. Phase is continuous and strictly
     increasing; every slope exceeds the oscillator minimum by admissibility.
     """
 
@@ -63,41 +61,6 @@ class PhaseHistory:
             phases=[theta0 + prehistory_freq * epoch, theta0],
             slopes=[prehistory_freq, startup_freq],
         )
-
-    def _segment(self, t: float) -> int:
-        if t < self.times[0]:
-            raise HistoryGapError(
-                f"time {t} precedes recorded history (starts at {self.times[0]})"
-            )
-        return bisect_right(self.times, t) - 1
-
-    def phase_at(self, t: float) -> float:
-        k = self._segment(t)
-        return self.phases[k] + self.slopes[k] * (t - self.times[k])
-
-    def slope_at(self, t: float) -> float:
-        """Right-continuous slope: at a breakpoint, the new segment's rate."""
-        return self.slopes[self._segment(t)]
-
-    def next_crossing(self, target_phase: float) -> float:
-        """Exact time at which the phase reaches target_phase.
-
-        Linear inversion within the containing segment; phases at breakpoints
-        are strictly increasing so the crossing is unique.
-        """
-        if target_phase < self.phases[0]:
-            raise TargetInPastError(
-                f"target phase {target_phase} precedes history start {self.phases[0]}"
-            )
-        k = bisect_right(self.phases, target_phase) - 1
-        return self.times[k] + (target_phase - self.phases[k]) / self.slopes[k]
-
-    def append_breakpoint(self, t: float, phase: float, slope: float) -> None:
-        if t < self.times[-1]:
-            raise ValueError(f"breakpoint time {t} precedes last segment {self.times[-1]}")
-        self.times.append(t)
-        self.phases.append(phase)
-        self.slopes.append(slope)
 
 
 @dataclass(frozen=True)
@@ -215,7 +178,8 @@ class AfmTrace:
 
     occupancy columns follow directed_links() order and are exact integers;
     freq is the active oscillator rate (right-continuous at events);
-    histories holds each node's full PhaseHistory. freq, phase and occupancy
+    histories holds each node's full PhaseHistory, the breakpoint lists
+    from which a phase between rows can be read. freq, phase and occupancy
     are indexed (row, column) but are transposed views of node-major and
     link-major arrays, so each node's and each link's column is contiguous.
     """
@@ -247,14 +211,6 @@ def frame_offsets(scenario: AfmScenario) -> tuple:
             + math.floor(scenario.initial_phase[dst])
         )
     return tuple(offs)
-
-
-def occupancy(hist_src: PhaseHistory, hist_dst: PhaseHistory, latency: float,
-              frame_offset: int, t: float) -> int:
-    """Exact integer buffer occupancy of a directed link at time t."""
-    return (math.floor(hist_src.phase_at(t - latency))
-            - math.floor(hist_dst.phase_at(t))
-            + frame_offset)
 
 
 def pi_controller_step(state: DiscreteControllerState, r: float,
@@ -289,9 +245,10 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     order; ties break by node index, measurements before holds. The event
     loop records each node's full phase history and the sample instants: the
     uniform output grid plus each event instant. Trace rows are evaluated from
-    the recorded histories after the loop, with the same floating-point
-    operations as PhaseHistory.phase_at/slope_at and occupancy(), so they
-    equal the scalar lookups bit for bit; the trace keeps the histories.
+    the recorded histories after the loop by _phase_rows, with the same
+    floating-point operations as the scalar oracles phase_at/slope_at and
+    occupancy in tests/helpers.py, so they equal those lookups bit for bit;
+    the trace keeps the histories.
 
     Buffer bound violations are logged and the run continues. The first
     overflow and the first underflow of each link are logged once each, at the
@@ -428,9 +385,9 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
 def _phase_rows(segments: tuple, t: np.ndarray) -> tuple:
     """(slope, phase) of one history's (times, phases, slopes) arrays at each of t.
 
-    The segment search matches bisect_right and the arithmetic matches
-    PhaseHistory.phase_at term for term, so every value equals the scalar
-    lookup bit for bit.
+    The segment search matches bisect_right and the arithmetic matches the
+    scalar oracle phase_at in tests/helpers.py term for term, so every value
+    equals that lookup bit for bit.
     """
     bt, bp, bs = segments
     k = np.searchsorted(bt, t, side="right") - 1

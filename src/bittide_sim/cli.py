@@ -87,7 +87,7 @@ def cmd_compare(args) -> int:
     ode_trace = _fluid_trace(graph, scenario, gains)
     write_trace(afm_trace, out / "trace_afm.csv")
     write_trace(ode_trace, out / "trace_ode.csv")
-    report = compare_traces(afm_trace, ode_trace, np.array(scenario.initial_occupancy))
+    report = compare_traces(afm_trace, ode_trace)
     tree = emit_report([report], out / "comparison.txt", out / "comparison.json")
     print(json.dumps(tree["reports"][0], indent=2, sort_keys=True))
     return EXIT_OK

@@ -15,6 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# relative thresholds: zero eigenvalue, repeated lambda_2, negligible vector entry
+_ZERO_EIG_TOL = 1e-9
+_DEGENERATE_TOL = 1e-9
+_SIGN_TOL = 1e-12
+
 
 class NotConnectedError(ValueError):
     """The underlying undirected graph is not connected."""
@@ -51,16 +56,6 @@ class OrientedGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, i: int):
-        """Sorted neighbor list of node i."""
-        out = []
-        for u, v in self.edges:
-            if u == i:
-                out.append(v)
-            elif v == i:
-                out.append(u)
-        return sorted(out)
 
     def directed_links(self):
         """All 2m directed links as (sender, receiver) pairs.
@@ -140,12 +135,12 @@ def laplacian(g: OrientedGraph) -> np.ndarray:
     return b @ b.T
 
 
-def _sign_normalize_columns(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first non-negligible entry is positive."""
     v = v.copy()
     for j in range(v.shape[1]):
         col = v[:, j]
-        nz = np.nonzero(np.abs(col) > tol * max(np.abs(col).max(), 1.0))[0]
+        nz = np.nonzero(np.abs(col) > _SIGN_TOL * max(np.abs(col).max(), 1.0))[0]
         if nz.size and col[nz[0]] < 0:
             v[:, j] = -col
     return v
@@ -178,12 +173,12 @@ class SpectralData:
         return float(self.eigenvalues[-1])
 
 
-def spectral_data(g: OrientedGraph, tol: float = 1e-9) -> SpectralData:
+def spectral_data(g: OrientedGraph) -> SpectralData:
     """Factor the Laplacian and assemble all derived spectral quantities.
 
-    Eigenvalues below tol * lambda_max count as zero; a connected graph must
-    produce exactly one. The connectedness requirement is structural, the
-    threshold only guards numerics.
+    Eigenvalues below _ZERO_EIG_TOL * lambda_max count as zero; a connected
+    graph must produce exactly one. The connectedness requirement is
+    structural, the threshold only guards numerics.
     """
     lap = laplacian(g)
     # built from integer entries, so exactly symmetric
@@ -191,7 +186,7 @@ def spectral_data(g: OrientedGraph, tol: float = 1e-9) -> SpectralData:
     lam_max = w[-1]
     if lam_max <= 0:
         raise NotConnectedError("graph has no edges or all-zero spectrum")
-    n_zero = int(np.sum(w < tol * lam_max))
+    n_zero = int(np.sum(w < _ZERO_EIG_TOL * lam_max))
     if n_zero != 1:
         raise NotConnectedError(
             f"{n_zero} zero eigenvalues (expected 1): graph is not connected"
@@ -240,7 +235,7 @@ class FiedlerResult:
     degenerate: bool
 
 
-def fiedler_vector(sd: SpectralData, tol: float = 1e-9) -> FiedlerResult:
+def fiedler_vector(sd: SpectralData) -> FiedlerResult:
     """Unit eigenvector of the second-smallest Laplacian eigenvalue.
 
     Sign convention: first non-negligible entry positive. When the eigenvalue
@@ -249,6 +244,6 @@ def fiedler_vector(sd: SpectralData, tol: float = 1e-9) -> FiedlerResult:
     """
     w = sd.eigenvalues
     lam2 = w[1]
-    degenerate = bool(w.size > 2 and (w[2] - lam2) <= tol * sd.lambda_max)
+    degenerate = bool(w.size > 2 and (w[2] - lam2) <= _DEGENERATE_TOL * sd.lambda_max)
     vec = sd.eigenvectors[:, 1].copy()
     return FiedlerResult(vector=vec, algebraic_connectivity=float(lam2), degenerate=degenerate)

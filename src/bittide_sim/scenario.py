@@ -402,7 +402,9 @@ def write_trace(trace, path_like) -> None:
     those strings. Bits, not floats, are compared: ``-0.0 == 0.0`` would
     reuse the wrong text. Frame-model events happen at row times, so an
     event's time is printed from the text of the row with the same bits; an
-    event on no row (a hand-built trace) is formatted on its own.
+    event on no row (a hand-built trace) is formatted on its own. Event times
+    and values are printed as Python floats, so numpy scalars in a hand-built
+    event log write the same text as the floats they hold.
     """
     table = _trace_table(trace)
     events = trace.events if isinstance(trace, AfmTrace) else ()
@@ -449,7 +451,8 @@ def write_trace(trace, path_like) -> None:
         with events_path_for(p).open("w") as fh:
             fh.write("time,node,kind,value\n")
             for k in range(0, len(events), per_write):
-                fh.write("".join(f"{t or repr(ev.time)},{ev.node},{ev.kind},{ev.value!r}\n"
+                fh.write("".join(f"{t or repr(float(ev.time))},{ev.node},{ev.kind},"
+                                 f"{float(ev.value)!r}\n"
                                  for t, ev in zip(ev_text[k:k + per_write].tolist(),
                                                   events[k:k + per_write])))
 
@@ -488,7 +491,8 @@ class ComparisonReport:
 
     Occupancy comparison maps each edge's fluid offset onto the two directed
     links through the edge orientation: the buffer at the edge source gets
-    beta0 + delta, the buffer at the target gets beta0 - delta.
+    beta0 + delta, the buffer at the target gets beta0 - delta, with beta0
+    the link's initial occupancy.
     """
 
     kind: ClassVar[str] = "comparison"
@@ -497,17 +501,14 @@ class ComparisonReport:
     max_freq_dev: float
     max_occ_dev: float
     n_samples: int
-    freq_pass: bool | None = None
-    occ_pass: bool | None = None
 
 
-def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace, beta0,
-                   freq_tol: float | None = None,
-                   occ_tol: float | None = None) -> ComparisonReport:
+def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace) -> ComparisonReport:
     """Compare a frame-exact trace with a fluid-model trace of the same scenario.
 
     The fluid trace is resampled onto the frame-exact output grid by linear
-    interpolation over the overlapping time window.
+    interpolation over the overlapping time window. Each link's beta0 is its
+    initial occupancy in the frame-exact trace's scenario.
     """
     t0 = max(afm_trace.times[0], ode_trace.times[0])
     t1 = min(afm_trace.times[-1], ode_trace.times[-1])
@@ -525,9 +526,7 @@ def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace, beta0,
         raise GridMismatchError(
             f"traces disagree on topology: {n_links} directed links vs {m} edges"
         )
-    beta0 = np.asarray(beta0, dtype=float)
-    if beta0.ndim == 0:
-        beta0 = np.full(n_links, float(beta0))
+    beta0 = np.asarray(afm_trace.scenario.initial_occupancy, dtype=float)
 
     omega_i = np.column_stack([
         np.interp(times, ode_trace.times, ode_trace.omega[:, i]) for i in range(n)
@@ -553,8 +552,6 @@ def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace, beta0,
         max_freq_dev=float(abs_freq.max()),
         max_occ_dev=float(abs_occ.max()),
         n_samples=int(times.shape[0]),
-        freq_pass=None if freq_tol is None else bool(abs_freq.max() <= freq_tol),
-        occ_pass=None if occ_tol is None else bool(abs_occ.max() <= occ_tol),
     )
 
 
@@ -593,11 +590,9 @@ def render_reports(reports) -> tuple:
     return text, {"reports": trees}
 
 
-def emit_report(reports, text_path=None, json_path=None) -> dict:
+def emit_report(reports, text_path, json_path) -> dict:
     """Emit reports as a human-readable summary and a structured JSON tree."""
     text, tree = render_reports(list(reports))
-    if text_path is not None:
-        Path(text_path).write_text(text)
-    if json_path is not None:
-        Path(json_path).write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n")
+    Path(text_path).write_text(text)
+    Path(json_path).write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n")
     return tree

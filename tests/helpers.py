@@ -1,11 +1,18 @@
-"""Shared test utilities: random graphs, scenario builders, independent oracles."""
+"""Shared test utilities: random graphs, scenario builders, independent oracles.
 
+The scalar frame-model lookups (phase_at, slope_at, next_crossing, occupancy)
+are the oracles for the rows that ``simulate_afm`` evaluates in bulk: they
+read a PhaseHistory's breakpoint lists one instant at a time.
+"""
+
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from bittide_sim.afm import AfmScenario
+from bittide_sim.afm import AfmScenario, HistoryGapError, PhaseHistory
 from bittide_sim.graph import OrientedGraph, SpectralData
 from bittide_sim.ode import Gains, ReducedSystem, default_time_step
 from bittide_sim.scenario import _trace_table
@@ -45,6 +52,17 @@ def union_find_connected(n: int, edges) -> bool:
     return len({find(i) for i in range(n)}) == 1
 
 
+def neighbors(g: OrientedGraph, i: int) -> list:
+    """Sorted neighbor list of node i."""
+    out = []
+    for u, v in g.edges:
+        if u == i:
+            out.append(v)
+        elif v == i:
+            out.append(u)
+    return sorted(out)
+
+
 def bfs_distance(g: OrientedGraph, src: int, dst: int) -> int:
     """Unweighted shortest-path oracle."""
     if src == dst:
@@ -53,13 +71,58 @@ def bfs_distance(g: OrientedGraph, src: int, dst: int) -> int:
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v in g.neighbors(u):
+        for v in neighbors(g, u):
             if v not in dist:
                 dist[v] = dist[u] + 1
                 if v == dst:
                     return dist[v]
                 queue.append(v)
     return -1
+
+
+class TargetInPastError(ValueError):
+    """Phase-crossing target lies before the start of the recorded history."""
+
+
+def _segment(h: PhaseHistory, t: float) -> int:
+    if t < h.times[0]:
+        raise HistoryGapError(
+            f"time {t} precedes recorded history (starts at {h.times[0]})"
+        )
+    return bisect_right(h.times, t) - 1
+
+
+def phase_at(h: PhaseHistory, t: float) -> float:
+    """Scalar phase lookup; oracle for the rows of ``afm._phase_rows``."""
+    k = _segment(h, t)
+    return h.phases[k] + h.slopes[k] * (t - h.times[k])
+
+
+def slope_at(h: PhaseHistory, t: float) -> float:
+    """Right-continuous slope: at a breakpoint, the new segment's rate."""
+    return h.slopes[_segment(h, t)]
+
+
+def next_crossing(h: PhaseHistory, target_phase: float) -> float:
+    """Exact time at which the phase reaches target_phase.
+
+    Linear inversion within the containing segment; phases at breakpoints
+    are strictly increasing so the crossing is unique.
+    """
+    if target_phase < h.phases[0]:
+        raise TargetInPastError(
+            f"target phase {target_phase} precedes history start {h.phases[0]}"
+        )
+    k = bisect_right(h.phases, target_phase) - 1
+    return h.times[k] + (target_phase - h.phases[k]) / h.slopes[k]
+
+
+def occupancy(hist_src: PhaseHistory, hist_dst: PhaseHistory, latency: float,
+              frame_offset: int, t: float) -> int:
+    """Exact integer buffer occupancy of a directed link at time t."""
+    return (math.floor(phase_at(hist_src, t - latency))
+            - math.floor(phase_at(hist_dst, t))
+            + frame_offset)
 
 
 def make_scenario(graph: OrientedGraph, omega_u, gains: Gains, *,

@@ -17,8 +17,8 @@ from bittide_sim.graph import (OrientedGraph, complete, fiedler_vector, mesh, pa
                                resistance_matrix, spectral_data)
 from bittide_sim.ode import Gains, build_full_system, build_reduced_system, simulate_ode
 from bittide_sim.scenario import compare_traces
-from helpers import (bfs_distance, dense_abscissa, make_scenario, random_connected_graph,
-                     steady_state)
+from helpers import (bfs_distance, dense_abscissa, make_scenario, phase_at,
+                     random_connected_graph, steady_state)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -52,7 +52,11 @@ def test_criterion_1_mesh_two_node_reproduction():
 
 
 def test_criterion_2_norm_formula_cross_validation():
-    """Integrated norms match the closed forms within 1%; ratio equals b within 0.5%."""
+    """Integrated norms match the closed forms within 1%; ratio equals b within 0.5%.
+
+    Sharper bounds sit beside those, at a few times the measured effect
+    (8.3e-4 for the frequency norm and the ratio, 2.1e-7 for occupancy).
+    """
     t0 = time.time()
     rng = np.random.RandomState(2024)
     worst_freq = worst_occ = worst_ratio = worst_abscissa = 0.0
@@ -81,8 +85,9 @@ def test_criterion_2_norm_formula_cross_validation():
                         / pred.occupancy_norm_sq)
         worst_ratio = max(worst_ratio, abs(freq_sq / occ_sq - b) / b)
     elapsed = time.time() - t0
+    sharp = worst_freq <= 2e-3 and worst_ratio <= 2e-3 and worst_occ <= 1e-6
     ok = (worst_freq <= 0.01 and worst_occ <= 0.01 and worst_ratio <= 0.005
-          and worst_abscissa <= 1e-12 and elapsed < 30.0)
+          and sharp and worst_abscissa <= 1e-12 and elapsed < 30.0)
     report("2 (closed-form norm cross-validation)", ok,
            f"{n_cases} cases, worst freq err {worst_freq:.2e}, occ err {worst_occ:.2e}, "
            f"ratio err {worst_ratio:.2e}, abscissa vs dense {worst_abscissa:.2e}, "
@@ -135,7 +140,12 @@ def test_criterion_4_lyapunov_and_steady_state_identities():
 
 
 def test_criterion_5_frame_model_agreement():
-    """The frame-exact run converges, and with delays shrunk it tracks the fluid run."""
+    """The frame-exact run converges, and with delays shrunk it tracks the fluid run.
+
+    At theta0 = 0.1 every node settles at the slowest uncorrected rate (see
+    test_afm.TestSettledRate); that is checked beside the 1e-4 * avg bound,
+    which is wider than the whole omega_u spread.
+    """
     t0 = time.time()
     gains = Gains(k_p=3e-5, k_i=2e-9, omega_c=1.0)
     g = complete(3)
@@ -147,7 +157,8 @@ def test_criterion_5_frame_model_agreement():
     trace = simulate_afm(scn)
     freq_dev = np.abs(trace.freq[-1] - avg).max()
     occ_dev = np.abs(trace.occupancy[-1] - 64).max()
-    converged = freq_dev <= 1e-4 * avg and occ_dev <= 2
+    settled_dev = np.abs(trace.freq[-1] - min(omega_u)).max()
+    converged = freq_dev <= 1e-4 * avg and settled_dev <= 1e-12 and occ_dev <= 2
 
     scn_fluid = make_scenario(g, omega_u, gains, latency=0.0, p=100.0, d=0.0,
                               theta0=0.1, beta_max=1024,
@@ -155,13 +166,13 @@ def test_criterion_5_frame_model_agreement():
     afm_trace = simulate_afm(scn_fluid)
     sd = spectral_data(g)
     ode_trace = simulate_ode(build_full_system(sd, gains), np.array(omega_u), 200000.0)
-    cmp_report = compare_traces(afm_trace, ode_trace,
-                                np.array(scn_fluid.initial_occupancy))
+    cmp_report = compare_traces(afm_trace, ode_trace)
     tracks = cmp_report.max_occ_dev <= 2.0
     elapsed = time.time() - t0
     ok = converged and tracks and elapsed < 60.0
     report("5 (frame model vs fluid model)", ok,
-           f"final freq dev {freq_dev:.2e} (tol {1e-4 * avg:.1e}), final occ dev "
+           f"final freq dev {freq_dev:.2e} (tol {1e-4 * avg:.1e}), from the slowest rate "
+           f"{settled_dev:.1e} (tol 1e-12), final occ dev "
            f"{occ_dev}, tracking dev {cmp_report.max_occ_dev:.2f} frames, "
            f"runtime {elapsed:.1f}s")
 
@@ -189,10 +200,10 @@ def test_criterion_6_structural_invariants():
         for q, (src, dst) in enumerate(links):
             row = int(np.searchsorted(trace.times, t))
             lhs = int(trace.occupancy[row, q]) - scn.initial_occupancy[q]
-            rhs = (math.floor(trace.histories[src].phase_at(t - scn.latency[q]))
-                   - math.floor(trace.histories[src].phase_at(-scn.latency[q]))
-                   - math.floor(trace.histories[dst].phase_at(t))
-                   + math.floor(trace.histories[dst].phase_at(0.0)))
+            rhs = (math.floor(phase_at(trace.histories[src], t - scn.latency[q]))
+                   - math.floor(phase_at(trace.histories[src], -scn.latency[q]))
+                   - math.floor(phase_at(trace.histories[dst], t))
+                   + math.floor(phase_at(trace.histories[dst], 0.0)))
             if lhs != rhs:
                 identity_ok = False
 

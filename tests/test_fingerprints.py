@@ -90,8 +90,8 @@ REPORT_CASES = {
          "report.json": "1ff939f3f40229a53a14839403290d64bc3a9f273cf1cadafc8b500eed76be01"}),
     "compare_readme_flags": (
         ["compare", "--scenario", str(SCENARIOS / "triangle_pi.json")] + README_COMPARE_FLAGS, 0,
-        {"comparison.txt": "4828bf598e4e13cadcb8d48b40f5008dac5f33c9e8496e9e4438f8c6a2a6d4c9",
-         "comparison.json": "89eadbfc9470f2817b1f929494bc608872b4824c128ef98892044e247daca6f6"}),
+        {"comparison.txt": "f522e13a7bd3c6e769a5247bb229b70d3ff5a3c35cdc8498602eda30ab155692",
+         "comparison.json": "837fac90491027a20241345bd692b9f30c2daef9381345018e82aaf6d800f6d7"}),
 }
 
 

@@ -342,6 +342,19 @@ class TestTraceWriterOracle:
             write_trace(hand_built, dest)
             assert events_path_for(dest).read_text() == want
 
+    def test_numpy_scalar_events_written_as_floats(self, tmp_path):
+        scn = make_scenario(OrientedGraph(2, ((0, 1),)), (1.0001, 0.9999),
+                            Gains(k_p=3e-5, k_i=2e-9), p=100.0, t_end=2000.0, output_dt=100.0)
+        trace = simulate_afm(scn)
+        # one time on no row, one on a row; both values numpy scalars
+        events = (AfmEvent(np.float64(123.456789), 0, "measure", 0, np.float64(2.0)),
+                  AfmEvent(trace.times[3], 1, "hold", 0, np.float64(-1.5e-7)))
+        dest = tmp_path / "trace.csv"
+        write_trace(dataclasses.replace(trace, events=events), dest)
+        assert events_path_for(dest).read_text() == (
+            "time,node,kind,value\n123.456789,0,measure,2.0\n"
+            f"{float(trace.times[3])!r},1,hold,-1.5e-07\n")
+
     def test_fluid_trace(self, tmp_path):
         gains = Gains(k_p=0.2, k_i=0.05)
         sd = spectral_data(complete(4))
@@ -392,7 +405,7 @@ class TestCompareTraces:
         sd = spectral_data(g)
         ode_trace = simulate_ode(build_full_system(sd, gains),
                                  np.array(omega_u), t_end)
-        return compare_traces(afm_trace, ode_trace, np.array(scn.initial_occupancy))
+        return compare_traces(afm_trace, ode_trace)
 
     def test_symmetric_scenario_zero_deviation(self):
         # both models are inert; only integrator rounding noise remains
@@ -425,22 +438,33 @@ class TestCompareTraces:
         afm_trace = simulate_afm(scn)
         shifted = OdeShift(ode_trace, 5.0)
         with pytest.raises(GridMismatchError):
-            compare_traces(afm_trace, shifted, 64.0)
+            compare_traces(afm_trace, shifted)
 
-    def test_pass_fail_thresholds(self):
+    def test_per_link_beta0_from_scenario(self):
+        # each link's prediction starts from its own initial occupancy in the scenario
         gains = Gains(k_p=3e-5, k_i=2e-9)
-        g = OrientedGraph(2, ((0, 1),))
-        omega_u = (1.00005, 0.99995)
-        scn = make_scenario(g, omega_u, gains, p=100.0, beta_max=1024,
+        g = OrientedGraph(3, ((0, 1), (1, 2), (0, 2)))
+        omega_u = (1.00005, 1.0, 0.99995)
+        beta0 = (500, 530, 512, 490, 520, 505)
+        scn = make_scenario(g, omega_u, gains, p=100.0, beta_max=1024, beta0=beta0,
                             t_end=20000.0, output_dt=200.0)
         afm_trace = simulate_afm(scn)
-        sd = spectral_data(g)
-        ode_trace = simulate_ode(build_full_system(sd, gains), np.array(omega_u), 20000.0)
-        beta0 = np.array(scn.initial_occupancy)
-        loose = compare_traces(afm_trace, ode_trace, beta0, freq_tol=1.0, occ_tol=10.0)
-        assert loose.freq_pass is True and loose.occ_pass is True
-        strict = compare_traces(afm_trace, ode_trace, beta0, occ_tol=1e-12)
-        assert strict.occ_pass is False and strict.freq_pass is None
+        ode_trace = simulate_ode(build_full_system(spectral_data(g), gains),
+                                 np.array(omega_u), 20000.0)
+        report = compare_traces(afm_trace, ode_trace)
+        delta = np.column_stack([np.interp(afm_trace.times, ode_trace.times, ode_trace.delta[:, l])
+                                 for l in range(g.m)])
+        predicted = np.empty(afm_trace.occupancy.shape)
+        predicted[:, 0::2] = np.array(beta0[0::2], dtype=float) - delta
+        predicted[:, 1::2] = np.array(beta0[1::2], dtype=float) + delta
+        occ_dev = np.abs(afm_trace.occupancy - predicted)
+        assert report.n_samples == afm_trace.times.shape[0]
+        assert report.max_occ_dev == occ_dev.max()
+        assert np.array_equal(report.occ_steady_dev, occ_dev[-1])
+        # one shared beta0 would be off by up to 18 frames on these links
+        assert report.max_occ_dev <= 2.0
+        assert dataclasses.asdict(report).keys() == {
+            "freq_steady_dev", "occ_steady_dev", "max_freq_dev", "max_occ_dev", "n_samples"}
 
 
 class OdeShift:
