@@ -12,7 +12,8 @@ so two runs of the same scenario produce identical event logs. The event
 loop only schedules and handles measurements and holds; trace rows are
 evaluated in bulk from the recorded phase histories after the loop ends.
 These are the package's only phase lookups; their scalar oracles (phase_at,
-slope_at, next_crossing, occupancy) live in tests/helpers.py.
+slope_at, next_crossing, occupancy), and that of the PI update
+(pi_controller_step), live in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -152,16 +153,6 @@ class AfmScenario:
             )
 
 
-@dataclass
-class DiscreteControllerState:
-    """Per-node controller memory between measurement events."""
-
-    node: int
-    integ: float = 0.0
-    next_k: int = 0
-    pending: list = field(default_factory=list)  # (k, correction), k ascending
-
-
 class AfmEvent(NamedTuple):
     """One logged event: a measurement, a correction taking hold, or a buffer bound hit."""
 
@@ -179,7 +170,7 @@ class AfmTrace:
     occupancy columns follow directed_links() order and are exact integers;
     freq is the active oscillator rate (right-continuous at events);
     histories holds each node's full PhaseHistory, the breakpoint lists
-    from which a phase between rows can be read. freq, phase and occupancy
+    from which a phase at or between rows can be read. freq and occupancy
     are indexed (row, column) but are transposed views of node-major and
     link-major arrays, so each node's and each link's column is contiguous.
     """
@@ -187,9 +178,7 @@ class AfmTrace:
     times: np.ndarray
     freq: np.ndarray
     occupancy: np.ndarray
-    phase: np.ndarray
     events: tuple
-    frame_offsets: tuple
     scenario: AfmScenario
     histories: tuple
 
@@ -211,27 +200,6 @@ def frame_offsets(scenario: AfmScenario) -> tuple:
             + math.floor(scenario.initial_phase[dst])
         )
     return tuple(offs)
-
-
-def pi_controller_step(state: DiscreteControllerState, r: float,
-                       scenario: AfmScenario) -> float:
-    """One sampled PI update in the local-tick domain.
-
-    The correction uses the pre-update integral state; the accumulator then
-    advances by meas_period * r (rectangle rule over the p local ticks
-    between measurements). Raises if the corrected rate leaves the
-    oscillator's physical range.
-    """
-    g = scenario.gains
-    c = g.k_p * r + g.k_i * g.omega_c * state.integ
-    state.integ += scenario.meas_period * r
-    w = c + scenario.uncorrected_freq[state.node]
-    if w <= scenario.omega_min or w >= scenario.omega_max:
-        raise InadmissibleControlError(
-            f"node {state.node}: corrected rate {w} outside "
-            f"({scenario.omega_min}, {scenario.omega_max}) after correction {c}"
-        )
-    return c
 
 
 _MEASURE, _HOLD = 0, 1
@@ -274,7 +242,15 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         for i in range(n)
     ]
     h_times, h_phases, h_slopes = zip(*((h.times, h.phases, h.slopes) for h in hists))
-    ctrl = [DiscreteControllerState(node=i) for i in range(n)]
+    # controller memory per node: PI integrator, next measurement index, and the
+    # (k, correction) pairs measured but not yet held, k ascending
+    integ = [0.0] * n
+    next_k = [0] * n
+    pending = [[] for _ in range(n)]
+    omega_u = scenario.uncorrected_freq
+    omega_min, omega_max = scenario.omega_min, scenario.omega_max
+    k_p = scenario.gains.k_p
+    k_ic = scenario.gains.k_i * scenario.gains.omega_c
     theta0 = scenario.initial_phase
     p = scenario.meas_period
     d = scenario.actuation_delay
@@ -298,10 +274,9 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         while grid_idx * dt < t_evt:
             samples.append((grid_idx * dt, len(events)))
             grid_idx += 1
-        st = ctrl[i]
         ts, ps, ss = h_times[i], h_phases[i], h_slopes[i]
         if kind == _MEASURE:
-            k = st.next_k
+            k = next_k[i]
             floor_dst = math.floor(ps[-1] + ss[-1] * (t_evt - ts[-1]))
             r = 0
             for q, src, lat, off, b0 in in_links[i]:
@@ -315,27 +290,31 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
                     meas_hit[hit][q] = len(events)
                     events.append(AfmEvent(t_evt, i, _BOUND_KINDS[hit], q, float(b)))
                 r += b - b0
-            try:
-                c = pi_controller_step(st, float(r), scenario)
-            except InadmissibleControlError as exc:
+            r = float(r)
+            # sampled PI in local ticks: the correction uses the integral before
+            # this measurement, which then adds p * r (rectangle rule)
+            c = k_p * r + k_ic * integ[i]
+            integ[i] += p * r
+            w = c + omega_u[i]
+            if w <= omega_min or w >= omega_max:
                 raise InadmissibleControlError(
-                    f"t={t_evt}, measurement {k}: {exc}"
-                ) from exc
-            st.pending.append((k, c))
-            st.next_k = k + 1
-            events.append(AfmEvent(t_evt, i, "measure", k, float(r)))
+                    f"t={t_evt}, measurement {k}: node {i}: corrected rate {w} outside "
+                    f"({omega_min}, {omega_max}) after correction {c}")
+            pending[i].append((k, c))
+            next_k[i] = k + 1
+            events.append(AfmEvent(t_evt, i, "measure", k, r))
         else:
-            k, c = st.pending.pop(0)
+            k, c = pending[i].pop(0)
             ts.append(t_evt)
             ps.append(theta0[i] + k * p + d)
-            ss.append(c + scenario.uncorrected_freq[i])
+            ss.append(c + omega_u[i])
             events.append(AfmEvent(t_evt, i, "hold", k, float(c)))
             hold_at[i] = math.inf
-        if st.pending and hold_at[i] == math.inf:
-            t_hold = hold_at[i] = ts[-1] + (theta0[i] + st.pending[0][0] * p + d - ps[-1]) / ss[-1]
+        if pending[i] and hold_at[i] == math.inf:
+            t_hold = hold_at[i] = ts[-1] + (theta0[i] + pending[i][0][0] * p + d - ps[-1]) / ss[-1]
             if t_hold <= t_end:
                 heapq.heappush(heap, (t_hold, i, _HOLD))
-        t_meas = ts[-1] + (theta0[i] + st.next_k * p - ps[-1]) / ss[-1]
+        t_meas = ts[-1] + (theta0[i] + next_k[i] * p - ps[-1]) / ss[-1]
         if t_meas <= hold_at[i] and t_meas <= t_end:
             heapq.heappush(heap, (t_meas, i, _MEASURE))
 
@@ -354,10 +333,10 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     segments = [(np.array(h.times), np.array(h.phases), np.array(h.slopes)) for h in hists]
     # node-major and link-major: each node and each link fills one contiguous row
     freq = np.empty((n, times.shape[0]))
-    phase = np.empty_like(freq)
+    floor_phase = np.empty_like(freq)
     for i in range(n):
-        freq[i], phase[i] = _phase_rows(segments[i], times)
-    floor_phase = np.floor(phase)
+        freq[i], floor_phase[i] = _phase_rows(segments[i], times)
+    np.floor(floor_phase, out=floor_phase)
     # links that share a source and a latency read one row of floored phases
     by_source = {}
     for q, (src, _) in enumerate(links):
@@ -367,16 +346,14 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         src_floor = np.floor(_phase_rows(segments[src], times - lat)[1])
         for q in qs:
             occ[q] = src_floor - floor_phase[links[q][1]] + offsets[q]
-    freq, phase, occ = freq.T, phase.T, occ.T
+    freq, occ = freq.T, occ.T
 
     return AfmTrace(
         times=times,
         freq=freq,
         occupancy=occ,
-        phase=phase,
         events=_merge_sample_hits(events, meas_hit, occ, cap, times,
                                   [at for _, at in samples], links),
-        frame_offsets=offsets,
         scenario=scenario,
         histories=tuple(hists),
     )

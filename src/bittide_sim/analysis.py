@@ -167,9 +167,8 @@ def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> Performanc
     return _performance(float(d @ sd.pseudo_inverse @ d), gains)
 
 
-def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int,
-                          alpha: float, base_freq: float = 1.0):
-    """Performance when only nodes i and j deviate by +/- alpha from base_freq.
+def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int, alpha: float):
+    """Performance when only nodes i and j deviate by +/- alpha from the rate 1.0.
 
     The quadratic form collapses to alpha^2 * R_ij, so both norms follow
     directly from the resistance distance between the perturbed nodes.
@@ -179,7 +178,7 @@ def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int,
     n = sd.graph.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"node index out of range: ({i},{j}) for n={n}")
-    omega_u = np.full(n, float(base_freq))
+    omega_u = np.full(n, 1.0)
     omega_u[i] += alpha
     omega_u[j] -= alpha
     return omega_u, _performance(alpha * alpha * resistance_distance(sd, i, j), gains)

@@ -162,7 +162,7 @@ class SpectralData:
     disagreement_basis: np.ndarray
     reduced_laplacian: np.ndarray
     pseudo_inverse: np.ndarray
-    incidence: np.ndarray = field(repr=False, default=None)
+    incidence: np.ndarray = field(repr=False)
 
     @property
     def algebraic_connectivity(self) -> float:
@@ -180,8 +180,8 @@ def spectral_data(g: OrientedGraph) -> SpectralData:
     graph must produce exactly one. The connectedness requirement is
     structural, the threshold only guards numerics.
     """
-    lap = laplacian(g)
-    # built from integer entries, so exactly symmetric
+    b = incidence_matrix(g)
+    lap = b @ b.T  # what laplacian(g) returns; integer entries, so exactly symmetric
     w, v = np.linalg.eigh(lap)
     lam_max = w[-1]
     if lam_max <= 0:
@@ -207,7 +207,7 @@ def spectral_data(g: OrientedGraph) -> SpectralData:
         disagreement_basis=u1,
         reduced_laplacian=reduced,
         pseudo_inverse=pinv,
-        incidence=incidence_matrix(g),
+        incidence=b,
     )
 
 

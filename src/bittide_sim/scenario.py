@@ -21,7 +21,7 @@ import numpy as np
 
 from .afm import AfmScenario, AfmTrace
 from .graph import OrientedGraph, complete, mesh, path
-from .ode import Gains, OdeTrace, ParameterError
+from .ode import RUN_SIZE_CAP, Gains, OdeTrace, ParameterError
 
 
 class ScenarioError(Exception):
@@ -146,21 +146,34 @@ def _count(value, field: str) -> int:
     return int(x)
 
 
+def _check_graph_size(field: str, n: int, m: int) -> None:
+    """Refuse a graph whose dense n x m incidence matrix would pass the run-size cap."""
+    if n > 0 and m > 0 and n * m > RUN_SIZE_CAP:
+        raise ValidationError(field, f"{n} nodes and {m} edges: n*m = {n * m}, above the "
+                                     f"run-size cap of {RUN_SIZE_CAP:.0e}")
+
+
 def _build_graph(spec: dict) -> OrientedGraph:
+    """The graph of a document's graph section, sized against the cap before it is built."""
     try:
         kind = spec.get("generator")
-        if kind == "complete":
-            graph = complete(_count(spec["n"], "graph.n"))
-        elif kind == "path":
-            graph = path(_count(spec["n"], "graph.n"))
+        if kind in ("complete", "path"):
+            n = _count(spec["n"], "graph.n")
+            _check_graph_size("graph.n", n, n * (n - 1) // 2 if kind == "complete" else n - 1)
+            graph = (complete if kind == "complete" else path)(n)
         elif kind == "mesh":
-            graph = mesh(_count(spec["rows"], "graph.rows"), _count(spec["cols"], "graph.cols"))
+            rows, cols = _count(spec["rows"], "graph.rows"), _count(spec["cols"], "graph.cols")
+            if min(rows, cols) > 0:  # else mesh() refuses the sides
+                _check_graph_size("graph.rows", rows * cols, rows * (cols - 1) + cols * (rows - 1))
+            graph = mesh(rows, cols)
         elif "generator" in spec:
             raise ValidationError("graph.generator", f"unknown generator {kind!r}")
         elif "edges" in spec:
+            n = _count(spec["n"], "graph.n")
+            _check_graph_size("graph.n", n, len(spec["edges"]))
             edges = tuple(tuple(_count(v, f"graph.edges[{k}]") for v in e)
                           for k, e in enumerate(spec["edges"]))
-            graph = OrientedGraph(_count(spec["n"], "graph.n"), edges)
+            graph = OrientedGraph(n, edges)
         else:
             raise ValidationError("graph", "need either a generator spec or an edge list")
     except KeyError as exc:

@@ -2,7 +2,8 @@
 
 The scalar frame-model lookups (phase_at, slope_at, next_crossing, occupancy)
 are the oracles for the rows that ``simulate_afm`` evaluates in bulk: they
-read a PhaseHistory's breakpoint lists one instant at a time.
+read a PhaseHistory's breakpoint lists one instant at a time. pi_controller_step
+is the oracle for the PI update that the event loop makes at each measurement.
 """
 
 import math
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bittide_sim.afm import AfmScenario, HistoryGapError, PhaseHistory
+from bittide_sim.afm import (AfmScenario, HistoryGapError, InadmissibleControlError,
+                             PhaseHistory)
 from bittide_sim.graph import OrientedGraph, SpectralData
 from bittide_sim.ode import Gains, ReducedSystem, default_time_step
 from bittide_sim.scenario import _trace_table
@@ -123,6 +125,35 @@ def occupancy(hist_src: PhaseHistory, hist_dst: PhaseHistory, latency: float,
     return (math.floor(phase_at(hist_src, t - latency))
             - math.floor(phase_at(hist_dst, t))
             + frame_offset)
+
+
+@dataclass
+class DiscreteControllerState:
+    """One node's PI integrator between measurements."""
+
+    node: int
+    integ: float = 0.0
+
+
+def pi_controller_step(state: DiscreteControllerState, r: float,
+                       scenario: AfmScenario) -> float:
+    """One sampled PI update in the local-tick domain.
+
+    The correction uses the pre-update integral state; the accumulator then
+    advances by meas_period * r (rectangle rule over the p local ticks
+    between measurements). Raises if the corrected rate leaves the
+    oscillator's physical range.
+    """
+    g = scenario.gains
+    c = g.k_p * r + g.k_i * g.omega_c * state.integ
+    state.integ += scenario.meas_period * r
+    w = c + scenario.uncorrected_freq[state.node]
+    if w <= scenario.omega_min or w >= scenario.omega_max:
+        raise InadmissibleControlError(
+            f"node {state.node}: corrected rate {w} outside "
+            f"({scenario.omega_min}, {scenario.omega_max}) after correction {c}"
+        )
+    return c
 
 
 def make_scenario(graph: OrientedGraph, omega_u, gains: Gains, *,

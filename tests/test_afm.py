@@ -7,14 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bittide_sim.afm import (AfmScenario, DiscreteControllerState, HistoryGapError,
-                             InadmissibleControlError, PhaseHistory, frame_offsets,
-                             pi_controller_step, simulate_afm)
+from bittide_sim.afm import (AfmScenario, HistoryGapError, InadmissibleControlError,
+                             PhaseHistory, frame_offsets, simulate_afm)
 from bittide_sim.graph import OrientedGraph, complete, mesh, path
 from bittide_sim.ode import Gains, ParameterError
 from bittide_sim.scenario import load_scenario_dict, read_document
-from helpers import (TargetInPastError, make_scenario, next_crossing, occupancy, phase_at,
-                     random_connected_graph, slope_at)
+from helpers import (DiscreteControllerState, TargetInPastError, make_scenario, next_crossing,
+                     occupancy, phase_at, pi_controller_step, random_connected_graph, slope_at)
 
 GAINS = Gains(k_p=3e-5, k_i=2e-9, omega_c=1.0)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -245,10 +244,11 @@ class TestSimulateAfm:
                             GAINS, t_end=10.0)
         trace = simulate_afm(scn)
         hists = trace.histories
+        offsets = frame_offsets(scn)
         assert trace.occupancy.shape == (2, 65792)
         assert trace.occupancy[0].tolist() == list(scn.initial_occupancy)
         assert trace.occupancy[-1].tolist() == [
-            occupancy(hists[src], hists[dst], scn.latency[q], trace.frame_offsets[q], 10.0)
+            occupancy(hists[src], hists[dst], scn.latency[q], offsets[q], 10.0)
             for q, (src, dst) in enumerate(scn.graph.directed_links())]
 
     def test_zero_latency_antisymmetry_and_conservation(self):
@@ -280,7 +280,8 @@ class TestSimulateAfm:
         for h in trace.histories:
             assert all(s > scn.omega_min for s in h.slopes)
             assert all(p2 > p1 for p1, p2 in zip(h.phases, h.phases[1:]))
-        assert np.all(np.diff(trace.phase, axis=0) > 0)
+        phase = np.array([[phase_at(h, t) for h in trace.histories] for t in trace.times])
+        assert np.all(np.diff(phase, axis=0) > 0)
 
     def test_buffer_bound_events_recorded(self):
         # weak gains cannot stop a 10% frequency gap: the buffer must hit a bound
@@ -358,6 +359,7 @@ def bound_log_oracle(trace, scn):
     order at each place.
     """
     links = scn.graph.directed_links()
+    offsets = frame_offsets(scn)
     flagged = set()
     out = []
 
@@ -365,7 +367,7 @@ def bound_log_oracle(trace, scn):
         for q in qs:
             src, dst = links[q]
             b = occupancy(trace.histories[src], trace.histories[dst], scn.latency[q],
-                          trace.frame_offsets[q], t)
+                          offsets[q], t)
             kind = "overflow" if b > scn.buffer_capacity else "underflow" if b < 0 else None
             if kind and (q, kind) not in flagged:
                 flagged.add((q, kind))
@@ -396,13 +398,14 @@ def loop_log_oracle(trace, scn):
     node, then measurement before hold.
     """
     links = scn.graph.directed_links()
+    offsets = frame_offsets(scn)
     hists = trace.histories
     out = []
     for i, h in enumerate(hists):
         state = DiscreteControllerState(node=i)
         k = 0
         while (t := next_crossing(h, scn.initial_phase[i] + k * scn.meas_period)) <= scn.t_end:
-            r = sum(occupancy(hists[src], h, scn.latency[q], trace.frame_offsets[q], t)
+            r = sum(occupancy(hists[src], h, scn.latency[q], offsets[q], t)
                     - scn.initial_occupancy[q] for q, (src, dst) in enumerate(links) if dst == i)
             c = pi_controller_step(state, float(r), scn)
             out.append((t, i, 0, k, float(r)))
@@ -419,11 +422,11 @@ def assert_matches_scalar_oracles(trace, scn):
     """Rows, the measure/hold log and the bound-hit placement, each from scalar lookups."""
     hists = trace.histories
     links = scn.graph.directed_links()
+    offsets = frame_offsets(scn)
     for row, t in enumerate(trace.times.tolist()):
         assert trace.freq[row].tolist() == [slope_at(h, t) for h in hists]
-        assert trace.phase[row].tolist() == [phase_at(h, t) for h in hists]
         assert trace.occupancy[row].tolist() == [
-            occupancy(hists[src], hists[dst], scn.latency[q], trace.frame_offsets[q], t)
+            occupancy(hists[src], hists[dst], scn.latency[q], offsets[q], t)
             for q, (src, dst) in enumerate(links)]
     logged = [(ev.time, ev.node, ev.kind, ev.k, ev.value) for ev in trace.events]
     assert [ev for ev in logged if ev[2] in ("measure", "hold")] == loop_log_oracle(trace, scn)
@@ -532,8 +535,8 @@ class TestRowLayout:
         finally:
             tracemalloc.stop()
         rows, links = trace.occupancy.shape
-        assert all(a.T.flags.c_contiguous for a in (trace.freq, trace.phase, trace.occupancy))
-        # beyond what the trace keeps (freq, phase, occupancy, histories, events),
+        assert all(a.T.flags.c_contiguous for a in (trace.freq, trace.occupancy))
+        # beyond what the trace keeps (freq, occupancy, histories, events),
         # the run may hold the floored phases, the two bound masks of the rows,
         # and a few per-row arrays, the sample list among them (about 13 rows of
         # floats in all); occupancy built in one indexed expression holds about 250

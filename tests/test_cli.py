@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bittide_sim import cli
+from bittide_sim import cli, scenario
 from bittide_sim.cli import main
 from bittide_sim.graph import spectral_data
 from bittide_sim.ode import spectral_abscissa
@@ -133,6 +133,16 @@ class TestSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "overflow" in err or "underflow" in err
+
+    def test_inadmissible_control_exit_code(self, tmp_path, capsys):
+        # k_p = 1 turns node 0's first nonzero reading, r = -1, into c = -1
+        rc = main(["simulate", "--model", "afm", "--scenario",
+                   str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
+                   "--set", "controller.k_p=1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: inadmissible control: t=1999.9000049997499, measurement 2: node 0: "
+            "corrected rate 5.0000000000105516e-05 outside (0.5, 2.0) after correction -1.0\n")
 
     def test_missing_file_io_error(self, tmp_path):
         rc = main(["simulate", "--model", "afm", "--scenario",
@@ -323,6 +333,53 @@ class TestDisconnectedGraph:
             argv += ["--set", item]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: graph: ")
+
+
+class GraphBuilt(Exception):
+    """Raised by a stub generator: the graph got past the size check."""
+
+
+class TestGraphSizeCap:
+    """A graph whose n x m incidence matrix passes the run-size cap is refused unbuilt."""
+
+    @pytest.fixture(autouse=True)
+    def stub_generators(self, monkeypatch):
+        # the refused sizes would exhaust memory if a generator ran
+        def built(*args):
+            raise GraphBuilt(args)
+
+        for name in ("complete", "path", "mesh", "OrientedGraph"):
+            monkeypatch.setattr(scenario, name, built)
+
+    def run(self, tmp_path, *sets):
+        argv = ["simulate", "--model", "afm", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                "--out", str(tmp_path)]
+        for item in sets:
+            argv += ["--set", item]
+        return main(argv)
+
+    @pytest.mark.parametrize("sets, field", [
+        (["graph.n=1000"], "graph.n"),  # 499,500 edges
+        (["graph.n=272"], "graph.n"),   # n*m = 10,024,832
+        (['graph={"generator": "path", "n": 3163}'], "graph.n"),  # n*m = 10,001,406
+        (['graph={"generator": "mesh", "rows": 100, "cols": 100}'], "graph.rows"),
+        (['graph={"generator": "mesh", "rows": 1, "cols": 3163}'], "graph.rows"),
+        (['graph={"n": 5000001, "edges": [[0, 1], [1, 2]]}'], "graph.n"),
+    ])
+    def test_refused_with_field_named(self, tmp_path, capsys, sets, field):
+        assert self.run(tmp_path, *sets) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "run-size cap" in err
+
+    @pytest.mark.parametrize("sets", [
+        ["graph.n=271"],  # n*m = 9,914,535
+        ['graph={"generator": "path", "n": 3162}'],  # n*m = 9,995,082
+        ['graph={"generator": "mesh", "rows": 12, "cols": 12}'],  # n*m = 38,016
+        ['graph={"n": 5000000, "edges": [[0, 1], [1, 2]]}'],  # n*m = 10,000,000
+    ])
+    def test_at_most_the_cap_is_built(self, tmp_path, sets):
+        with pytest.raises(GraphBuilt):
+            self.run(tmp_path, *sets)
 
 
 class TestSweep:

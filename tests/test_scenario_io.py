@@ -309,7 +309,7 @@ class TestTraceWriterOracle:
         assert not trace.occupancy.flags.c_contiguous
         copied = dataclasses.replace(trace, **{
             name: np.ascontiguousarray(getattr(trace, name))
-            for name in ("freq", "phase", "occupancy")})
+            for name in ("freq", "occupancy")})
         texts = []
         for k, t in enumerate((trace, copied)):
             dest = tmp_path / f"trace_{k}.csv"
@@ -337,7 +337,7 @@ class TestTraceWriterOracle:
         for k, hand_built in enumerate((
                 dataclasses.replace(trace, events=events),
                 dataclasses.replace(trace, events=events, times=t[:0], freq=trace.freq[:0],
-                                    occupancy=trace.occupancy[:0], phase=trace.phase[:0]))):
+                                    occupancy=trace.occupancy[:0]))):
             dest = tmp_path / f"trace_{k}.csv"
             write_trace(hand_built, dest)
             assert events_path_for(dest).read_text() == want
