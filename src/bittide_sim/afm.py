@@ -9,8 +9,8 @@ resulting correction takes effect actuation_delay local ticks later.
 Measurement and actuation instants are defined by phase crossings, which on
 linear segments invert in closed form; no numeric root-finding is involved,
 so two runs of the same scenario produce identical event logs. The event
-loop only schedules and handles measurements and holds; trace rows are
-evaluated in bulk from the recorded phase histories after the loop ends.
+loop only schedules and handles measurements and holds; the row times and
+rows are formed in bulk from the events and phase histories after it ends.
 These are the package's only phase lookups; their scalar oracles (phase_at,
 slope_at, next_crossing, occupancy), and that of the PI update
 (pi_controller_step), live in tests/helpers.py.
@@ -116,9 +116,10 @@ class AfmScenario:
                 if w <= self.omega_min:
                     raise ParameterError(
                         name, f"{name}[{i}]={w} must exceed omega_min={self.omega_min}")
-        if self.buffer_capacity <= 0 or self.buffer_capacity % 2 != 0:
-            raise ParameterError("buffer_capacity", f"buffer_capacity must be a positive "
-                                 f"even integer, got {self.buffer_capacity}")
+        # occupancy rows are float64 sums stored as int64, exact only up to 2**53 frames
+        if not 0 < self.buffer_capacity <= 2**53 or self.buffer_capacity % 2 != 0:
+            raise ParameterError("buffer_capacity", f"buffer_capacity must be a positive even "
+                                 f"integer at most 2**53, got {self.buffer_capacity}")
         for q, b0 in enumerate(self.initial_occupancy):
             if not (0 <= b0 <= self.buffer_capacity):
                 raise ParameterError("initial_occupancy", f"initial_occupancy[{q}]={b0} "
@@ -211,18 +212,17 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
 
     Events (measurements and correction holds) are processed in global time
     order; ties break by node index, measurements before holds. The event
-    loop records each node's full phase history and the sample instants: the
-    uniform output grid plus each event instant. Trace rows are evaluated from
-    the recorded histories after the loop by _phase_rows, with the same
+    loop records each node's full phase history and the events. After it, the
+    row times (the output grid k*output_dt <= t_end, every event time and t_end)
+    are formed, and rows evaluated from the histories by _phase_rows with the same
     floating-point operations as the scalar oracles phase_at/slope_at and
-    occupancy in tests/helpers.py, so they equal those lookups bit for bit;
-    the trace keeps the histories.
+    occupancy in tests/helpers.py, so they equal those lookups bit for bit.
 
     Buffer bound violations are logged and the run continues. The first
     overflow and the first underflow of each link are logged once each, at the
     earlier of two places: just before the measurement that saw it, or, for a
-    hit in a sample row at time T, after every event at or before T. Hits at
-    the same place are in ascending link order.
+    hit in a row at time T, after every event at or before T. Hits at the
+    same place are in ascending link order.
     """
     g = scenario.graph
     n = g.n
@@ -263,17 +263,12 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     # strictly after its node's scheduled hold is left for the hold to reschedule.
     heap = [(0.0, i, _MEASURE) for i in range(n)]  # phase theta0 at t = 0; sorted
     hold_at = [math.inf] * n  # crossing time of each node's scheduled hold
-    samples: list[tuple] = []  # (time, len(events) when the sample was taken)
     events: list[AfmEvent] = []
     # first overflow / underflow seen by a measurement: link -> index in events
     meas_hit: tuple[dict, dict] = ({}, {})
-    grid_idx = 0
 
     while heap:
         t_evt, i, kind = heapq.heappop(heap)
-        while grid_idx * dt < t_evt:
-            samples.append((grid_idx * dt, len(events)))
-            grid_idx += 1
         ts, ps, ss = h_times[i], h_phases[i], h_slopes[i]
         if kind == _MEASURE:
             k = next_k[i]
@@ -318,18 +313,16 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         if t_meas <= hold_at[i] and t_meas <= t_end:
             heapq.heappush(heap, (t_meas, i, _MEASURE))
 
-        if not heap or heap[0][0] > t_evt:
-            if grid_idx * dt == t_evt:
-                grid_idx += 1
-            samples.append((t_evt, len(events)))
-
-    while grid_idx * dt <= t_end:
-        samples.append((grid_idx * dt, len(events)))
-        grid_idx += 1
-    if samples[-1][0] != t_end:
-        samples.append((t_end, len(events)))
-
-    times = np.array([t for t, _ in samples])
+    # the grid k*dt <= t_end (t_end/dt is at most one off its last k), then the event
+    # times and t_end off it, each once, in order; np.unique would load numpy.ma (0.8 MB)
+    times = np.arange(math.floor(t_end / dt) + 2, dtype=np.float64)
+    times *= dt
+    times = times[:np.searchsorted(times, t_end, side="right")]
+    event_times = np.fromiter((ev.time for ev in events), np.float64, len(events))
+    extra = np.append(event_times, t_end)  # sorted
+    at, past = np.searchsorted(times, extra), np.searchsorted(times, extra, side="right")
+    new = (at == past) & (extra != np.append(extra[1:], math.inf))  # off grid, last copy
+    times = np.insert(times, at[new], extra[new])
     segments = [(np.array(h.times), np.array(h.phases), np.array(h.slopes)) for h in hists]
     # node-major and link-major: each node and each link fills one contiguous row
     freq = np.empty((n, times.shape[0]))
@@ -352,8 +345,7 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         times=times,
         freq=freq,
         occupancy=occ,
-        events=_merge_sample_hits(events, meas_hit, occ, cap, times,
-                                  [at for _, at in samples], links),
+        events=_merge_row_hits(events, event_times, meas_hit, occ, cap, times, links),
         scenario=scenario,
         histories=tuple(hists),
     )
@@ -374,13 +366,13 @@ def _phase_rows(segments: tuple, t: np.ndarray) -> tuple:
     return s, bp[k] + s * (t - bt[k])
 
 
-def _merge_sample_hits(events: list, meas_hit: tuple, occ: np.ndarray, cap: int,
-                       times: np.ndarray, sample_at: list, links: list) -> tuple:
-    """Insert the bound hits found in sample rows into the event log.
+def _merge_row_hits(events: list, event_times: np.ndarray, meas_hit: tuple,
+                    occ: np.ndarray, cap: int, times: np.ndarray, links: list) -> tuple:
+    """Insert the bound hits found in trace rows into the event log.
 
     A link's first hit of each kind is kept at whichever comes first: the
-    measurement that saw it (already in events) or the first sample row that
-    shows it, placed where that row was taken. The later of the two is dropped.
+    measurement that saw it (already in events) or the first row that shows it,
+    after every event at its time or before. The later of the two is dropped.
     """
     dropped = set()
     found = []  # (position in events, row, link, event)
@@ -388,12 +380,12 @@ def _merge_sample_hits(events: list, meas_hit: tuple, occ: np.ndarray, cap: int,
         first_rows = mask.argmax(axis=0)
         for q in np.flatnonzero(mask.any(axis=0)).tolist():
             row = int(first_rows[q])
-            at = meas_hit[kind].get(q)
-            if at is not None and at < sample_at[row]:
+            row_at = int(np.searchsorted(event_times, times[row], side="right"))
+            at = meas_hit[kind].get(q, len(events))  # no measurement hit: after every event
+            if at < row_at:
                 continue
-            if at is not None:
-                dropped.add(at)
-            found.append((sample_at[row], row, q, AfmEvent(
+            dropped.add(at)
+            found.append((row_at, row, q, AfmEvent(
                 float(times[row]), links[q][1], _BOUND_KINDS[kind], q, float(occ[row, q]))))
     if not found:
         return tuple(events)

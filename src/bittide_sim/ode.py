@@ -210,13 +210,18 @@ class OdeTrace:
 def spectral_abscissa(sd: SpectralData, gains: Gains) -> float:
     """Largest real part of the roots of s^2 + a lambda_k s + b lambda_k, k >= 1.
 
-    The slower real root is -2 b lambda_k / (a lambda_k + sqrt(disc)): no cancellation."""
+    The slower real root is -2 b lambda_k / (a lambda_k + sqrt(disc)): no cancellation.
+    Where (a lambda_k)^2 overflows it is -2 r / (1 + sqrt(1 - 4 r / (a lambda_k))), r = b/a."""
     lam = sd.eigenvalues[1:]
-    damping = gains.k_p * lam
     stiffness = gains.effective_integral_gain * lam
-    disc = damping * damping - 4.0 * stiffness
+    with np.errstate(over="ignore"):
+        damping = gains.k_p * lam
+        disc = damping * damping - 4.0 * stiffness
     real = np.where(disc < 0.0, -damping / 2.0,
                     -2.0 * stiffness / (damping + np.sqrt(np.maximum(disc, 0.0))))
+    big = np.isposinf(disc)
+    r = gains.effective_integral_gain / gains.k_p
+    real[big] = -2.0 * r / (1.0 + np.sqrt(1.0 - 4.0 * r / damping[big]))
     return float(real.max())
 
 

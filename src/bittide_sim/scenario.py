@@ -180,7 +180,7 @@ def _build_graph(spec: dict) -> OrientedGraph:
         raise MissingFieldError(f"graph.{exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError("graph", str(exc)) from exc
-    if not graph.is_connected():
+    if graph.m < graph.n - 1 or not graph.is_connected():  # no union-find on too few edges
         raise ValidationError("graph", f"not connected: {graph.m} edges do not join "
                                        f"all {graph.n} nodes")
     return graph

@@ -193,6 +193,14 @@ class TestScenarioValidation:
         # 2 nodes * 1e5 s / 0.02 ticks = 1e7 measurements: at the cap, not above it
         make_scenario(path(2), (1.0, 1.0), GAINS, t_end=1e5, p=0.02)
 
+    def test_buffer_capacity_at_most_2_53(self):
+        # occupancy rows are exact only up to 2**53 frames
+        for beta_max in (2**60, int(1e20)):
+            with pytest.raises(ParameterError, match="2\\*\\*53") as info:
+                make_scenario(path(2), (1.0, 1.0), GAINS, beta_max=beta_max)
+            assert info.value.field == "buffer_capacity"
+        make_scenario(path(2), (1.0, 1.0), GAINS, beta_max=2**53)
+
     def test_slow_startup_rejected(self):
         with pytest.raises(ValueError, match="startup_freq"):
             make_scenario(path(2), (1.0, 1.0), GAINS, omega_min=1.5, omega_max=2.0)
@@ -490,6 +498,47 @@ class TestRowOracle:
         assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
 
 
+def row_oracle(trace, scn) -> list:
+    """Row times by the rule: the grid k*output_dt <= t_end, every event time and t_end."""
+    grid, k = [], 0
+    while k * scn.output_dt <= scn.t_end:
+        grid.append(k * scn.output_dt)
+        k += 1
+    return sorted(set(grid) | {ev.time for ev in trace.events} | {scn.t_end})
+
+
+class TestRowRule:
+    """Each row time once: the output grid up to t_end, every event time, and t_end."""
+
+    @pytest.mark.parametrize("t_end, output_dt", [
+        (0.3, 0.1),        # 3 * 0.1 > 0.3: the grid stops at 0.2 and t_end is its own row
+        (1470.0, 7.0),     # t_end = 210 * output_dt exactly
+        (900.0, 1000.0),   # output_dt > t_end: the grid is t = 0 alone
+    ])
+    def test_grid_ends(self, t_end, output_dt):
+        scn = make_scenario(complete(3), (1.02, 1.0, 0.98), Gains(k_p=1e-6, k_i=1e-9),
+                            latency=(t_end / 100, t_end / 30, 0.0, t_end / 70, t_end / 50, 0.0),
+                            p=t_end / 100, d=t_end / 40, theta0=(0.3, 1.7, 2.2), beta_max=8,
+                            t_end=t_end, output_dt=output_dt)
+        trace = simulate_afm(scn)
+        assert_matches_scalar_oracles(trace, scn)
+        assert trace.times.tolist() == row_oracle(trace, scn)
+        assert trace.times[-1] == t_end
+
+    def test_events_on_grid_instants(self):
+        # dyadic phases, rates, periods and latency: until corrections move them,
+        # nodes 0 and 1 measure and hold on multiples of p = d = output_dt exactly
+        scn = make_scenario(path(3), (1.0, 1.0, 1.0 + 2**-6), Gains(k_p=1e-6, k_i=1e-9),
+                            latency=12.5, p=8.0, d=8.0, theta0=(0.25, 1.5, 2.75), beta_max=8,
+                            t_end=1500.0, output_dt=8.0)
+        trace = simulate_afm(scn)
+        assert_matches_scalar_oracles(trace, scn)
+        assert trace.times.tolist() == row_oracle(trace, scn)
+        on_grid = {ev.time for ev in trace.events if ev.time > 0 and ev.time % 8.0 == 0}
+        assert len(on_grid) > 10
+        assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
+
+
 def on_rows(trace) -> bool:
     """Whether every event time equals some row time bit for bit."""
     times = np.array([ev.time for ev in trace.events])
@@ -542,3 +591,21 @@ class TestRowLayout:
         # floats in all); occupancy built in one indexed expression holds about 250
         per_row = 8 * rows
         assert peak - kept <= per_row * g.n + 2 * rows * links + 32 * per_row
+
+    def test_row_heavy_run_memory(self):
+        # 400,001 grid rows and 4 events, two of them (the holds) off the grid
+        scn = make_scenario(path(2), (1.0001, 0.9999), GAINS, p=1e6, d=0.25,
+                            t_end=2e5, output_dt=0.5)
+        tracemalloc.start()
+        try:
+            trace = simulate_afm(scn)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = trace.times.shape[0]
+        assert (rows, len(trace.events)) == (400_003, 4)
+        assert trace.times.tolist() == row_oracle(trace, scn)
+        # beyond what the trace keeps: the floored node phases and a few per-row
+        # arrays of the lookups (72 bytes a row measured; a row list kept by the
+        # event loop took 160)
+        assert peak - kept <= 80 * rows

@@ -18,7 +18,10 @@ from bittide_sim.analysis import (InsufficientHorizonWarning,
 from bittide_sim.graph import complete, laplacian, mesh, path, spectral_data
 from bittide_sim.ode import (Gains, build_full_system, build_reduced_system, simulate_ode,
                              spectral_abscissa)
+from bittide_sim.scenario import load_scenario
 from helpers import dense_abscissa, random_connected_graph
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestHurwitzCheck:
@@ -71,6 +74,34 @@ class TestHurwitzCheck:
 
 class TestSpectralAbscissa:
     """The closed-form abscissa against the dense eigensolver, and its reproducibility."""
+
+    @pytest.mark.parametrize("k_p", [1e150, 1e160, 1e300])
+    def test_huge_proportional_gain_is_hurwitz(self, k_p):
+        # (k_p lambda)^2 overflows from about k_p = 1e154 on K_3 (lambda = 3); the
+        # slow root of s^2 + 3 k_p s + 3 b is about -b/k_p, subnormal at 1e300
+        sd = spectral_data(complete(3))
+        gains = Gains(k_p=k_p, k_i=2e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            abscissa = spectral_abscissa(sd, gains)
+            result = hurwitz_check(sd, gains)
+        assert abscissa < 0 and result.is_hurwitz
+        assert abscissa == pytest.approx(-2e-9 / k_p, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["triangle_pi", "mesh_close_pair", "mesh_far_pair"])
+    def test_finite_square_keeps_its_bits(self, name):
+        # where (k_p lambda)^2 is finite the abscissa is the squared form, bit for bit:
+        # the analyze --simulate horizon and its RK4 row count depend on it
+        graph, _, gains = load_scenario(SCENARIOS / f"{name}.json")
+        sd = spectral_data(graph)
+        lam = sd.eigenvalues[1:]
+        for k_p in (gains.k_p, 1e-12, 1.0, 1e100, 1e150):
+            g = Gains(k_p=k_p, k_i=gains.k_i, omega_c=gains.omega_c)
+            damping, stiffness = k_p * lam, g.effective_integral_gain * lam
+            disc = damping * damping - 4.0 * stiffness
+            real = np.where(disc < 0.0, -damping / 2.0,
+                            -2.0 * stiffness / (damping + np.sqrt(np.maximum(disc, 0.0))))
+            assert spectral_abscissa(sd, g) == float(real.max())
 
     def test_single_edge_complex_pair(self):
         # poles of s^2 + 2s + 2: -1 +/- i

@@ -12,7 +12,7 @@ import pytest
 
 from bittide_sim import cli, scenario
 from bittide_sim.cli import main
-from bittide_sim.graph import spectral_data
+from bittide_sim.graph import OrientedGraph, spectral_data
 from bittide_sim.ode import spectral_abscissa
 from bittide_sim.scenario import load_scenario, read_trace
 
@@ -144,6 +144,26 @@ class TestSimulate:
             "error: inadmissible control: t=1999.9000049997499, measurement 2: node 0: "
             "corrected rate 5.0000000000105516e-05 outside (0.5, 2.0) after correction -1.0\n")
 
+    @pytest.mark.parametrize("beta_max", ["1152921504606846976", "1e20"])  # 2**60, 1e20
+    def test_buffer_capacity_above_2_53_refused(self, tmp_path, capsys, beta_max):
+        # occupancy rows are exact only up to 2**53 frames
+        rc = main(["simulate", "--model", "afm", "--scenario",
+                   str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
+                   "--set", f"afm.beta_max={beta_max}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: afm.beta_max: ")
+
+    def test_buffer_capacity_2_53_keeps_every_frame(self, tmp_path):
+        devs = []
+        for beta_max in (2**53, 10**6):
+            out = tmp_path / str(beta_max)
+            assert main(["simulate", "--model", "afm", "--scenario",
+                         str(SCENARIOS / "triangle_pi.json"), "--out", str(out),
+                         "--set", f"afm.beta_max={beta_max}"]) == 0
+            devs.append(read_trace(out / "trace_afm.csv").values[:, 3:] - beta_max // 2)
+        assert np.array_equal(devs[0], devs[1])
+        assert np.abs(devs[0]).max() >= 1
+
     def test_missing_file_io_error(self, tmp_path):
         rc = main(["simulate", "--model", "afm", "--scenario",
                    str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")])
@@ -213,6 +233,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: controller: ")
         assert "--simulate horizon" in err and "run-size cap" in err
+
+    def test_overflowing_gain_horizon_names_controller(self, tmp_path, capsys):
+        # (k_p lambda)^2 overflows; the abscissa stays negative, so the horizon is
+        # refused by the run-size cap rather than divided by a zero abscissa
+        rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                   "--out", str(tmp_path), "--performance", "--simulate",
+                   "--set", "controller.k_p=1e300"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: controller: ") and "run-size cap" in err
 
     def test_lyapunov_residuals(self, tmp_path):
         rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
@@ -333,6 +363,18 @@ class TestDisconnectedGraph:
             argv += ["--set", item]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: graph: ")
+
+    def test_too_few_edges_refused_before_union_find(self, tmp_path, capsys, monkeypatch):
+        # 2 edges cannot join 2,000,000 nodes: no union-find over the nodes runs
+        def never(self):
+            raise AssertionError("is_connected called")
+
+        monkeypatch.setattr(OrientedGraph, "is_connected", never)
+        argv = ["simulate", "--model", "afm", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                "--out", str(tmp_path), "--set", 'graph={"n": 2000000, "edges": [[0, 1], [1, 2]]}']
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: graph: not connected: 2 edges do not join all 2000000 nodes\n")
 
 
 class GraphBuilt(Exception):
