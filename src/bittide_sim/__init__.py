@@ -11,10 +11,10 @@ from .afm import (AfmScenario, AfmTrace, InadmissibleControlError, PhaseHistory,
                   simulate_afm)
 from .analysis import (LyapunovCertificate, PerformanceReport, build_lyapunov_certificate,
                        empirical_norms, hurwitz_check, predicted_performance,
-                       two_node_perturbation, worst_case_frequency)
+                       worst_case_frequency)
 from .graph import (NotConnectedError, OrientedGraph, SpectralData, complete,
-                    fiedler_vector, incidence_matrix, laplacian, mesh, path,
-                    resistance_distance, resistance_matrix, spectral_data)
+                    fiedler_vector, incidence_matrix, mesh, path, resistance_matrix,
+                    spectral_data)
 from .ode import (Gains, OdeSystem, OdeTrace, ReducedSystem, build_full_system,
                   build_reduced_system, simulate_ode)
 from .scenario import (ComparisonReport, ValidationError, compare_traces, emit_report,
@@ -26,11 +26,10 @@ __all__ = [
     "AfmScenario", "AfmTrace", "InadmissibleControlError", "PhaseHistory",
     "simulate_afm",
     "LyapunovCertificate", "PerformanceReport", "build_lyapunov_certificate",
-    "empirical_norms", "hurwitz_check", "predicted_performance",
-    "two_node_perturbation", "worst_case_frequency",
+    "empirical_norms", "hurwitz_check", "predicted_performance", "worst_case_frequency",
     "NotConnectedError", "OrientedGraph", "SpectralData", "complete",
-    "fiedler_vector", "incidence_matrix", "laplacian", "mesh", "path",
-    "resistance_distance", "resistance_matrix", "spectral_data",
+    "fiedler_vector", "incidence_matrix", "mesh", "path", "resistance_matrix",
+    "spectral_data",
     "Gains", "OdeSystem", "OdeTrace", "ReducedSystem", "build_full_system",
     "build_reduced_system", "simulate_ode",
     "ComparisonReport", "ValidationError", "compare_traces", "emit_report",

@@ -13,7 +13,8 @@ loop only schedules and handles measurements and holds; the row times and
 rows are formed in bulk from the events and phase histories after it ends.
 These are the package's only phase lookups; their scalar oracles (phase_at,
 slope_at, next_crossing, occupancy), and that of the PI update
-(pi_controller_step), live in tests/helpers.py.
+(pi_controller_step), live in tests/helpers.py, where a lookup before a
+history's first breakpoint raises HistoryGapError.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from .ode import RUN_SIZE_CAP, Gains, ParameterError
 
 class InadmissibleControlError(RuntimeError):
     """A correction pushed an oscillator outside its physical frequency range."""
-
-
-class HistoryGapError(LookupError):
-    """Phase queried at a time older than the recorded history."""
 
 
 class PhaseHistory:
@@ -116,7 +113,7 @@ class AfmScenario:
                 if w <= self.omega_min:
                     raise ParameterError(
                         name, f"{name}[{i}]={w} must exceed omega_min={self.omega_min}")
-        # occupancy rows are float64 sums stored as int64, exact only up to 2**53 frames
+        # traces write occupancies as float64, exact only up to 2**53 frames
         if not 0 < self.buffer_capacity <= 2**53 or self.buffer_capacity % 2 != 0:
             raise ParameterError("buffer_capacity", f"buffer_capacity must be a positive even "
                                  f"integer at most 2**53, got {self.buffer_capacity}")
@@ -326,17 +323,19 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     segments = [(np.array(h.times), np.array(h.phases), np.array(h.slopes)) for h in hists]
     # node-major and link-major: each node and each link fills one contiguous row
     freq = np.empty((n, times.shape[0]))
-    floor_phase = np.empty_like(freq)
+    # floored phases in int64, so occupancies up to the 2**53 cap are exact
+    floor_phase = np.empty(freq.shape, dtype=np.int64)
     for i in range(n):
-        freq[i], floor_phase[i] = _phase_rows(segments[i], times)
-    np.floor(floor_phase, out=floor_phase)
+        freq[i], phase = _phase_rows(segments[i], times)
+        floor_phase[i] = np.floor(phase, out=phase)
+    del phase  # one row fewer held while the link rows are formed
     # links that share a source and a latency read one row of floored phases
     by_source = {}
     for q, (src, _) in enumerate(links):
         by_source.setdefault((src, scenario.latency[q]), []).append(q)
     occ = np.empty((len(links), times.shape[0]), dtype=np.int64)
     for (src, lat), qs in by_source.items():
-        src_floor = np.floor(_phase_rows(segments[src], times - lat)[1])
+        src_floor = np.floor(_phase_rows(segments[src], times - lat)[1]).astype(np.int64)
         for q in qs:
             occ[q] = src_floor - floor_phase[links[q][1]] + offsets[q]
     freq, occ = freq.T, occ.T
@@ -356,12 +355,11 @@ def _phase_rows(segments: tuple, t: np.ndarray) -> tuple:
 
     The segment search matches bisect_right and the arithmetic matches the
     scalar oracle phase_at in tests/helpers.py term for term, so every value
-    equals that lookup bit for bit.
+    equals that lookup bit for bit. No t precedes the first breakpoint: row
+    times are >= 0, and AfmScenario keeps the epoch at or before -(max latency).
     """
     bt, bp, bs = segments
     k = np.searchsorted(bt, t, side="right") - 1
-    if t.shape[0] and k.min() < 0:
-        raise HistoryGapError(f"time {t.min()} precedes recorded history (starts at {bt[0]})")
     s = bs[k]
     return s, bp[k] + s * (t - bt[k])
 

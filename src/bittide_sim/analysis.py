@@ -7,12 +7,14 @@ frequency deviation and relative occupancy have exact values
     |delta|^2            = q / (2 a b)      d = omega_u - mean(omega_u)
 
 with a the proportional gain and b the scaled integral gain. The quadratic
-form q reduces to the resistance distance R_ij when exactly two nodes are
-perturbed symmetrically, and is maximized over a norm ball by the Fiedler
-vector. Stability is certified two independent ways: the spectral abscissa,
-in closed form from the roots of each mode's s^2 + a lambda_k s + b lambda_k,
-and explicit positive-definite Lyapunov solutions whose residuals are checked
-numerically on the dense reduced matrix. Each result that becomes a report
+form q reduces to alpha^2 R_ij, R_ij the resistance distance, when exactly
+two nodes are perturbed by +/- alpha; that form (two_node_perturbation in
+tests/helpers.py) is the oracle for predicted_performance. q is maximized
+over a norm ball by the Fiedler vector. Stability is certified two
+independent ways: the spectral abscissa, in closed form from the roots of
+each mode's s^2 + a lambda_k s + b lambda_k, and explicit positive-definite
+Lyapunov solutions whose residuals are checked numerically on the dense
+reduced matrix. Each result that becomes a report
 names its report type in ``kind``.
 """
 
@@ -24,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .graph import SpectralData, fiedler_vector, resistance_distance
+from .graph import SpectralData, fiedler_vector
 from .ode import Gains, OdeTrace, ReducedSystem, spectral_abscissa
 
 
@@ -143,18 +145,6 @@ class PerformanceReport:
     integral_gain_scaled: float
 
 
-def _performance(q: float, gains: Gains) -> PerformanceReport:
-    a = gains.k_p
-    b = gains.effective_integral_gain
-    return PerformanceReport(
-        freq_dev_norm_sq=q / (2.0 * a),
-        occupancy_norm_sq=q / (2.0 * a * b),
-        quadratic_form=q,
-        k_p=a,
-        integral_gain_scaled=b,
-    )
-
-
 def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> PerformanceReport:
     """Exact L2 norms from the Laplacian pseudo-inverse quadratic form.
 
@@ -164,24 +154,16 @@ def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> Performanc
     """
     d = np.asarray(omega_u, dtype=float)
     d = d - d.mean()
-    return _performance(float(d @ sd.pseudo_inverse @ d), gains)
-
-
-def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int, alpha: float):
-    """Performance when only nodes i and j deviate by +/- alpha from the rate 1.0.
-
-    The quadratic form collapses to alpha^2 * R_ij, so both norms follow
-    directly from the resistance distance between the perturbed nodes.
-    """
-    if i == j:
-        raise ValueError("perturbed nodes must differ")
-    n = sd.graph.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node index out of range: ({i},{j}) for n={n}")
-    omega_u = np.full(n, 1.0)
-    omega_u[i] += alpha
-    omega_u[j] -= alpha
-    return omega_u, _performance(alpha * alpha * resistance_distance(sd, i, j), gains)
+    q = float(d @ sd.pseudo_inverse @ d)
+    a = gains.k_p
+    b = gains.effective_integral_gain
+    return PerformanceReport(
+        freq_dev_norm_sq=q / (2.0 * a),
+        occupancy_norm_sq=q / (2.0 * a * b),
+        quadratic_form=q,
+        k_p=a,
+        integral_gain_scaled=b,
+    )
 
 
 @dataclass(frozen=True)

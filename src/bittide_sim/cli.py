@@ -19,8 +19,8 @@ from .afm import InadmissibleControlError, simulate_afm
 from .analysis import (build_lyapunov_certificate, empirical_norms, hurwitz_check,
                        predicted_performance, worst_case_frequency)
 from .graph import resistance_matrix, spectral_data
-from .ode import (ParameterError, build_full_system, build_reduced_system, output_time_step,
-                  simulate_ode, spectral_abscissa)
+from .ode import (ParameterError, build_full_system, build_reduced_system, default_time_step,
+                  output_time_step, simulate_ode, spectral_abscissa)
 from .scenario import (ParseError, ScenarioError, ValidationError, apply_overrides,
                        check_keys, compare_traces, emit_report, field_error,
                        load_scenario_dict, read_document, write_trace)
@@ -130,8 +130,9 @@ def cmd_analyze(args) -> int:
             t_end = 30.0 / abs(abscissa)
             sys_full = build_full_system(sd, gains)
             omega_u = np.array(scenario.uncorrected_freq)
+            dt = default_time_step(sd, gains)  # refused under its own gain, not the horizon
             try:
-                trace = simulate_ode(sys_full, omega_u, t_end)
+                trace = simulate_ode(sys_full, omega_u, t_end, dt)
             except ParameterError as exc:
                 raise ValidationError("controller", (
                     f"the --simulate horizon 30/|spectral abscissa| = {t_end:.3g} s is "

@@ -1,10 +1,11 @@
 """Oriented-graph representation and the spectral quantities built on it.
 
 The network is an undirected connected graph; each edge carries an
-orientation used purely as a sign convention for the incidence matrix.
-From the Laplacian L = B B^T we derive its pseudo-inverse, resistance
-distances, the orthonormal basis of the subspace orthogonal to the all-ones
-vector (the disagreement subspace), and the Fiedler vector.
+orientation used purely as a sign convention for the incidence matrix B.
+spectral_data forms the Laplacian L = B B^T and derives from it its
+pseudo-inverse, the orthonormal basis of the subspace orthogonal to the
+all-ones vector (the disagreement subspace), and with them the resistance
+distances and the Fiedler vector.
 
 All values are immutable after construction and safe to share.
 """
@@ -129,12 +130,6 @@ def incidence_matrix(g: OrientedGraph) -> np.ndarray:
     return b
 
 
-def laplacian(g: OrientedGraph) -> np.ndarray:
-    """Graph Laplacian L = B B^T (degrees on the diagonal, -1 per edge)."""
-    b = incidence_matrix(g)
-    return b @ b.T
-
-
 def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first non-negligible entry is positive."""
     v = v.copy()
@@ -165,10 +160,6 @@ class SpectralData:
     incidence: np.ndarray = field(repr=False)
 
     @property
-    def algebraic_connectivity(self) -> float:
-        return float(self.eigenvalues[1])
-
-    @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
@@ -181,7 +172,7 @@ def spectral_data(g: OrientedGraph) -> SpectralData:
     structural, the threshold only guards numerics.
     """
     b = incidence_matrix(g)
-    lap = b @ b.T  # what laplacian(g) returns; integer entries, so exactly symmetric
+    lap = b @ b.T  # L: degrees on the diagonal, -1 per edge; integer, so exactly symmetric
     w, v = np.linalg.eigh(lap)
     lam_max = w[-1]
     if lam_max <= 0:
@@ -211,17 +202,8 @@ def spectral_data(g: OrientedGraph) -> SpectralData:
     )
 
 
-def resistance_distance(sd: SpectralData, i: int, j: int) -> float:
-    """Effective resistance between nodes i and j with unit resistors per edge."""
-    n = sd.graph.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node index out of range: ({i},{j}) for n={n}")
-    lp = sd.pseudo_inverse
-    return float(lp[i, i] + lp[j, j] - 2.0 * lp[i, j])
-
-
 def resistance_matrix(sd: SpectralData) -> np.ndarray:
-    """Full n x n matrix of pairwise resistance distances."""
+    """Full n x n matrix of pairwise effective resistances, unit resistor per edge."""
     d = np.diag(sd.pseudo_inverse)
     return d[:, None] + d[None, :] - 2.0 * sd.pseudo_inverse
 

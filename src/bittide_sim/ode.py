@@ -95,7 +95,8 @@ def build_full_system(sd: SpectralData, gains: Gains) -> OdeSystem:
     """The per-mode blocks of the full closed loop."""
     lam = sd.eigenvalues
     blocks = np.zeros((sd.graph.n, 2, 2))
-    blocks[:, 0, 0] = -gains.k_p * lam
+    with np.errstate(over="ignore"):  # k_p lambda may pass 1.8e308; default_time_step refuses it
+        blocks[:, 0, 0] = -gains.k_p * lam
     blocks[:, 0, 1] = gains.effective_integral_gain
     blocks[:, 1, 0] = -lam
     return OdeSystem(blocks=blocks, spectral=sd, gains=gains)
@@ -125,12 +126,9 @@ def rk4_step_operator(a: np.ndarray, dt: float):
         phi   = I + h a + h^2 a^2/2 + h^3 a^3/6 + h^4 a^4/24
         gamma = h I + h^2 a/2 + h^3 a^2/6 + h^4 a^3/24
 
-    A stack of square matrices, shape (..., d, d), gives a stack of maps.
-    Floating inputs keep their precision (np.longdouble stays long double);
-    others become float64.
+    A stack of square float64 matrices, shape (..., d, d), gives a stack of maps.
     """
-    a = np.asarray(a, dtype=np.result_type(a, float))
-    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    eye = np.eye(a.shape[-1])
     a2 = a @ a
     a3 = a2 @ a
     a4 = a3 @ a
@@ -213,8 +211,8 @@ def spectral_abscissa(sd: SpectralData, gains: Gains) -> float:
     The slower real root is -2 b lambda_k / (a lambda_k + sqrt(disc)): no cancellation.
     Where (a lambda_k)^2 overflows it is -2 r / (1 + sqrt(1 - 4 r / (a lambda_k))), r = b/a."""
     lam = sd.eigenvalues[1:]
-    stiffness = gains.effective_integral_gain * lam
     with np.errstate(over="ignore"):
+        stiffness = gains.effective_integral_gain * lam
         damping = gains.k_p * lam
         disc = damping * damping - 4.0 * stiffness
     real = np.where(disc < 0.0, -damping / 2.0,
@@ -234,7 +232,8 @@ def default_time_step(sd: SpectralData, gains: Gains) -> float:
     lam_max = sd.lambda_max
     a_gain = gains.k_p
     b_gain = gains.effective_integral_gain
-    return min(1.0 / (a_gain * lam_max), 1.0 / np.sqrt(b_gain * lam_max)) / 20.0
+    return _positive_step(
+        min(1.0 / (a_gain * lam_max), 1.0 / np.sqrt(b_gain * lam_max)) / 20.0, sd, gains)
 
 
 def output_time_step(sd: SpectralData, gains: Gains, output_dt: float) -> float:
@@ -242,7 +241,19 @@ def output_time_step(sd: SpectralData, gains: Gains, output_dt: float) -> float:
 
     Stepping with it puts an RK4 step on every instant of the output grid.
     """
-    return output_dt / np.ceil(output_dt / default_time_step(sd, gains))
+    return _positive_step(output_dt / np.ceil(output_dt / default_time_step(sd, gains)),
+                          sd, gains)
+
+
+def _positive_step(dt: float, sd: SpectralData, gains: Gains) -> float:
+    """dt if above zero; zero means a gain so large that a rate or a step count overflowed."""
+    if dt > 0:
+        return dt
+    b_gain = gains.effective_integral_gain
+    proportional = gains.k_p * sd.lambda_max >= np.sqrt(b_gain * sd.lambda_max)
+    raise ParameterError("k_p" if proportional else "k_i", (
+        f"k_p = {gains.k_p:.3g} and omega_c * k_i = {b_gain:.3g} leave the fluid model "
+        "no RK4 step above zero"))
 
 
 def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None) -> OdeTrace:

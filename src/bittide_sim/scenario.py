@@ -45,10 +45,6 @@ class MissingFieldError(ValidationError):
         super().__init__(field, "required field is missing")
 
 
-class GridMismatchError(ValueError):
-    """Trace comparison windows do not overlap."""
-
-
 # the keys each section of a document may hold; "" is the top level, and a
 # dotted name is a section inside a section. A section given in one of several
 # forms maps each form to its keys: the form is the value of its generator
@@ -519,26 +515,14 @@ class ComparisonReport:
 def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace) -> ComparisonReport:
     """Compare a frame-exact trace with a fluid-model trace of the same scenario.
 
-    The fluid trace is resampled onto the frame-exact output grid by linear
-    interpolation over the overlapping time window. Each link's beta0 is its
+    Both traces span [0, t_end]; the fluid trace is resampled onto every
+    frame-exact row time by linear interpolation. Each link's beta0 is its
     initial occupancy in the frame-exact trace's scenario.
     """
-    t0 = max(afm_trace.times[0], ode_trace.times[0])
-    t1 = min(afm_trace.times[-1], ode_trace.times[-1])
-    if t1 <= t0:
-        raise GridMismatchError(
-            f"trace windows do not overlap: [{afm_trace.times[0]}, {afm_trace.times[-1]}]"
-            f" vs [{ode_trace.times[0]}, {ode_trace.times[-1]}]"
-        )
-    mask = (afm_trace.times >= t0) & (afm_trace.times <= t1)
-    times = afm_trace.times[mask]
+    times = afm_trace.times
     n = afm_trace.freq.shape[1]
     m = ode_trace.delta.shape[1]
     n_links = afm_trace.occupancy.shape[1]
-    if n_links != 2 * m:
-        raise GridMismatchError(
-            f"traces disagree on topology: {n_links} directed links vs {m} edges"
-        )
     beta0 = np.asarray(afm_trace.scenario.initial_occupancy, dtype=float)
 
     omega_i = np.column_stack([
@@ -547,7 +531,7 @@ def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace) -> ComparisonReport
     delta_i = np.column_stack([
         np.interp(times, ode_trace.times, ode_trace.delta[:, l]) for l in range(m)
     ])
-    freq_dev = afm_trace.freq[mask] - omega_i
+    freq_dev = afm_trace.freq - omega_i
 
     # directed link 2l runs source->target (buffer at target: beta0 - delta),
     # link 2l+1 runs target->source (buffer at source: beta0 + delta)
@@ -555,7 +539,7 @@ def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace) -> ComparisonReport
     for l in range(m):
         predicted[:, 2 * l] = beta0[2 * l] - delta_i[:, l]
         predicted[:, 2 * l + 1] = beta0[2 * l + 1] + delta_i[:, l]
-    occ_dev = afm_trace.occupancy[mask].astype(float) - predicted
+    occ_dev = afm_trace.occupancy.astype(float) - predicted
 
     abs_freq = np.abs(freq_dev)
     abs_occ = np.abs(occ_dev)
@@ -586,8 +570,8 @@ def _report_tree(report) -> dict:
     return tree
 
 
-def render_reports(reports) -> tuple:
-    """Render reports to (text summary, structured tree).
+def emit_report(reports, text_path, json_path) -> dict:
+    """Write reports as a human-readable summary and a structured JSON tree; return the tree.
 
     The tree preserves input order and serializes with sorted keys, so the
     structured file is stable and diffable across runs.
@@ -599,13 +583,7 @@ def render_reports(reports) -> tuple:
         lines.append(f"[{kind}]")
         for key in sorted(k for k in tree if k != "type"):
             lines.append(f"  {key} = {tree[key]}")
-    text = "\n".join(lines) + ("\n" if lines else "")
-    return text, {"reports": trees}
-
-
-def emit_report(reports, text_path, json_path) -> dict:
-    """Emit reports as a human-readable summary and a structured JSON tree."""
-    text, tree = render_reports(list(reports))
-    Path(text_path).write_text(text)
+    Path(text_path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    tree = {"reports": trees}
     Path(json_path).write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n")
     return tree

@@ -2,8 +2,12 @@
 
 The scalar frame-model lookups (phase_at, slope_at, next_crossing, occupancy)
 are the oracles for the rows that ``simulate_afm`` evaluates in bulk: they
-read a PhaseHistory's breakpoint lists one instant at a time. pi_controller_step
-is the oracle for the PI update that the event loop makes at each measurement.
+read a PhaseHistory's breakpoint lists one instant at a time, and raise
+HistoryGapError before its first breakpoint. pi_controller_step is the oracle
+for the PI update that the event loop makes at each measurement.
+resistance_distance and two_node_perturbation are the pairwise oracles for
+``resistance_matrix`` and ``predicted_performance``; long_double_rk4_step is
+the extended-precision reference for ``rk4_step_operator``.
 """
 
 import math
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bittide_sim.afm import (AfmScenario, HistoryGapError, InadmissibleControlError,
-                             PhaseHistory)
+from bittide_sim.afm import AfmScenario, InadmissibleControlError, PhaseHistory
+from bittide_sim.analysis import PerformanceReport
 from bittide_sim.graph import OrientedGraph, SpectralData
 from bittide_sim.ode import Gains, ReducedSystem, default_time_step
 from bittide_sim.scenario import _trace_table
@@ -80,6 +84,42 @@ def bfs_distance(g: OrientedGraph, src: int, dst: int) -> int:
                     return dist[v]
                 queue.append(v)
     return -1
+
+
+def resistance_distance(sd: SpectralData, i: int, j: int) -> float:
+    """Effective resistance between nodes i and j, one pair at a time.
+
+    Oracle for ``resistance_matrix``, which forms the same sum for every pair.
+    """
+    n = sd.graph.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"node index out of range: ({i},{j}) for n={n}")
+    lp = sd.pseudo_inverse
+    return float(lp[i, i] + lp[j, j] - 2.0 * lp[i, j])
+
+
+def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int, alpha: float):
+    """(omega_u, performance) when only nodes i and j deviate by +/- alpha from the rate 1.0.
+
+    The quadratic form collapses to alpha^2 * R_ij, so both norms follow from
+    the resistance distance between the perturbed nodes: the oracle for
+    ``predicted_performance``, which forms q from the whole pseudo-inverse.
+    """
+    if i == j:
+        raise ValueError("perturbed nodes must differ")
+    q = alpha * alpha * resistance_distance(sd, i, j)
+    omega_u = np.full(sd.graph.n, 1.0)
+    omega_u[i] += alpha
+    omega_u[j] -= alpha
+    a = gains.k_p
+    b = gains.effective_integral_gain
+    return omega_u, PerformanceReport(freq_dev_norm_sq=q / (2.0 * a),
+                                      occupancy_norm_sq=q / (2.0 * a * b),
+                                      quadratic_form=q, k_p=a, integral_gain_scaled=b)
+
+
+class HistoryGapError(LookupError):
+    """Phase queried at a time older than the recorded history."""
 
 
 class TargetInPastError(ValueError):
@@ -225,6 +265,22 @@ def rk4_integrate(deriv, x0: np.ndarray, t0: float, t1: float, dt: float):
         times.append(t1)
         states.append(x.copy())
     return np.array(times), np.array(states)
+
+
+def long_double_rk4_step(a: np.ndarray, h: float) -> tuple:
+    """RK4's one-step map (phi, gamma) of dx/dt = a x + u, formed in long double.
+
+    The same polynomials as ``rk4_step_operator``, which works in float64.
+    """
+    a = np.asarray(a, dtype=np.longdouble)
+    h = np.longdouble(h)
+    eye = np.eye(a.shape[-1], dtype=np.longdouble)
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a3 @ a
+    phi = eye + h * a + h**2 / 2.0 * a2 + h**3 / 6.0 * a3 + h**4 / 24.0 * a4
+    gamma = h * eye + h**2 / 2.0 * a + h**3 / 6.0 * a2 + h**4 / 24.0 * a3
+    return phi, gamma
 
 
 @dataclass(frozen=True)

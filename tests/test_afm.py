@@ -1,5 +1,6 @@
 """Tests for the frame-exact event-driven simulator."""
 
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -7,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bittide_sim.afm import (AfmScenario, HistoryGapError, InadmissibleControlError,
-                             PhaseHistory, frame_offsets, simulate_afm)
+from bittide_sim.afm import (AfmScenario, InadmissibleControlError, PhaseHistory,
+                             frame_offsets, simulate_afm)
 from bittide_sim.graph import OrientedGraph, complete, mesh, path
 from bittide_sim.ode import Gains, ParameterError
 from bittide_sim.scenario import load_scenario_dict, read_document
-from helpers import (DiscreteControllerState, TargetInPastError, make_scenario, next_crossing,
-                     occupancy, phase_at, pi_controller_step, random_connected_graph, slope_at)
+from helpers import (DiscreteControllerState, HistoryGapError, TargetInPastError, make_scenario,
+                     next_crossing, occupancy, phase_at, pi_controller_step,
+                     random_connected_graph, slope_at)
 
 GAINS = Gains(k_p=3e-5, k_i=2e-9, omega_c=1.0)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -496,6 +498,39 @@ class TestRowOracle:
             (t, i) for t, i, kind in kinds if kind == "measure"}
         assert len(tied) > 100
         assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
+
+
+class TestEdgeCases:
+    """Lookups at the start of the history, and occupancies past 2**53."""
+
+    @pytest.mark.parametrize("d", [0.0, 25.0])
+    @pytest.mark.parametrize("t_end, output_dt", [(1470.0, 7.0), (900.0, 1000.0)])
+    def test_epoch_at_its_bound(self, d, t_end, output_dt):
+        # epoch = -(max latency + d/omega_min), the latest AfmScenario accepts: with
+        # d = 0 the row at t = 0 reads the longest-latency link's source at the epoch,
+        # and the scalar oracles raise HistoryGapError on any lookup before it
+        rng = np.random.RandomState(int(d + output_dt))
+        g = complete(3)
+        latency = tuple(rng.uniform(1.0, 30.0, 2 * g.m))
+        scn = make_scenario(g, (1.02, 1.0, 0.98), Gains(k_p=1e-6, k_i=1e-9), latency=latency,
+                            p=10.0, d=d, theta0=(0.3, 1.7, 2.2), beta_max=8, t_end=t_end,
+                            output_dt=output_dt)
+        scn = dataclasses.replace(scn, epoch=-(max(latency) + d / scn.omega_min))
+        trace = simulate_afm(scn)
+        assert len(set(latency)) == len(latency)
+        assert (trace.times[0], trace.times[-1]) == (0.0, t_end)
+        assert_matches_scalar_oracles(trace, scn)
+
+    def test_occupancy_past_2_53(self):
+        # beta0 two frames below 2**53: float64 sums would round the rows above it,
+        # and the first overflow, at t = 12.0 in the rows, would be logged at 18.18
+        scn = make_scenario(path(2), (1.1, 0.9), Gains(k_p=1e-9, k_i=1e-15), beta_max=2**53,
+                            beta0=2**53 - 2, p=10, t_end=100, output_dt=1)
+        trace = simulate_afm(scn)
+        assert trace.occupancy.max() > 2**53 + 1
+        assert_matches_scalar_oracles(trace, scn)
+        first = next(ev for ev in trace.events if ev.kind == "overflow")
+        assert first.time == 12.0
 
 
 def row_oracle(trace, scn) -> list:

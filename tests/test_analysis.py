@@ -14,12 +14,12 @@ import bittide_sim
 from bittide_sim.analysis import (InsufficientHorizonWarning,
                                   build_lyapunov_certificate, empirical_norms,
                                   hurwitz_check, lyapunov_solutions, predicted_performance,
-                                  two_node_perturbation, worst_case_frequency)
-from bittide_sim.graph import complete, laplacian, mesh, path, spectral_data
+                                  worst_case_frequency)
+from bittide_sim.graph import complete, mesh, path, spectral_data
 from bittide_sim.ode import (Gains, build_full_system, build_reduced_system, simulate_ode,
                              spectral_abscissa)
 from bittide_sim.scenario import load_scenario
-from helpers import dense_abscissa, random_connected_graph
+from helpers import dense_abscissa, random_connected_graph, two_node_perturbation
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -330,7 +330,7 @@ class TestWorstCaseFrequency:
         result = worst_case_frequency(sd, 1.0)
         assert result.degenerate
         lam2 = sd.eigenvalues[1]
-        w_path, v_path = np.linalg.eigh(laplacian(path(4)))
+        w_path, v_path = np.linalg.eigh(spectral_data(path(4)).laplacian)
         profile = v_path[:, 1]
         diag_mode = np.add.outer(profile, profile).reshape(-1)
         diag_mode /= np.linalg.norm(diag_mode)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bittide_sim import cli, scenario
+from bittide_sim.analysis import PositivityViolationError
 from bittide_sim.cli import main
 from bittide_sim.graph import OrientedGraph, spectral_data
 from bittide_sim.ode import spectral_abscissa
@@ -118,6 +119,24 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error: run.t_end: " in err and "run-size cap" in err
+
+    @pytest.mark.parametrize("argv, override, field", [
+        (["analyze", "--performance", "--simulate"], "controller.k_p=1e308", "controller.k_p"),
+        (["simulate", "--model", "ode"], "controller.k_p=1e308", "controller.k_p"),
+        # the step is above zero, but output_dt / step overflows
+        (["simulate", "--model", "ode"], "controller.k_p=1e307", "controller.k_p"),
+        (["simulate", "--model", "ode"], "controller.k_i=1e308", "controller.k_i"),
+    ])
+    def test_gain_leaving_no_fluid_step_names_controller(self, tmp_path, capsys, argv,
+                                                         override, field):
+        # a rate that overflows leaves a zero RK4 step; warnings are errors here,
+        # so an overflow warning reaching the user fails this test too
+        rc = main(argv + ["--scenario", str(SCENARIOS / "triangle_pi.json"),
+                          "--out", str(tmp_path / "out"), "--set", override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {field}: " in err and "no RK4 step above zero" in err
+        assert "horizon" not in err and "Traceback" not in err
 
     def test_overflow_exit_code(self, tmp_path, capsys):
         doc = {
@@ -254,6 +273,16 @@ class TestAnalyze:
         cert = kinds["lyapunov_certificate"]
         assert cert["residual1"] <= 1e-9
         assert cert["residual2"] <= 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=PositivityViolationError,
+                       reason="the dense x1's smallest eigenvalue, about b^3/(4 a^2 lambda), "
+                              "is below eigvalsh's rounding until a per-block certificate "
+                              "replaces the dense one")
+    def test_lyapunov_at_ordinary_gain(self, tmp_path):
+        # min eig x1 is -1.6e-17 at k_p = 0.1, while 1e-3, 1 and 10 pass
+        rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                   "--out", str(tmp_path), "--lyapunov", "--set", "controller.k_p=0.1"])
+        assert rc == 0
 
     def test_lyapunov_reports_closed_form_abscissa(self, tmp_path):
         rc = main(["analyze", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),

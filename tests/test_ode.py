@@ -9,11 +9,11 @@ import pytest
 from bittide_sim import ode
 from bittide_sim.graph import complete, mesh, path, spectral_data
 from bittide_sim.ode import (RUN_SIZE_CAP, Gains, ParameterError, build_full_system,
-                             build_reduced_system, default_time_step, rk4_step_operator,
-                             simulate_ode, spectral_abscissa)
+                             build_reduced_system, default_time_step, simulate_ode,
+                             spectral_abscissa)
 from bittide_sim.scenario import load_scenario
-from helpers import (dense_rk4, dense_system, modal_states, random_connected_graph,
-                     steady_state)
+from helpers import (dense_rk4, dense_system, long_double_rk4_step, modal_states,
+                     random_connected_graph, steady_state)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -212,7 +212,7 @@ class TestSimulateOde:
         assert trace.times.shape == (steps + 1,)
         ld = np.longdouble
         dense = dense_system(sd, gains)
-        phi, gamma = rk4_step_operator(dense.a.astype(ld), ld(dt))
+        phi, gamma = long_double_rk4_step(dense.a, dt)
         drive = gamma @ (dense.b2.astype(ld) @ omega_u.astype(ld))
         states = np.zeros((steps + 1, dense.a.shape[0]), dtype=ld)
         for k in range(steps):

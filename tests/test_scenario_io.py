@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,15 +13,18 @@ from bittide_sim import scenario
 from bittide_sim.afm import AfmEvent, simulate_afm
 from bittide_sim.analysis import (build_lyapunov_certificate, hurwitz_check,
                                   predicted_performance, worst_case_frequency)
+from bittide_sim.cli import main
 from bittide_sim.graph import OrientedGraph, complete, spectral_data
 from bittide_sim.ode import build_full_system, build_reduced_system, simulate_ode
-from bittide_sim.scenario import (GridMismatchError, MissingFieldError, ParseError,
+from bittide_sim.scenario import (MissingFieldError, ParseError,
                                   TraceTable, ValidationError, apply_overrides,
                                   compare_traces, emit_report, load_scenario,
-                                  load_scenario_dict, read_trace, render_reports,
+                                  load_scenario_dict, read_trace,
                                   save_scenario, write_trace, events_path_for)
-from helpers import legacy_trace_text, make_scenario
+from helpers import legacy_trace_text, make_scenario, two_node_perturbation
 from bittide_sim.ode import Gains
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def triangle_doc():
@@ -427,18 +431,18 @@ class TestCompareTraces:
         assert base.max_occ_dev == pytest.approx(flipped.max_occ_dev, abs=1e-12)
         assert base.max_freq_dev == pytest.approx(flipped.max_freq_dev, abs=1e-12)
 
-    def test_disjoint_windows_rejected(self):
-        times_a = np.array([0.0, 1.0])
-        times_b = np.array([5.0, 6.0])
-        gains = Gains(k_p=0.2, k_i=0.1)
-        sd = spectral_data(OrientedGraph(2, ((0, 1),)))
-        ode_trace = simulate_ode(build_full_system(sd, gains), np.array([1.1, 0.9]), 1.0)
-        scn = make_scenario(OrientedGraph(2, ((0, 1),)), (1.0, 1.0),
-                            gains, t_end=1.0, output_dt=0.5, p=10.0)
-        afm_trace = simulate_afm(scn)
-        shifted = OdeShift(ode_trace, 5.0)
-        with pytest.raises(GridMismatchError):
-            compare_traces(afm_trace, shifted)
+    @pytest.mark.parametrize("name", ["triangle_pi", "mesh_close_pair", "mesh_far_pair"])
+    def test_every_row_compared(self, tmp_path, capsys, name):
+        # both models of one scenario span [0, t_end], so no frame-model row is left out
+        path, out = SCENARIOS / f"{name}.json", tmp_path / "out"
+        assert main(["compare", "--scenario", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        frame = read_trace(out / "trace_afm.csv").times
+        fluid = read_trace(out / "trace_ode.csv").times
+        t_end = load_scenario(path)[1].t_end
+        assert (frame[0], frame[-1]) == (fluid[0], fluid[-1]) == (0.0, t_end)
+        report = json.loads((out / "comparison.json").read_text())["reports"][0]
+        assert report["n_samples"] == frame.shape[0]
 
     def test_per_link_beta0_from_scenario(self):
         # each link's prediction starts from its own initial occupancy in the scenario
@@ -467,15 +471,6 @@ class TestCompareTraces:
             "freq_steady_dev", "occ_steady_dev", "max_freq_dev", "max_occ_dev", "n_samples"}
 
 
-class OdeShift:
-    """Minimal stand-in exposing a time-shifted fluid trace."""
-
-    def __init__(self, trace, offset):
-        self.times = trace.times + offset
-        self.omega = trace.omega
-        self.delta = trace.delta
-
-
 class TestEmitReport:
     def test_empty_input(self, tmp_path):
         tree = emit_report([], tmp_path / "s.txt", tmp_path / "s.json")
@@ -487,13 +482,12 @@ class TestEmitReport:
         from bittide_sim.graph import mesh
         sd = spectral_data(mesh(4, 6))
         gains = Gains(k_p=2e-8, k_i=1e-15)
-        from bittide_sim.analysis import two_node_perturbation
         _, report = two_node_perturbation(sd, gains, 0, 1, 1e-4)
-        text, tree = render_reports([report])
-        assert "0.17" in text
+        tree = emit_report([report], tmp_path / "s.txt", tmp_path / "s.json")
+        assert "0.17" in (tmp_path / "s.txt").read_text()
         assert tree["reports"][0]["type"] == "performance"
 
-    def test_deterministic_ordering(self):
+    def test_deterministic_ordering(self, tmp_path):
         sd = spectral_data(OrientedGraph(3, ((0, 1), (1, 2), (0, 2))))
         gains = Gains(k_p=0.1, k_i=0.05)
         red = build_reduced_system(sd, gains)
@@ -503,8 +497,10 @@ class TestEmitReport:
             predicted_performance(sd, gains, np.array([1.1, 1.0, 0.9])),
             worst_case_frequency(sd, 1.0),
         ]
-        a = render_reports(reports)
-        b = render_reports(reports)
+        a = emit_report(reports, tmp_path / "a.txt", tmp_path / "a.json")
+        b = emit_report(reports, tmp_path / "b.txt", tmp_path / "b.json")
         assert a == b
-        assert [t["type"] for t in a[1]["reports"]] == [
+        for ext in ("txt", "json"):
+            assert (tmp_path / f"a.{ext}").read_text() == (tmp_path / f"b.{ext}").read_text()
+        assert [t["type"] for t in a["reports"]] == [
             "hurwitz", "lyapunov_certificate", "performance", "worst_case"]
