@@ -92,6 +92,12 @@ REPORT_CASES = {
         ["compare", "--scenario", str(SCENARIOS / "triangle_pi.json")] + README_COMPARE_FLAGS, 0,
         {"comparison.txt": "f522e13a7bd3c6e769a5247bb229b70d3ff5a3c35cdc8498602eda30ab155692",
          "comparison.json": "837fac90491027a20241345bd692b9f30c2daef9381345018e82aaf6d800f6d7"}),
+    # 32,006 fluid rows, so the run forms omega and delta over many chunks
+    "analyze_simulate_mesh_close_pair": (
+        ["analyze", "--performance", "--simulate",
+         "--scenario", str(SCENARIOS / "mesh_close_pair.json")], 0,
+        {"analysis.json": "ece8a62508b40916aefc79350b0ffc995eb7ca810570b88eab75df4f5b942134",
+         "analysis.txt": "6cb75872fc4c1c83816095392f0ac715b50f51d4d87e3b9695537d86d59c2301"}),
 }
 
 
