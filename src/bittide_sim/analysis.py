@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .graph import SpectralData, fiedler_vector
-from .ode import Gains, OdeTrace, ReducedSystem, spectral_abscissa
+from .ode import Gains, OdeTrace, ParameterError, ReducedSystem, spectral_abscissa
 
 
 class PositivityViolationError(RuntimeError):
@@ -157,6 +157,10 @@ def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> Performanc
     q = float(d @ sd.pseudo_inverse @ d)
     a = gains.k_p
     b = gains.effective_integral_gain
+    if not (2.0 * a * b > 0 and np.isfinite(q / (2.0 * a)) and np.isfinite(q / (2.0 * a * b))):
+        raise ParameterError("k_p", (
+            f"k_p = {a:.3g} and omega_c * k_i = {b:.3g} put the L2 norms q/(2a) and "
+            "q/(2ab) outside the float range"))
     return PerformanceReport(
         freq_dev_norm_sq=q / (2.0 * a),
         occupancy_norm_sq=q / (2.0 * a * b),
@@ -187,9 +191,12 @@ def worst_case_frequency(sd: SpectralData, gamma: float) -> WorstCaseResult:
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
     fied = fiedler_vector(sd)
+    attained = gamma * gamma / fied.algebraic_connectivity
+    if not np.isfinite(attained):
+        raise ValueError(f"gamma = {gamma:.3g} makes gamma^2 / lambda_2 overflow")
     return WorstCaseResult(
         omega_u=gamma * fied.vector,
-        attained_quadratic_form=gamma * gamma / fied.algebraic_connectivity,
+        attained_quadratic_form=attained,
         degenerate=fied.degenerate,
     )
 

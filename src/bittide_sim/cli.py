@@ -121,9 +121,15 @@ def cmd_analyze(args) -> int:
             "table": "resistance.csv",
         })
     if args.worst_case:
-        reports.append(worst_case_frequency(sd, args.gamma))
+        try:
+            reports.append(worst_case_frequency(sd, args.gamma))
+        except ValueError as exc:
+            raise ValidationError("gamma", str(exc)) from exc
     if args.performance:
-        perf = predicted_performance(sd, gains, np.array(scenario.uncorrected_freq))
+        try:
+            perf = predicted_performance(sd, gains, np.array(scenario.uncorrected_freq))
+        except ParameterError as exc:
+            raise ValidationError("controller", str(exc)) from exc
         reports.append(perf)
         if args.simulate:
             abscissa = spectral_abscissa(sd, gains)

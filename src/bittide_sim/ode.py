@@ -268,8 +268,9 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
     _BLOCK_STEPS steps per numpy call. The modal state is formed _CHUNK_STEPS
     rows at a time and turned into omega and delta with one matrix product
     each, written straight into the trace, so no other trace-sized array
-    exists. delta uses only the disagreement modes, so the drift mode, whose
-    phase grows without bound, never cancels in it.
+    exists; a run of more than one chunk forms delta on one worker thread.
+    delta uses only the disagreement modes, so the drift mode, whose phase
+    grows without bound, never cancels in it.
     """
     sd = sys.spectral
     n = sd.graph.n
@@ -314,12 +315,35 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
     delta = np.empty((count, sd.graph.m))
     phase_gain, integral_gain = sys.blocks[:, 0, 0], sys.blocks[:, 0, 1]
     to_delta = (-(sd.incidence.T @ modes[:, 1:])).T
-    for r, theta, zeta in _modal_chunks(powers, offsets, last_step, n_full, count):
+
+    def write_omega(r, theta, zeta):
         rows = slice(r, r + len(theta))
         omega_hat = theta * phase_gain
         omega_hat += integral_gain * zeta
         np.matmul(omega_hat, modes.T, out=omega[rows])
         omega[rows] += omega_u
-        np.matmul(theta[:, 1:], to_delta, out=delta[rows])
+        return rows
+
+    chunks = _modal_chunks(powers, offsets, last_step, n_full, count)
+    if count < 2 * _CHUNK_STEPS:
+        for r, theta, zeta in chunks:
+            rows = write_omega(r, theta, zeta)
+            np.matmul(theta[:, 1:], to_delta, out=delta[rows])
+        return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u)
+    # one worker thread forms each chunk's delta while this thread forms the
+    # next chunk's modal state and omega; every product is the same call on
+    # the same operands, so the bytes do not change, and at most one delta
+    # product is in flight
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for r, theta, zeta in chunks:
+            rows = write_omega(r, theta, zeta)
+            del zeta
+            if pending is not None:
+                pending.result()
+            pending = worker.submit(np.matmul, theta[:, 1:], to_delta, out=delta[rows])
+        pending.result()
     return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u)
 

@@ -16,8 +16,8 @@ from bittide_sim.analysis import (InsufficientHorizonWarning,
                                   hurwitz_check, lyapunov_solutions, predicted_performance,
                                   worst_case_frequency)
 from bittide_sim.graph import complete, mesh, path, spectral_data
-from bittide_sim.ode import (Gains, build_full_system, build_reduced_system, simulate_ode,
-                             spectral_abscissa)
+from bittide_sim.ode import (Gains, ParameterError, build_full_system, build_reduced_system,
+                             simulate_ode, spectral_abscissa)
 from bittide_sim.scenario import load_scenario
 from helpers import dense_abscissa, random_connected_graph, two_node_perturbation
 
@@ -216,6 +216,16 @@ class TestPredictedPerformance:
         assert report.freq_dev_norm_sq == pytest.approx(0.0, abs=1e-12)
         assert report.occupancy_norm_sq == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k_p, k_i, omega_u", [
+        (1e-320, 2e-9, [1.01, 1.0, 0.99]),  # 2 a b underflows to zero
+        (1.0, 1e-320, [1.01, 1.0, 0.99]),  # q / (2 a b) overflows
+        (1e-200, 1e-200, [3.0, 3.0, 3.0]),  # q = 0 over 2 a b = 0
+    ])
+    def test_norms_outside_float_range_refused(self, k_p, k_i, omega_u):
+        with pytest.raises(ParameterError, match="float range"):
+            predicted_performance(spectral_data(complete(3)), Gains(k_p=k_p, k_i=k_i),
+                                  np.array(omega_u))
+
     def test_norm_ratio_is_exactly_b(self):
         rng = np.random.RandomState(12)
         sd = spectral_data(random_connected_graph(rng, 6))
@@ -341,6 +351,10 @@ class TestWorstCaseFrequency:
         sd = spectral_data(path(3))
         with pytest.raises(ValueError):
             worst_case_frequency(sd, 0.0)
+
+    def test_gamma_overflowing_the_quadratic_form(self):
+        with pytest.raises(ValueError, match="overflow"):
+            worst_case_frequency(spectral_data(path(3)), 1e200)
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
     def test_gamma_not_finite_positive(self, gamma):

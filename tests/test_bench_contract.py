@@ -18,7 +18,7 @@ import numpy as np
 
 from bittide_sim.afm import simulate_afm
 from bittide_sim.graph import complete, spectral_data
-from bittide_sim.ode import Gains, build_full_system, simulate_ode
+from bittide_sim.ode import _CHUNK_STEPS, Gains, build_full_system, simulate_ode
 from bittide_sim.scenario import check_keys, load_scenario_dict
 from helpers import make_scenario
 
@@ -70,6 +70,11 @@ def test_fact_readers_on_real_traces(monkeypatch):
     ode = simulate_ode(build_full_system(sd, Gains(k_p=0.2, k_i=0.05)),
                        np.array([1.1, 1.0, 0.9, 1.0]), 50.0)
     assert tracer._ode_facts((), ode) == {"rows": ode.times.shape[0], "n": 4, "m": 6}
+    # a run of more than one chunk, whose delta a worker thread forms
+    rows = 2 * _CHUNK_STEPS + 1
+    ode = simulate_ode(build_full_system(sd, Gains(k_p=0.2, k_i=0.05)),
+                       np.array([1.1, 1.0, 0.9, 1.0]), 50.0, dt=50.0 / (rows - 1))
+    assert tracer._ode_facts((), ode) == {"rows": rows, "n": 4, "m": 6}
 
 
 def test_mesh_ladder_operation_runs_and_checks(monkeypatch, tmp_path):

@@ -20,6 +20,15 @@ from bittide_sim.scenario import load_scenario, read_trace
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_report(path):
+    """A report tree, parsed as strictly as JSON allows: NaN and Infinity are refused."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def write_doc(tmp_path, doc, name="scn.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -49,7 +58,7 @@ class TestSimulate:
         assert table.columns[:3] == ("omega_0", "omega_1", "omega_2")
         assert np.abs(table.values[-1, :3] - 1.0).max() < 1e-8
         assert (out / "summary.txt").exists()
-        assert json.loads((out / "report.json").read_text())["reports"][0]["model"] == "ode"
+        assert read_report(out / "report.json")["reports"][0]["model"] == "ode"
 
     def test_ode_trace_on_output_grid(self, tmp_path, capsys):
         # the default RK4 step here is about 3.5e5 s, far above output_dt
@@ -197,7 +206,7 @@ class TestCompare:
                    "--set", "afm.latency=0.0", "--set", "afm.d=0.0",
                    "--set", "afm.p=100", "--set", "afm.beta_max=1024"])
         assert rc == 0
-        tree = json.loads((out / "comparison.json").read_text())
+        tree = read_report(out / "comparison.json")
         rep = tree["reports"][0]
         assert rep["type"] == "comparison"
         assert rep["max_occ_dev"] <= 2.0
@@ -219,7 +228,7 @@ class TestAnalyze:
         rc = main(["analyze", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
                    "--out", str(tmp_path), "--performance"])
         assert rc == 0
-        tree = json.loads((tmp_path / "analysis.json").read_text())
+        tree = read_report(tmp_path / "analysis.json")
         perf = tree["reports"][0]
         assert perf["freq_dev_norm_sq"] == pytest.approx(0.175, rel=0.01)
 
@@ -227,7 +236,7 @@ class TestAnalyze:
         rc = main(["analyze", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
                    "--out", str(tmp_path), "--performance", "--simulate"])
         assert rc == 0
-        tree = json.loads((tmp_path / "analysis.json").read_text())
+        tree = read_report(tmp_path / "analysis.json")
         kinds = {r["type"]: r for r in tree["reports"]}
         emp = kinds["performance_empirical"]
         assert emp["freq_dev_norm_sq"] == pytest.approx(0.175, rel=0.01)
@@ -238,7 +247,7 @@ class TestAnalyze:
         rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
                    "--out", str(tmp_path), "--performance", "--simulate"])
         assert rc == 0
-        tree = json.loads((tmp_path / "analysis.json").read_text())
+        tree = read_report(tmp_path / "analysis.json")
         emp = {r["type"]: r for r in tree["reports"]}["performance_empirical"]
         graph, _, gains = load_scenario(SCENARIOS / "triangle_pi.json")
         assert emp["horizon"] == 30.0 / abs(spectral_abscissa(spectral_data(graph), gains))
@@ -267,7 +276,7 @@ class TestAnalyze:
         rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
                    "--out", str(tmp_path), "--lyapunov"])
         assert rc == 0
-        tree = json.loads((tmp_path / "analysis.json").read_text())
+        tree = read_report(tmp_path / "analysis.json")
         kinds = {r["type"]: r for r in tree["reports"]}
         assert kinds["hurwitz"]["is_hurwitz"] is True
         cert = kinds["lyapunov_certificate"]
@@ -288,7 +297,7 @@ class TestAnalyze:
         rc = main(["analyze", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
                    "--out", str(tmp_path), "--lyapunov"])
         assert rc == 0
-        tree = json.loads((tmp_path / "analysis.json").read_text())
+        tree = read_report(tmp_path / "analysis.json")
         graph, _, gains = load_scenario(SCENARIOS / "mesh_close_pair.json")
         assert tree["reports"][0] == {
             "type": "hurwitz", "is_hurwitz": True,
@@ -298,7 +307,7 @@ class TestAnalyze:
         rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
                    "--out", str(tmp_path), "--worst-case"])
         assert rc == 0
-        tree = json.loads((tmp_path / "analysis.json").read_text())
+        tree = read_report(tmp_path / "analysis.json")
         wc = tree["reports"][0]
         assert wc["degenerate"] is True  # complete graph has repeated lambda_2
         assert wc["attained_quadratic_form"] == pytest.approx(1.0 / 3.0, rel=1e-9)
@@ -353,13 +362,45 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: gamma: ")
         assert not out.exists()
 
+    def test_strict_reader_refuses_infinity(self, tmp_path):
+        (tmp_path / "r.json").write_text('{"x": Infinity}')
+        with pytest.raises(ValueError, match="Infinity"):
+            read_report(tmp_path / "r.json")
+
+    def test_gamma_overflowing_the_quadratic_form_refused(self, tmp_path, capsys):
+        # lambda_2 = 3 on the triangle: gamma = 1e150 gives 3.3e299, 1e200 overflows
+        args = ["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"), "--worst-case"]
+        assert main(args + ["--out", str(tmp_path / "ok"), "--gamma", "1e150"]) == 0
+        tree = read_report(tmp_path / "ok" / "analysis.json")
+        assert tree["reports"][0]["attained_quadratic_form"] == pytest.approx(1e300 / 3, rel=1e-12)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out), "--gamma", "1e200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma: ") and "Traceback" not in err
+        assert not (out / "analysis.json").exists()
+
+    @pytest.mark.parametrize("sets", [
+        ["controller.k_p=1e-320"],  # 2 a b underflows to zero
+        ["controller.k_p=1e-200", "controller.k_i=1e-200"],
+        ["controller.k_p=1e-310"],  # 2 a b is subnormal and q / (2 a b) overflows
+    ])
+    def test_norms_outside_float_range_name_controller(self, tmp_path, capsys, sets):
+        out = tmp_path / "out"
+        rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                   "--out", str(out), "--performance", *[a for s in sets for a in ("--set", s)]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: controller: ") and "float range" in err
+        assert not (out / "analysis.json").exists()
+
     def test_readme_report_keys(self, tmp_path, capsys):
         # each report's keys are its type plus its result's fields
         rc = main(["analyze", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
                    "--out", str(tmp_path), "--resistance", "--performance", "--simulate",
                    "--lyapunov", "--worst-case"])
         assert rc == 0
-        tree = json.loads((tmp_path / "analysis.json").read_text())
+        tree = read_report(tmp_path / "analysis.json")
         assert {r["type"]: sorted(r) for r in tree["reports"]} == {
             "resistance": ["max", "mean_offdiag", "n", "table", "type"],
             "worst_case": ["attained_quadratic_form", "degenerate", "omega_u", "type"],
@@ -580,6 +621,17 @@ class TestSweep:
         text = (out / "sweep.csv").read_text()
         assert "error" in text
         assert "ok" in text
+
+    def test_norms_outside_float_range_fail_one_point(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                   "--out", str(out), "--param", "controller.k_p", "--values", "1e-8,1e-320"])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+        rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[:2] for r in rows][1] == ["1e-08", "ok"]
+        assert rows[0][0] == "1e-320" and rows[0][1].startswith("error: ")
+        assert "float range" in rows[0][1]
 
 
 def test_readme_command_lines_parse():

@@ -1,5 +1,6 @@
 """Tests for the continuous-time linear model."""
 
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -275,6 +276,53 @@ class TestSimulateOde:
         chunk_bytes = ode._CHUNK_STEPS * n * 8
         assert peak <= (trace.times.nbytes + trace.omega.nbytes + trace.delta.nbytes
                         + 12 * chunk_bytes)
+
+    @staticmethod
+    def started_threads(monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        return started
+
+    @staticmethod
+    def run_steps(steps):
+        sys_full = build_full_system(spectral_data(path(3)), Gains(k_p=1.0, k_i=0.2))
+        return simulate_ode(sys_full, np.array([1.1, 1.0, 0.9]), steps * 0.01, dt=0.01)
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        started = self.started_threads(monkeypatch)
+        # 2 * _CHUNK_STEPS - 1 rows: the most that make one chunk
+        assert self.run_steps(2 * ode._CHUNK_STEPS - 2).times.shape == (2 * ode._CHUNK_STEPS - 1,)
+        assert started == []
+
+    def test_worker_thread_ends_with_the_run(self, monkeypatch):
+        before = threading.active_count()
+        started = self.started_threads(monkeypatch)
+        assert self.run_steps(2 * ode._CHUNK_STEPS - 1).times.shape == (2 * ode._CHUNK_STEPS,)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_worker_thread_ends_when_the_chunk_stream_raises(self, monkeypatch):
+        chunks = ode._modal_chunks
+
+        def failing(*args):
+            for i, chunk in enumerate(chunks(*args)):
+                if i == 2:
+                    raise RuntimeError("chunk stream failed")
+                yield chunk
+
+        monkeypatch.setattr(ode, "_modal_chunks", failing)
+        before = threading.active_count()
+        started = self.started_threads(monkeypatch)
+        with pytest.raises(RuntimeError, match="chunk stream failed"):
+            self.run_steps(4 * ode._CHUNK_STEPS)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
 
     def test_default_step_resolves_fast_mode(self):
         sd = spectral_data(complete(3))
