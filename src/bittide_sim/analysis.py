@@ -150,20 +150,23 @@ def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> Performanc
 
     q is formed from the deviations d = omega_u - mean(omega_u). L+ has the
     all-ones vector in its kernel, so this is the same q in exact arithmetic,
-    but the common rate no longer cancels inside rounding.
+    but the common rate no longer cancels inside rounding. Gains that put
+    either norm outside the float range raise ParameterError.
     """
     d = np.asarray(omega_u, dtype=float)
     d = d - d.mean()
     q = float(d @ sd.pseudo_inverse @ d)
     a = gains.k_p
     b = gains.effective_integral_gain
-    if not (2.0 * a * b > 0 and np.isfinite(q / (2.0 * a)) and np.isfinite(q / (2.0 * a * b))):
+    freq_sq = q / (2.0 * a)
+    occ_sq = q / (2.0 * a * b) if 2.0 * a * b > 0 else np.inf
+    if not (np.isfinite(freq_sq) and np.isfinite(occ_sq)):
         raise ParameterError("k_p", (
             f"k_p = {a:.3g} and omega_c * k_i = {b:.3g} put the L2 norms q/(2a) and "
             "q/(2ab) outside the float range"))
     return PerformanceReport(
-        freq_dev_norm_sq=q / (2.0 * a),
-        occupancy_norm_sq=q / (2.0 * a * b),
+        freq_dev_norm_sq=freq_sq,
+        occupancy_norm_sq=occ_sq,
         quadratic_form=q,
         k_p=a,
         integral_gain_scaled=b,
