@@ -66,14 +66,13 @@ def test_fact_readers_on_real_traces(monkeypatch):
         "samples_event_instant": trace.times.shape[0] - 15}
     assert facts["events_measure"] > 0 and facts["samples_event_instant"] > 0
 
-    sd = spectral_data(complete(4))
-    ode = simulate_ode(build_full_system(sd, Gains(k_p=0.2, k_i=0.05)),
-                       np.array([1.1, 1.0, 0.9, 1.0]), 50.0)
+    sys_full = build_full_system(spectral_data(complete(4)), Gains(k_p=0.2, k_i=0.05))
+    omega_u = np.array([1.1, 1.0, 0.9, 1.0])
+    ode = simulate_ode(sys_full, omega_u, 50.0)
     assert tracer._ode_facts((), ode) == {"rows": ode.times.shape[0], "n": 4, "m": 6}
     # a run of more than one chunk, whose delta a worker thread forms
     rows = 2 * _CHUNK_STEPS + 1
-    ode = simulate_ode(build_full_system(sd, Gains(k_p=0.2, k_i=0.05)),
-                       np.array([1.1, 1.0, 0.9, 1.0]), 50.0, dt=50.0 / (rows - 1))
+    ode = simulate_ode(sys_full, omega_u, 50.0, dt=50.0 / (rows - 1))
     assert tracer._ode_facts((), ode) == {"rows": rows, "n": 4, "m": 6}
 
 

@@ -629,7 +629,7 @@ class TestSweep:
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
         rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
-        assert [r[:2] for r in rows][1] == ["1e-08", "ok"]
+        assert rows[1][:2] == ["1e-08", "ok"]
         assert rows[0][0] == "1e-320" and rows[0][1].startswith("error: ")
         assert "float range" in rows[0][1]
 
