@@ -196,15 +196,14 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     spectra = {}
     rows = [_sweep_one(doc_json, args.param, v, spectra) for v in values]
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            repr(row[c]) if isinstance(row.get(c), float) else str(row.get(c, ""))
-            for c in SWEEP_COLUMNS
-        ))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    import csv  # here, so that importing the CLI does not load it
+    # the writer quotes an error status that holds a comma; floats go out as repr
+    with (out / "sweep.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows([row.get(c, "") for c in SWEEP_COLUMNS] for row in rows)
     failures = [r for r in rows if r["status"] != "ok"]
-    print("\n".join(lines))
+    print((out / "sweep.csv").read_text(), end="")
     if failures:
         print(f"{len(failures)} of {len(rows)} sweep points failed", file=sys.stderr)
         return EXIT_RUNTIME

@@ -45,49 +45,6 @@ class MissingFieldError(ValidationError):
         super().__init__(field, "required field is missing")
 
 
-# the keys each section of a document may hold; "" is the top level, and a
-# dotted name is a section inside a section. A section given in one of several
-# forms maps each form to its keys: the form is the value of its generator
-# key, else the first of its keys that names a form
-_KEYS = {
-    "": ("graph", "frequencies", "controller", "afm", "run"),
-    "graph": {"complete": ("generator", "n"), "path": ("generator", "n"),
-              "mesh": ("generator", "rows", "cols"), "edges": ("n", "edges")},
-    "frequencies": {"omega_u": ("omega_u",), "two_node": ("two_node",)},
-    "frequencies.two_node": ("i", "j", "alpha", "base"),
-    "controller": ("k_p", "k_i", "omega_c"),
-    "afm": ("p", "d", "latency", "beta_max", "beta0", "theta0", "omega_m1", "omega_m2",
-            "omega_min", "omega_max", "epoch"),
-    "run": ("t_end", "output_dt"),
-}
-
-# AfmScenario and Gains fields -> the document field each is read from
-_DOCUMENT_FIELDS = {
-    "k_p": "controller.k_p",
-    "k_i": "controller.k_i",
-    "omega_c": "controller.omega_c",
-    "uncorrected_freq": "frequencies.omega_u",
-    "initial_phase": "afm.theta0",
-    "startup_freq": "afm.omega_m1",
-    "prehistory_freq": "afm.omega_m2",
-    "initial_occupancy": "afm.beta0",
-    "buffer_capacity": "afm.beta_max",
-    "latency": "afm.latency",
-    "meas_period": "afm.p",
-    "actuation_delay": "afm.d",
-    "omega_min": "afm.omega_min",
-    "omega_max": "afm.omega_max",
-    "epoch": "afm.epoch",
-    "t_end": "run.t_end",
-    "output_dt": "run.output_dt",
-}
-
-
-def field_error(exc: ParameterError) -> ValidationError:
-    """The same error, naming the document field the parameter is read from."""
-    return ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc))
-
-
 def check_keys(doc: dict, section: str = "") -> None:
     """Refuse keys their section does not hold; sections must be mappings, values not.
 
@@ -115,10 +72,10 @@ def check_keys(doc: dict, section: str = "") -> None:
                                         "which holds only " + ", ".join(form))
 
 
-def _section(doc: dict, name: str, required: bool = True) -> dict:
-    if required and name not in doc:
+def _section(doc: dict, name: str) -> dict:
+    if name not in doc:
         raise MissingFieldError(name)
-    return doc.get(name, {})
+    return doc[name]
 
 
 def _number(value, field: str) -> float:
@@ -213,65 +170,96 @@ def _build_frequencies(spec: dict, n: int) -> tuple:
     raise MissingFieldError("frequencies.omega_u")
 
 
+def _omega_u(values: dict) -> tuple:
+    return values["uncorrected_freq"]
+
+
+def _epoch(v: dict) -> float:
+    """-(max latency + d/omega_min) - 1; refused under afm.d if it leaves the float range."""
+    delay = v["actuation_delay"] / v["omega_min"] if v["omega_min"] > 0 else 0.0
+    epoch = -(max(v["latency"], default=0.0) + delay) - 1.0
+    if math.isfinite(epoch):  # only a huge |d/omega_min| leaves the float range
+        return epoch
+    raise ValidationError("afm.d", f"must be >= 0, got {v['actuation_delay']!r}" if delay < 0
+                          else f"d/omega_min = {delay!r} puts the default afm.epoch out of range")
+
+
+# every field of controller, afm and run, in document order: its path, the Gains
+# or AfmScenario field it fills, its reader, "node" or "link" if it holds one
+# value per node or per directed link, and its default (None if required). A
+# callable default is computed from the values read before it
+_FIELDS = (
+    ("controller.k_p", "k_p", _number, None, None),
+    ("controller.k_i", "k_i", _number, None, None),
+    ("controller.omega_c", "omega_c", _number, None, 1.0),
+    ("afm.p", "meas_period", _number, None, 1000.0),
+    ("afm.d", "actuation_delay", _number, None, 0.0),
+    ("afm.latency", "latency", _number, "link", 0.0),
+    ("afm.beta_max", "buffer_capacity", _count, None, 128),
+    ("afm.beta0", "initial_occupancy", _count, "link", lambda v: v["buffer_capacity"] // 2),
+    ("afm.theta0", "initial_phase", _number, "node", 0.1),
+    ("afm.omega_m1", "startup_freq", _number, "node", _omega_u),
+    ("afm.omega_m2", "prehistory_freq", _number, "node", _omega_u),
+    ("afm.omega_min", "omega_min", _number, None, 0.5),
+    ("afm.omega_max", "omega_max", _number, None, 2.0),
+    ("afm.epoch", "epoch", _number, None, _epoch),
+    ("run.t_end", "t_end", _number, None, 100000.0),
+    ("run.output_dt", "output_dt", _number, None, lambda v: v["t_end"] / 400.0),
+)
+
+# the keys each section of a document may hold; "" is the top level, and a
+# dotted name is a section inside a section. A section given in one of several
+# forms maps each form to its keys: the form is the value of its generator
+# key, else the first of its keys that names a form
+_KEYS = {
+    "": ("graph", "frequencies", "controller", "afm", "run"),
+    "graph": {"complete": ("generator", "n"), "path": ("generator", "n"),
+              "mesh": ("generator", "rows", "cols"), "edges": ("n", "edges")},
+    "frequencies": {"omega_u": ("omega_u",), "two_node": ("two_node",)},
+    "frequencies.two_node": ("i", "j", "alpha", "base"),
+}
+for _path, *_ in _FIELDS:  # the keys of controller, afm and run
+    _name, _, _key = _path.partition(".")
+    _KEYS[_name] = _KEYS.get(_name, ()) + (_key,)
+# AfmScenario and Gains fields -> the document field each is read from
+_DOCUMENT_FIELDS = {"uncorrected_freq": "frequencies.omega_u",
+                    **{name: path for path, name, *_ in _FIELDS}}
+
+
+def field_error(exc: ParameterError) -> ValidationError:
+    """The same error, naming the document field the parameter is read from."""
+    return ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc))
+
+
 def load_scenario_dict(doc: dict):
-    """Validate a scenario document and build (graph, AfmScenario, Gains)."""
+    """Validate a scenario document and build (graph, AfmScenario, Gains).
+
+    Every field's type is checked, in document order, before any range rule.
+    """
     check_keys(doc)
     graph = _build_graph(_section(doc, "graph"))
-    n = graph.n
-    n_links = 2 * graph.m
-
-    omega_u = _build_frequencies(_section(doc, "frequencies"), n)
-
-    ctrl = _section(doc, "controller")
-    for key in ("k_p", "k_i"):
-        if key not in ctrl:
-            raise MissingFieldError(f"controller.{key}")
+    values = {"uncorrected_freq": _build_frequencies(_section(doc, "frequencies"), graph.n)}
+    counts = {"node": graph.n, "link": 2 * graph.m}
+    borrowed = {}  # absent fields that took frequencies.omega_u -> their paths
+    for path, name, read, per, default in _FIELDS:
+        section, _, key = path.partition(".")
+        if key in doc.get(section, {}):
+            value = doc[section][key]
+        elif default is None:
+            raise MissingFieldError(path if section in doc else section)
+        else:
+            value = default(values) if callable(default) else default
+            if default is _omega_u:
+                borrowed[name] = path
+        values[name] = (read(value, path) if per is None
+                        else _per_entry(value, counts[per], path, read))
     try:
-        gains = Gains(
-            k_p=_number(ctrl["k_p"], "controller.k_p"),
-            k_i=_number(ctrl["k_i"], "controller.k_i"),
-            omega_c=_number(ctrl.get("omega_c", 1.0), "controller.omega_c"),
-        )
+        gains = Gains(**{f.name: values.pop(f.name) for f in fields(Gains)})
+        scenario = AfmScenario(graph=graph, gains=gains, **values)
     except ParameterError as exc:
-        raise field_error(exc) from exc
-
-    afm = _section(doc, "afm", required=False)
-    run = _section(doc, "run", required=False)
-
-    omega_min = _number(afm.get("omega_min", 0.5), "afm.omega_min")
-    d = _number(afm.get("d", 0.0), "afm.d")
-    latency = _per_entry(afm.get("latency", 0.0), n_links, "afm.latency")
-    beta_max = _count(afm.get("beta_max", 128), "afm.beta_max")
-    beta0 = _per_entry(afm.get("beta0", beta_max // 2), n_links, "afm.beta0", _count)
-    delay_s = d / omega_min if omega_min > 0 else 0.0
-    epoch_default = -(max(latency, default=0.0) + delay_s) - 1.0
-    t_end = _number(run.get("t_end", 100000.0), "run.t_end")
-    output_dt = _number(run.get("output_dt", t_end / 400.0), "run.output_dt")
-
-    try:
-        scenario = AfmScenario(
-            graph=graph,
-            uncorrected_freq=omega_u,
-            initial_phase=_per_entry(afm.get("theta0", 0.1), n, "afm.theta0"),
-            startup_freq=_per_entry(afm.get("omega_m1", list(omega_u)), n, "afm.omega_m1"),
-            prehistory_freq=_per_entry(afm.get("omega_m2", list(omega_u)), n, "afm.omega_m2"),
-            initial_occupancy=beta0,
-            buffer_capacity=beta_max,
-            latency=latency,
-            meas_period=_number(afm.get("p", 1000.0), "afm.p"),
-            actuation_delay=d,
-            gains=gains,
-            omega_min=omega_min,
-            omega_max=_number(afm.get("omega_max", 2.0), "afm.omega_max"),
-            t_end=t_end,
-            output_dt=output_dt,
-            epoch=_number(afm.get("epoch", epoch_default), "afm.epoch"),
-        )
-    except ParameterError as exc:
-        key = {"startup_freq": "omega_m1", "prehistory_freq": "omega_m2"}.get(exc.field)
-        if key is not None and key not in afm:
-            raise ValidationError("frequencies.omega_u", (
-                f"{exc} (afm.{key} is absent, so it takes frequencies.omega_u)")) from exc
+        if exc.field in borrowed:
+            raise ValidationError("frequencies.omega_u", f"{exc} ({borrowed[exc.field]} is "
+                                  "absent, so it takes frequencies.omega_u)") from exc
         raise field_error(exc) from exc
     return graph, scenario, gains
 
@@ -304,25 +292,13 @@ def load_scenario(path_like):
 
 def scenario_to_dict(graph: OrientedGraph, scenario: AfmScenario, gains: Gains) -> dict:
     """Fully-resolved scenario document (all defaults materialized)."""
-    return {
-        "graph": {"n": graph.n, "edges": [list(e) for e in graph.edges]},
-        "frequencies": {"omega_u": list(scenario.uncorrected_freq)},
-        "controller": {"k_p": gains.k_p, "k_i": gains.k_i, "omega_c": gains.omega_c},
-        "afm": {
-            "p": scenario.meas_period,
-            "d": scenario.actuation_delay,
-            "latency": list(scenario.latency),
-            "beta_max": scenario.buffer_capacity,
-            "beta0": list(scenario.initial_occupancy),
-            "theta0": list(scenario.initial_phase),
-            "omega_m1": list(scenario.startup_freq),
-            "omega_m2": list(scenario.prehistory_freq),
-            "epoch": scenario.epoch,
-            "omega_min": scenario.omega_min,
-            "omega_max": scenario.omega_max,
-        },
-        "run": {"t_end": scenario.t_end, "output_dt": scenario.output_dt},
-    }
+    doc = {"graph": {"n": graph.n, "edges": [list(e) for e in graph.edges]},
+           "frequencies": {"omega_u": list(scenario.uncorrected_freq)}}
+    for path, name, _, per, _ in _FIELDS:
+        section, _, key = path.partition(".")
+        value = getattr(gains if section == "controller" else scenario, name)
+        doc.setdefault(section, {})[key] = value if per is None else list(value)
+    return doc
 
 
 def save_scenario(graph: OrientedGraph, scenario: AfmScenario, gains: Gains,

@@ -1,14 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import copy
+import csv
+import io
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bittide_sim import cli, scenario
 from bittide_sim.analysis import PositivityViolationError
@@ -35,8 +42,8 @@ def write_doc(tmp_path, doc, name="scn.json"):
     return p
 
 
-def small_triangle(tmp_path, **run):
-    doc = {
+def small_triangle_doc(**run):
+    return {
         "graph": {"generator": "complete", "n": 3},
         "frequencies": {"omega_u": [1.00005, 1.0, 0.99995]},
         "controller": {"k_p": 3e-5, "k_i": 2e-9, "omega_c": 1.0},
@@ -44,7 +51,10 @@ def small_triangle(tmp_path, **run):
                 "theta0": 0.1, "omega_min": 0.5, "omega_max": 2.0},
         "run": {"t_end": 40000.0, "output_dt": 1000.0, **run},
     }
-    return write_doc(tmp_path, doc)
+
+
+def small_triangle(tmp_path, **run):
+    return write_doc(tmp_path, small_triangle_doc(**run))
 
 
 class TestSimulate:
@@ -196,6 +206,111 @@ class TestSimulate:
         rc = main(["simulate", "--model", "afm", "--scenario",
                    str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")])
         assert rc == 3
+
+    @pytest.mark.parametrize("override, message", [
+        ("afm.d=1e308", "d/omega_min = inf "),
+        ("afm.omega_min=1e-320", "d/omega_min = inf "),
+        ("afm.d=-1e308", "must be >= 0, got -1e+308"),
+    ])
+    def test_default_epoch_out_of_range_names_d(self, tmp_path, capsys, monkeypatch,
+                                                 override, message):
+        # the default epoch -(max latency + d/omega_min) - 1 would be infinite;
+        # the document holds no afm.epoch, so that is not the field named
+        monkeypatch.setattr(cli, "simulate_afm", RunStarted.refuse)
+        rc = main(["simulate", "--model", "afm", "--scenario",
+                   str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
+                   "--set", override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: afm.d: ") and message in err and "epoch:" not in err
+
+
+class RunStarted(Exception):
+    """A document that should have been refused reached the run."""
+
+    @classmethod
+    def refuse(cls, *args, **kwargs):
+        raise cls
+
+
+# every field of controller, afm and run, and the graph and frequencies fields;
+# graph.rows and frequencies.two_node.* are set in a document of their form
+FUZZED_PATHS = ([path for path, *_ in scenario._FIELDS]
+                + ["graph.n", "graph.rows", "frequencies.omega_u"]
+                + [f"frequencies.two_node.{key}" for key in ("i", "j", "alpha", "base")])
+FORMS = {
+    "graph.rows": {"graph": {"generator": "mesh", "rows": 1, "cols": 3}},
+    "frequencies.two_node": {"frequencies": {"two_node": {"i": 0, "j": 2, "alpha": 5e-5,
+                                                          "base": 1.0}}},
+}
+EXTREMES = [1e308, -1e308, 1e-320, -1e-320, -1, -0.5]
+# extremes in range for the field they are put in: the document is valid
+IN_RANGE = {
+    "controller.k_p": (1e308, 1e-320), "controller.k_i": (1e308, 1e-320),
+    "controller.omega_c": (1e308, 1e-320), "afm.p": (1e308,), "afm.d": (1e-320,),
+    "afm.latency": (1e308, 1e-320), "afm.theta0": (1e-320,), "afm.omega_m1": (1e308,),
+    "afm.omega_m2": (1e308,), "afm.omega_max": (1e308,), "afm.epoch": (-1e308,),
+    "run.t_end": (1e-320,), "run.output_dt": (1e308,),
+    "frequencies.two_node.alpha": (1e-320, -1e-320),
+}
+# sum(omega_u) * t_end / p, the estimated measurement count, passes the
+# run-size cap as inf, and the cap names afm.p
+NAMED_ELSEWHERE = {"frequencies.omega_u": {1e308: "afm.p"},
+                   "frequencies.two_node.base": {1e308: "afm.p"}}
+JUNK = st.one_of(
+    st.sampled_from([None, True, False, math.nan, math.inf, -math.inf, 10**400, *EXTREMES]),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.lists(st.just(0.3), max_size=2), min_size=1, max_size=7),  # nested
+    st.lists(st.just(0.3), max_size=8).filter(lambda v: len(v) not in (3, 6)),  # wrong length
+)
+
+
+class TestFuzzedField:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(path=st.sampled_from(FUZZED_PATHS), value=JUNK)
+    def test_junk_is_refused_with_its_section_named(self, tmp_path_factory, path, value):
+        doc = {**small_triangle_doc(), **copy.deepcopy(FORMS.get(path.rsplit(".", 1)[0], {}))}
+        *sections, key = path.split(".")
+        node = doc
+        for section in sections:
+            node = node[section]
+        node[key] = value
+        tmp = tmp_path_factory.getbasetemp() / "fuzz"
+        tmp.mkdir(exist_ok=True)
+        scn = write_doc(tmp, doc)
+        err = io.StringIO()
+        with mock.patch.object(cli, "simulate_afm", RunStarted.refuse), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = main(["simulate", "--model", "afm", "--scenario", str(scn),
+                           "--out", str(tmp / "out")])
+            except RunStarted:
+                rc = None
+        number = type(value) is float
+        if number and value in IN_RANGE.get(path, ()):
+            assert rc is None
+            return
+        assert rc == 1, (path, value)
+        section = NAMED_ELSEWHERE.get(path, {}).get(value, sections[0]) if number else sections[0]
+        assert err.getvalue().startswith(f"error: {section}"), (path, value, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+class TestErrorOrder:
+    @pytest.mark.parametrize("sets, field", [
+        # every field's type is checked, in document order, before any range rule
+        (["controller.k_p=-1", 'afm.p="x"'], "afm.p"),
+        (['afm.omega_min="x"', 'afm.p="x"'], "afm.p"),
+        (["controller.k_p=-1", "afm.p=0"], "controller.k_p"),
+    ])
+    def test_types_before_ranges_in_document_order(self, tmp_path, capsys, sets, field):
+        argv = ["analyze", "--performance", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                "--out", str(tmp_path / "out")]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 class TestCompare:
@@ -621,6 +736,22 @@ class TestSweep:
         text = (out / "sweep.csv").read_text()
         assert "error" in text
         assert "ok" in text
+
+    def test_error_rows_quoted(self, tmp_path, capsys):
+        # the status of the refused point holds a comma
+        out = tmp_path / "out"
+        rc = main(["sweep", "--scenario", str(SCENARIOS / "triangle_pi.json"),
+                   "--out", str(out), "--param", "controller.k_p", "--values=-1e-8,1e-8"])
+        assert rc == 2
+        text = (out / "sweep.csv").read_text()
+        assert capsys.readouterr().out == text
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(r) for r in rows] == [5, 5, 5]
+        assert rows[1][:2] == ["-1e-08", "error: controller.k_p: k_p must be > 0, got -1e-08"]
+        assert rows[1][2:] == ["", "", ""]
+        # an ok row is written as before: repr of every float, no quotes
+        ok = text.splitlines()[2]
+        assert ok == ",".join([repr(1e-8), "ok", *(repr(float(v)) for v in rows[2][2:])])
 
     def test_norms_outside_float_range_fail_one_point(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -187,6 +187,74 @@ class TestLoadScenario:
             apply_overrides({}, ["no-equals-sign"])
 
 
+# (graph section, nodes, edges) of each form
+_GRAPHS = [({"generator": "complete", "n": 3}, 3, 3), ({"generator": "path", "n": 4}, 4, 3),
+           ({"generator": "mesh", "rows": 2, "cols": 2}, 4, 4),
+           ({"n": 3, "edges": [[0, 1], [1, 2]]}, 3, 2)]
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _documents(draw):
+    """Well-formed documents with in-range values; each optional field present or absent."""
+    graph, n, m = draw(st.sampled_from(_GRAPHS))
+
+    def scalar_or_list(strategy, count):
+        return draw(st.one_of(strategy, st.lists(strategy, min_size=count, max_size=count)))
+
+    def optional(section, key, value):
+        if draw(st.booleans()):
+            section[key] = value() if callable(value) else value
+        return section.get(key)
+
+    if draw(st.booleans()):
+        freqs = {"omega_u": scalar_or_list(_floats(0.9, 1.1), n)}
+    else:
+        freqs = {"two_node": {"i": 0, "j": n - 1, "alpha": draw(_floats(0.0, 0.05))}}
+        optional(freqs["two_node"], "base", draw(_floats(0.95, 1.05)))
+    ctrl = {"k_p": draw(_floats(1e-9, 1e-3)), "k_i": draw(_floats(1e-15, 1e-8))}
+    optional(ctrl, "omega_c", draw(_floats(0.5, 2.0)))
+    afm, run = {}, {}
+    optional(afm, "p", draw(_floats(10.0, 1e4)))
+    d = optional(afm, "d", draw(_floats(0.0, 1e3))) or 0.0
+    latency = optional(afm, "latency", lambda: scalar_or_list(_floats(0.0, 1e3), 2 * m))
+    beta_max = optional(afm, "beta_max", draw(st.integers(1, 256)) * 2) or 128
+    optional(afm, "beta0", lambda: scalar_or_list(st.integers(0, beta_max), 2 * m))
+    optional(afm, "theta0", lambda: scalar_or_list(_floats(0.05, 0.95), n))
+    optional(afm, "omega_m1", lambda: scalar_or_list(_floats(0.9, 1.1), n))
+    optional(afm, "omega_m2", lambda: scalar_or_list(_floats(0.9, 1.1), n))
+    omega_min = optional(afm, "omega_min", draw(_floats(0.1, 0.8))) or 0.5
+    optional(afm, "omega_max", draw(_floats(1.5, 3.0)))
+    lat = max(latency if isinstance(latency, list) else [latency or 0.0])
+    optional(afm, "epoch", -(lat + d / omega_min) - draw(_floats(1.0, 1e3)))
+    t_end = optional(run, "t_end", draw(_floats(100.0, 1e5))) or 1e5
+    optional(run, "output_dt", draw(_floats(t_end / 1000, t_end)))
+    doc = {"graph": graph, "frequencies": freqs, "controller": ctrl}
+    doc.update({name: section for name, section in (("afm", afm), ("run", run))
+                if section or draw(st.booleans())})
+    return doc
+
+
+class TestResolvedDocument:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(doc=_documents())
+    def test_save_then_load_gives_back_the_scenario(self, tmp_path_factory, doc):
+        # a field that the loader reads and the resolved document drops, or the
+        # other way round, comes back with its default instead of its value
+        tmp = tmp_path_factory.getbasetemp()
+        (tmp / "drawn.json").write_text(json.dumps(doc))
+        loaded = load_scenario(tmp / "drawn.json")
+        resolved = scenario.scenario_to_dict(*loaded)
+        for path, *_ in scenario._FIELDS:
+            section, _, key = path.partition(".")
+            assert key in resolved[section], path
+        save_scenario(*loaded, tmp / "resaved.json")
+        assert load_scenario(tmp / "resaved.json") == loaded
+
+
 class TestTraceRoundTrip:
     def test_ode_trace_column_count(self, tmp_path):
         gains = Gains(k_p=0.2, k_i=0.05)
