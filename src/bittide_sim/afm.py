@@ -138,7 +138,11 @@ class AfmScenario:
         if rows > RUN_SIZE_CAP:
             raise ParameterError("output_dt", f"t_end/output_dt = {rows:.3g} trace rows, "
                                  f"above the run-size cap of {RUN_SIZE_CAP:.0e}")
-        measurements = sum(self.uncorrected_freq) * self.t_end / self.meas_period
+        total_freq = sum(self.uncorrected_freq)
+        if not math.isfinite(total_freq):
+            raise ParameterError("uncorrected_freq", f"the sum of omega_u is {total_freq}, "
+                                 "outside the float range, so the run size has no estimate")
+        measurements = total_freq * self.t_end / self.meas_period
         if measurements > RUN_SIZE_CAP:
             raise ParameterError(
                 "meas_period", f"about {measurements:.3g} measurements (sum of omega_u "

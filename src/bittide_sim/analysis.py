@@ -213,7 +213,8 @@ def l2_norm_squared(times: np.ndarray, values: np.ndarray, reference) -> float:
     """Trapezoid approximation of the integral of |y(t) - ref|^2 over the trace.
 
     values has one row per sample; reference is a constant vector (or scalar)
-    subtracted from every row.
+    subtracted from every row. An all-zero reference is not subtracted: x - 0
+    differs from x only where it turns -0.0 into +0.0, which squares the same.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -223,8 +224,11 @@ def l2_norm_squared(times: np.ndarray, values: np.ndarray, reference) -> float:
         values = values[:, None]
     reference = np.asarray(reference, dtype=float)
     integrand = np.empty(values.shape[0])
+    zero = not reference.any()
     for k in range(0, values.shape[0], _L2_BLOCK_ROWS):
-        dev = values[k:k + _L2_BLOCK_ROWS] - reference
+        dev = values[k:k + _L2_BLOCK_ROWS]
+        if not zero:
+            dev = dev - reference
         integrand[k:k + _L2_BLOCK_ROWS] = np.einsum("ij,ij->i", dev, dev)
     dt = np.diff(times)
     return float(np.sum(dt * (integrand[:-1] + integrand[1:]) / 2.0))

@@ -111,8 +111,8 @@ def cmd_analyze(args) -> int:
         r = resistance_matrix(sd)
         with (out / "resistance.csv").open("w") as fh:
             fh.write(",".join(f"node_{j}" for j in range(graph.n)) + "\n")
-            for row in r:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in r.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
         reports.append({
             "type": "resistance",
             "n": graph.n,

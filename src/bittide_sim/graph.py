@@ -132,13 +132,10 @@ def incidence_matrix(g: OrientedGraph) -> np.ndarray:
 
 def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first non-negligible entry is positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > _SIGN_TOL * max(np.abs(col).max(), 1.0))[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, j] = -col
-    return v
+    mag = np.abs(v)
+    big = mag > _SIGN_TOL * np.maximum(mag.max(axis=0), 1.0)
+    lead = v[big.argmax(axis=0), np.arange(v.shape[1])]
+    return np.where(big.any(axis=0) & (lead < 0), -v, v)
 
 
 @dataclass(frozen=True)

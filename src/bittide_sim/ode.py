@@ -155,10 +155,13 @@ def _modal_chunks(powers, offsets, last_step, n_full: int, count: int):
     (M, g) of the final partial step, or None when the grid ends on a full step.
     The chunks cover rows 0 .. count-1 in order from x(0) = 0: _CHUNK_STEPS
     rows each, and the last takes the rest, so it has fewer only when it is the
-    only chunk.
+    only chunk. The row that starts the next chunk lies outside the yielded
+    views, so the caller may overwrite them. Each block row is formed in place
+    as ((p_c0 * theta) + (p_c1 * zeta)) + o_c, c = 0 for theta and 1 for zeta.
     """
     p, o = powers, offsets
     block, n = p.shape[2], p.shape[3]
+    scratch = np.empty((block, n))
     th = ze = np.zeros(n)
     n_chunks = max(1, count // _CHUNK_STEPS)
     for i in range(n_chunks):
@@ -173,8 +176,10 @@ def _modal_chunks(powers, offsets, last_step, n_full: int, count: int):
             j = min(block, n_full - s, end - s)
             k = s - r
             th, ze = theta[k], zeta[k]
-            theta[k + 1:k + 1 + j] = p[0, 0, :j] * th + p[0, 1, :j] * ze + o[0, :j]
-            zeta[k + 1:k + 1 + j] = p[1, 0, :j] * th + p[1, 1, :j] * ze + o[1, :j]
+            for c, dst in enumerate((theta[k + 1:k + 1 + j], zeta[k + 1:k + 1 + j])):
+                np.multiply(p[c, 0, :j], th, out=dst)
+                dst += np.multiply(p[c, 1, :j], ze, out=scratch[:j])
+                dst += o[c, :j]
         if end == n_full + 1:
             m, g = last_step
             th, ze = theta[-2], zeta[-2]
@@ -268,7 +273,9 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
     _BLOCK_STEPS steps per numpy call. The modal state is formed _CHUNK_STEPS
     rows at a time and turned into omega and delta with one matrix product
     each, written straight into the trace, so no other trace-sized array
-    exists; a run of more than one chunk forms delta on one worker thread.
+    exists; omega's integral term is formed in place in the chunk's zeta,
+    which nothing reads after it. A run of more than one chunk adds omega_u to
+    omega and forms delta on one worker thread.
     delta uses only the disagreement modes, so the drift mode, whose phase
     grows without bound, never cancels in it.
     """
@@ -319,21 +326,23 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
     def write_omega(r, theta, zeta):
         rows = slice(r, r + len(theta))
         omega_hat = theta * phase_gain
-        omega_hat += integral_gain * zeta
+        omega_hat += np.multiply(integral_gain, zeta, out=zeta)  # zeta is not read again
         np.matmul(omega_hat, modes.T, out=omega[rows])
-        omega[rows] += omega_u
         return rows
+
+    def finish(rows, theta):
+        omega[rows] += omega_u
+        np.matmul(theta[:, 1:], to_delta, out=delta[rows])
 
     chunks = _modal_chunks(powers, offsets, last_step, n_full, count)
     if count < 2 * _CHUNK_STEPS:
         for r, theta, zeta in chunks:
-            rows = write_omega(r, theta, zeta)
-            np.matmul(theta[:, 1:], to_delta, out=delta[rows])
+            finish(write_omega(r, theta, zeta), theta)
         return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u)
-    # one worker thread forms each chunk's delta while this thread forms the
-    # next chunk's modal state and omega; every product is the same call on
-    # the same operands, so the bytes do not change, and at most one delta
-    # product is in flight
+    # one worker thread finishes each chunk (adds omega_u to its omega and
+    # forms its delta) while this thread forms the next chunk's modal state
+    # and omega product; every operation is the same call on the same
+    # operands, so the bytes do not change, and at most one chunk is in flight
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -343,7 +352,7 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
             del zeta
             if pending is not None:
                 pending.result()
-            pending = worker.submit(np.matmul, theta[:, 1:], to_delta, out=delta[rows])
+            pending = worker.submit(finish, rows, theta)
         pending.result()
     return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u)
 

@@ -8,6 +8,9 @@ for the PI update that the event loop makes at each measurement.
 resistance_distance and two_node_perturbation are the pairwise oracles for
 ``resistance_matrix`` and ``predicted_performance``; long_double_rk4_step is
 the extended-precision reference for ``rk4_step_operator``.
+sign_normalize_columns is the column-by-column oracle for the sign convention
+``spectral_data`` applies in bulk, and subtracted_l2_norm_squared the
+oracle for ``l2_norm_squared``, which skips subtracting an all-zero reference.
 """
 
 import math
@@ -19,7 +22,7 @@ import numpy as np
 
 from bittide_sim.afm import AfmScenario, InadmissibleControlError, PhaseHistory
 from bittide_sim.analysis import PerformanceReport
-from bittide_sim.graph import OrientedGraph, SpectralData
+from bittide_sim.graph import _SIGN_TOL, OrientedGraph, SpectralData
 from bittide_sim.ode import Gains, ReducedSystem, default_time_step
 from bittide_sim.scenario import _trace_table
 
@@ -96,6 +99,28 @@ def resistance_distance(sd: SpectralData, i: int, j: int) -> float:
         raise IndexError(f"node index out of range: ({i},{j}) for n={n}")
     lp = sd.pseudo_inverse
     return float(lp[i, i] + lp[j, j] - 2.0 * lp[i, j])
+
+
+def sign_normalize_columns(v: np.ndarray) -> np.ndarray:
+    """Flip each column whose first entry above _SIGN_TOL * max(|column|, 1) is negative."""
+    v = v.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nz = np.nonzero(np.abs(col) > _SIGN_TOL * max(np.abs(col).max(), 1.0))[0]
+        if nz.size and col[nz[0]] < 0:
+            v[:, j] = -col
+    return v
+
+
+def subtracted_l2_norm_squared(times, values, reference) -> float:
+    """Trapezoid integral of |y(t) - ref|^2, always subtracting the reference."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    dev = values - np.asarray(reference, dtype=float)
+    integrand = np.einsum("ij,ij->i", dev, dev)
+    dt = np.diff(np.asarray(times, dtype=float))
+    return float(np.sum(dt * (integrand[:-1] + integrand[1:]) / 2.0))
 
 
 def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int, alpha: float):

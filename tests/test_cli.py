@@ -109,6 +109,10 @@ class TestSimulate:
         ("afm.p=1e-9", "afm.p"),
         # afm.omega_m1 and afm.omega_m2 are absent and take frequencies.omega_u
         ("frequencies.omega_u=-1", "frequencies.omega_u"),
+        # sum(omega_u) overflows, so the run size has no estimate to refuse under afm.p
+        ("frequencies.omega_u=1e308", "frequencies.omega_u"),
+        ('frequencies={"two_node": {"i": 0, "j": 1, "alpha": 1e-4, "base": 1e308}}',
+         "frequencies.omega_u"),
         # a misspelled key is refused, not ignored in favour of the file's value
         ("controller.kp=5", "controller.kp"),
         ("controler.k_p=5", "controler"),
@@ -253,10 +257,6 @@ IN_RANGE = {
     "run.t_end": (1e-320,), "run.output_dt": (1e308,),
     "frequencies.two_node.alpha": (1e-320, -1e-320),
 }
-# sum(omega_u) * t_end / p, the estimated measurement count, passes the
-# run-size cap as inf, and the cap names afm.p
-NAMED_ELSEWHERE = {"frequencies.omega_u": {1e308: "afm.p"},
-                   "frequencies.two_node.base": {1e308: "afm.p"}}
 JUNK = st.one_of(
     st.sampled_from([None, True, False, math.nan, math.inf, -math.inf, 10**400, *EXTREMES]),
     st.text(max_size=3),
@@ -266,35 +266,64 @@ JUNK = st.one_of(
 )
 
 
-class TestFuzzedField:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(path=st.sampled_from(FUZZED_PATHS), value=JUNK)
-    def test_junk_is_refused_with_its_section_named(self, tmp_path_factory, path, value):
-        doc = {**small_triangle_doc(), **copy.deepcopy(FORMS.get(path.rsplit(".", 1)[0], {}))}
+def fuzzed_run(tmp_path_factory, sets):
+    """Run simulate on small_triangle_doc with each (path, value) of sets put in.
+
+    Each path is set in a document of its form. Returns the exit code, or None
+    if the run started, and stderr.
+    """
+    doc = small_triangle_doc()
+    for path, _ in sets:
+        form = next((FORMS[p] for p in (path, path.rsplit(".", 1)[0]) if p in FORMS), {})
+        doc.update(copy.deepcopy(form))
+    for path, value in sets:
         *sections, key = path.split(".")
         node = doc
         for section in sections:
             node = node[section]
         node[key] = value
-        tmp = tmp_path_factory.getbasetemp() / "fuzz"
-        tmp.mkdir(exist_ok=True)
-        scn = write_doc(tmp, doc)
-        err = io.StringIO()
-        with mock.patch.object(cli, "simulate_afm", RunStarted.refuse), \
-                contextlib.redirect_stderr(err):
-            try:
-                rc = main(["simulate", "--model", "afm", "--scenario", str(scn),
-                           "--out", str(tmp / "out")])
-            except RunStarted:
-                rc = None
-        number = type(value) is float
-        if number and value in IN_RANGE.get(path, ()):
+    tmp = tmp_path_factory.getbasetemp() / "fuzz"
+    tmp.mkdir(exist_ok=True)
+    scn = write_doc(tmp, doc)
+    err = io.StringIO()
+    with mock.patch.object(cli, "simulate_afm", RunStarted.refuse), \
+            contextlib.redirect_stderr(err):
+        try:
+            rc = main(["simulate", "--model", "afm", "--scenario", str(scn),
+                       "--out", str(tmp / "out")])
+        except RunStarted:
+            rc = None
+    assert "Traceback" not in err.getvalue()
+    return rc, err.getvalue()
+
+
+def in_range(path, value):
+    return type(value) is float and value in IN_RANGE.get(path, ())
+
+
+class TestFuzzedField:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(path=st.sampled_from(FUZZED_PATHS), value=JUNK)
+    def test_junk_is_refused_with_its_section_named(self, tmp_path_factory, path, value):
+        rc, err = fuzzed_run(tmp_path_factory, [(path, value)])
+        if in_range(path, value):
             assert rc is None
             return
         assert rc == 1, (path, value)
-        section = NAMED_ELSEWHERE.get(path, {}).get(value, sections[0]) if number else sections[0]
-        assert err.getvalue().startswith(f"error: {section}"), (path, value, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        assert err.startswith(f"error: {path.split('.')[0]}"), (path, value, err)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(paths=st.lists(st.sampled_from(FUZZED_PATHS), min_size=2, max_size=2, unique=True),
+           values=st.tuples(JUNK, JUNK))
+    def test_junk_in_two_fields_is_refused_with_a_section_named(self, tmp_path_factory,
+                                                                 paths, values):
+        sets = list(zip(paths, values))
+        rc, err = fuzzed_run(tmp_path_factory, sets)
+        if all(in_range(path, value) for path, value in sets):
+            assert rc is None
+            return
+        assert rc == 1, sets
+        assert any(err.startswith(f"error: {path.split('.')[0]}") for path in paths), (sets, err)
 
 
 class TestErrorOrder:

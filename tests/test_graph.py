@@ -1,13 +1,18 @@
 """Tests for the oriented-graph layer and its spectral quantities."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bittide_sim.graph import (FiedlerResult, NotConnectedError, OrientedGraph,
-                               complete, fiedler_vector, incidence_matrix, mesh, path,
-                               resistance_matrix, spectral_data)
+from bittide_sim.graph import (_SIGN_TOL, FiedlerResult, NotConnectedError, OrientedGraph,
+                               _sign_normalize_columns, complete, fiedler_vector,
+                               incidence_matrix, mesh, path, resistance_matrix, spectral_data)
+from bittide_sim.scenario import load_scenario
 from helpers import (bfs_distance, neighbors, random_connected_graph, resistance_distance,
-                     union_find_connected)
+                     sign_normalize_columns, union_find_connected)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestOrientedGraph:
@@ -249,3 +254,34 @@ class TestFiedlerVector:
         res = fiedler_vector(spectral_data(mesh(4, 6)))
         nz = res.vector[np.abs(res.vector) > 1e-9]
         assert nz[0] > 0
+
+
+class TestSignNormalization:
+    """The bulk sign flip gives the bits of the column-by-column loop in helpers."""
+
+    @staticmethod
+    def assert_same_bits(v):
+        assert _sign_normalize_columns(v).tobytes() == sign_normalize_columns(v).tobytes()
+
+    @pytest.mark.parametrize("name", ["triangle_pi", "mesh_close_pair", "mesh_far_pair",
+                                      "mesh_12x12"])
+    def test_shipped_graph_eigenvectors(self, name):
+        graph = (mesh(12, 12) if name == "mesh_12x12"
+                 else load_scenario(SCENARIOS / f"{name}.json")[0])
+        b = incidence_matrix(graph)
+        v = np.linalg.eigh(b @ b.T)[1]
+        self.assert_same_bits(v)
+        self.assert_same_bits(-v)
+
+    def test_negligible_leading_entries_and_zero_columns(self):
+        rng = np.random.RandomState(21)
+        for _ in range(200):
+            n, k = rng.randint(2, 10), rng.randint(1, 6)
+            # column scales from far below 1, where every entry is negligible, to 1e3
+            v = rng.randn(n, k) * 10.0 ** rng.uniform(-15, 3, k)
+            for j, lead in enumerate(rng.randint(0, n, k)):
+                # entries above row lead fall below the threshold, with either sign
+                v[:lead, j] = (rng.choice([-1.0, 1.0], lead) * rng.uniform(0.0, 1.0, lead)
+                               * _SIGN_TOL * max(np.abs(v[:, j]).max(), 1.0))
+            v[:, rng.randint(k)] = rng.choice([0.0, -0.0])
+            self.assert_same_bits(v)

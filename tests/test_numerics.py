@@ -4,9 +4,10 @@ norm and the Lyapunov residual (analysis), and the generic RK4 oracle (helpers).
 import numpy as np
 import pytest
 
+from bittide_sim import analysis
 from bittide_sim.analysis import _lyapunov_residual, l2_norm_squared
 from bittide_sim.ode import rk4_step_operator
-from helpers import rk4_integrate
+from helpers import rk4_integrate, subtracted_l2_norm_squared
 
 
 class TestRk4:
@@ -83,6 +84,30 @@ class TestL2NormSquared:
 
         ratio = err(200) / err(400)
         assert 3.5 < ratio < 4.5
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_reference_matches_subtraction_bit_for_bit(self, zero):
+        # an all-zero reference is not subtracted; x - 0 differs from x only in
+        # the sign of a zero, so the integral keeps every bit
+        rng = np.random.RandomState(4)
+        rows = 3 * analysis._L2_BLOCK_ROWS + 7
+        t = np.cumsum(rng.uniform(0.1, 2.0, rows))
+        wide = rng.randn(rows, 9) * 10.0 ** rng.uniform(-160, 100, (rows, 9))
+        wide[rng.rand(rows, 9) < 0.2] = -0.0
+        wide[rng.rand(rows, 9) < 0.1] = 0.0
+        for values in (wide, wide[:, 2:7], np.asfortranarray(wide), wide[:, 4], -wide):
+            width = values.shape[1] if values.ndim == 2 else 1
+            for reference in (np.full(width, zero), zero):
+                got = l2_norm_squared(t, values, reference)
+                want = subtracted_l2_norm_squared(t, values, reference)
+                assert np.isfinite(want)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # a nonzero reference is still subtracted
+        small, ref = rng.randn(rows, 9), np.zeros(9)
+        ref[3] = 0.5
+        got = l2_norm_squared(t, small, ref)
+        assert got == subtracted_l2_norm_squared(t, small, ref)
+        assert got != l2_norm_squared(t, small, np.zeros(9))
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):

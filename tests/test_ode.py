@@ -259,6 +259,26 @@ class TestSimulateOde:
                 assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), \
                     (steps, name)
 
+    def test_yielded_zeta_is_not_read_again(self, monkeypatch):
+        # simulate_ode overwrites each chunk's zeta with omega's integral term,
+        # so the row that starts the next chunk must lie outside the yielded view
+        sd = spectral_data(mesh(3, 3))
+        sys_full = build_full_system(sd, Gains(k_p=0.7, k_i=0.15))
+        omega_u = np.linspace(0.9, 1.1, sd.graph.n)
+        dt, steps = 0.01, 3 * ode._CHUNK_STEPS + ode._BLOCK_STEPS + 0.5
+        want = simulate_ode(sys_full, omega_u, steps * dt, dt=dt)
+        chunks = ode._modal_chunks
+
+        def poisoned(*args):
+            for r, theta, zeta in chunks(*args):
+                yield r, theta, zeta
+                zeta.fill(np.nan)
+
+        monkeypatch.setattr(ode, "_modal_chunks", poisoned)
+        got = simulate_ode(sys_full, omega_u, steps * dt, dt=dt)
+        for name in ("times", "omega", "delta"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_peak_memory_is_the_trace_and_a_few_chunks(self):
         sd = spectral_data(mesh(3, 3))
         n = sd.graph.n

@@ -435,6 +435,56 @@ class TestTraceWriterOracle:
         write_trace(trace, dest)
         assert_same_text(dest.read_text(), legacy_trace_text(trace))
 
+    @staticmethod
+    def all_changed_blocks(trace):
+        """For each block write_trace forms, whether every cell differs from the one above."""
+        table = scenario._trace_table(trace)
+        cells = _bits(np.column_stack([table.times, table.values]))
+        changed = np.ones(cells.shape, dtype=bool)
+        changed[1:] = cells[1:] != cells[:-1]
+        rows = scenario._WRITE_BLOCK_CELLS // cells.shape[1]
+        return [bool(changed[k:k + rows].all()) for k in range(0, cells.shape[0], rows)]
+
+    def test_all_changed_blocks_write_the_oracle_bytes(self, tmp_path):
+        # blocks whose every cell changes reuse no text; after them, and after
+        # blocks of repeating rows, the text, the row carried into the next
+        # block and event times on rows must still be the per-cell text
+        rng = np.random.RandomState(19)
+        sd = spectral_data(complete(5))
+        # short enough that no frequency settles to its last bit
+        fluid = simulate_ode(build_full_system(sd, Gains(k_p=0.2, k_i=0.05)),
+                             np.array([1.1, 0.95, 1.02, 0.9, 1.03]), 20.0, dt=0.005)
+        frame = simulate_afm(make_scenario(complete(3), (1.00005, 1.0, 0.99995),
+                                           Gains(k_p=3e-5, k_i=2e-9), t_end=2000.0,
+                                           output_dt=100.0))
+        rows = 4000
+        times = np.cumsum(rng.uniform(0.5, 1.5, rows))
+        occupancy = 64 + np.cumsum(rng.choice([-2, -1, 1, 2], (rows, 6)), axis=0)
+        on_rows = rng.choice(rows, 12, replace=False)
+        events = tuple(AfmEvent(float(times[r]), int(r % 3), "measure", k, float(r) / 7.0)
+                       for k, r in enumerate(on_rows))
+        events += (AfmEvent(float(times[7] + 0.25), 2, "hold", 12, -0.5),)
+        hand_built = dataclasses.replace(frame, times=times, freq=rng.uniform(0.9, 1.1, (rows, 3)),
+                                         occupancy=occupancy, events=events)
+        # a block of every cell changing, then two whose columns 1.. repeat the
+        # last row of the first block, so its text carries over, then changing rows
+        width = 5
+        block = scenario._WRITE_BLOCK_CELLS // (1 + width)
+        values = rng.randn(4 * block + 9, width)
+        values[block:3 * block, 1:] = values[block - 1, 1:]
+        mixed = TraceTable(tuple(f"c{j}" for j in range(width)),
+                           np.arange(values.shape[0], dtype=float), values)
+        assert all(self.all_changed_blocks(fluid)) and len(self.all_changed_blocks(fluid)) > 1
+        assert all(self.all_changed_blocks(hand_built))
+        assert self.all_changed_blocks(mixed) == [True, False, False, True, True]
+        for k, trace in enumerate((fluid, hand_built, mixed)):
+            dest = tmp_path / f"trace_{k}.csv"
+            write_trace(trace, dest)
+            assert_same_text(dest.read_text(), legacy_trace_text(trace))
+        assert_same_text(events_path_for(tmp_path / "trace_1.csv").read_text(),
+                         "time,node,kind,value\n" + "".join(
+                             f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n" for ev in events))
+
     def test_signed_zeros_and_exponents(self, tmp_path):
         col = [0.0, -0.0, -0.0, 0.0, 5e-324, 5e-324, 1e16, 1e16, 1e-05, 0.0]
         values = np.column_stack([col, col[::-1], np.ones(len(col))])
