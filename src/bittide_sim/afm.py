@@ -17,12 +17,9 @@ slope_at, next_crossing, occupancy), and that of the PI update
 history's first breakpoint raises HistoryGapError.
 """
 
-from __future__ import annotations
-
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,16 +58,7 @@ class PhaseHistory:
         )
 
 
-@dataclass(frozen=True)
-class AfmScenario:
-    """Complete parameter set for a frame-exact run.
-
-    Per-node sequences are ordered by node index; per-directed-link sequences
-    follow OrientedGraph.directed_links() order (edge l forward at slot 2l,
-    reverse at 2l+1). Phases are in ticks, time in seconds, frequencies in
-    ticks/second; meas_period and actuation_delay are in local ticks.
-    """
-
+class _ScenarioFields(NamedTuple):
     graph: OrientedGraph
     uncorrected_freq: tuple
     initial_phase: tuple
@@ -88,7 +76,20 @@ class AfmScenario:
     output_dt: float
     epoch: float
 
-    def __post_init__(self):
+
+class AfmScenario(_ScenarioFields):
+    """Complete parameter set for a frame-exact run.
+
+    Per-node sequences are ordered by node index; per-directed-link sequences
+    follow OrientedGraph.directed_links() order (edge l forward at slot 2l,
+    reverse at 2l+1). Phases are in ticks, time in seconds, frequencies in
+    ticks/second; meas_period and actuation_delay are in local ticks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = self.graph.n
         n_links = 2 * self.graph.m
         for name, want in (
@@ -153,6 +154,11 @@ class AfmScenario:
                 "epoch", f"epoch={self.epoch} violates epoch <= "
                 f"-(max latency + actuation_delay/omega_min) = {bound}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace checks too
+        return cls(*iterable)
 
 
 class AfmEvent(NamedTuple):
@@ -165,8 +171,7 @@ class AfmEvent(NamedTuple):
     value: float  # r for measure, correction for hold, occupancy for buffer events
 
 
-@dataclass(frozen=True)
-class AfmTrace:
+class AfmTrace(NamedTuple):
     """Sampled run output: the uniform output grid plus every event instant.
 
     occupancy columns follow directed_links() order and are exact integers;

@@ -18,11 +18,8 @@ reduced matrix. Each result that becomes a report
 names its report type in ``kind``.
 """
 
-from __future__ import annotations
-
 import warnings
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +35,8 @@ class InsufficientHorizonWarning(UserWarning):
     """Empirical norm integral likely truncated too early."""
 
 
-@dataclass(frozen=True)
-class HurwitzResult:
-    kind: ClassVar[str] = "hurwitz"
+class HurwitzResult(NamedTuple):
+    kind = "hurwitz"
     is_hurwitz: bool
     spectral_abscissa: float
 
@@ -57,8 +53,7 @@ def hurwitz_check(sd: SpectralData, gains: Gains) -> HurwitzResult:
     return HurwitzResult(is_hurwitz=abscissa < 0, spectral_abscissa=abscissa)
 
 
-@dataclass(frozen=True)
-class LyapunovCertificate:
+class LyapunovCertificate(NamedTuple):
     """Residuals and smallest eigenvalues of the explicit Lyapunov solutions.
 
     x1 certifies the frequency-deviation norm, x2 the occupancy norm, and
@@ -66,7 +61,7 @@ class LyapunovCertificate:
     positive definiteness of the sum independently witnesses stability.
     """
 
-    kind: ClassVar[str] = "lyapunov_certificate"
+    kind = "lyapunov_certificate"
     residual1: float
     residual2: float
     residual_sum: float
@@ -133,11 +128,10 @@ def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
     )
 
 
-@dataclass(frozen=True)
-class PerformanceReport:
+class PerformanceReport(NamedTuple):
     """Closed-form L2 performance of a run: norms scale as q/2a and q/2ab."""
 
-    kind: ClassVar[str] = "performance"
+    kind = "performance"
     freq_dev_norm_sq: float
     occupancy_norm_sq: float
     quadratic_form: float
@@ -173,11 +167,10 @@ def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> Performanc
     )
 
 
-@dataclass(frozen=True)
-class WorstCaseResult:
+class WorstCaseResult(NamedTuple):
     """Worst frequency distribution on the |omega_u| <= gamma ball."""
 
-    kind: ClassVar[str] = "worst_case"
+    kind = "worst_case"
     omega_u: np.ndarray
     attained_quadratic_form: float
     degenerate: bool

@@ -5,8 +5,6 @@ Exit codes: 0 success, 1 scenario validation problems, 2 runtime failures
 3 I/O errors. Summaries go to stdout; data goes to files in --out.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

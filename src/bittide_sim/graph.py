@@ -10,9 +10,7 @@ distances and the Fiedler vector.
 All values are immutable after construction and safe to share.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +24,12 @@ class NotConnectedError(ValueError):
     """The underlying undirected graph is not connected."""
 
 
-@dataclass(frozen=True)
-class OrientedGraph:
+class _GraphFields(NamedTuple):
+    n: int
+    edges: tuple = ()
+
+
+class OrientedGraph(_GraphFields):
     """Undirected graph with per-edge orientation.
 
     Nodes are 0..n-1; edges is an ordered list of (source, target) pairs.
@@ -36,11 +38,10 @@ class OrientedGraph:
     consecutive slots 2l and 2l+1 in the directed-link numbering.
     """
 
-    n: int
-    edges: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+    def __new__(cls, n: int, edges=()):
+        self = super().__new__(cls, n, tuple((int(u), int(v)) for u, v in edges))
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got n={self.n}")
         seen = set()
@@ -53,6 +54,11 @@ class OrientedGraph:
             if key in seen:
                 raise ValueError(f"duplicate undirected edge {key}")
             seen.add(key)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace checks too
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
@@ -138,8 +144,7 @@ def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:
     return np.where(big.any(axis=0) & (lead < 0), -v, v)
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Eigendecomposition-derived quantities of a connected graph's Laplacian.
 
     disagreement_basis holds the n-1 eigenvectors of the nonzero eigenvalues
@@ -154,7 +159,7 @@ class SpectralData:
     disagreement_basis: np.ndarray
     reduced_laplacian: np.ndarray
     pseudo_inverse: np.ndarray
-    incidence: np.ndarray = field(repr=False)
+    incidence: np.ndarray
 
     @property
     def lambda_max(self) -> float:
@@ -205,8 +210,7 @@ def resistance_matrix(sd: SpectralData) -> np.ndarray:
     return d[:, None] + d[None, :] - 2.0 * sd.pseudo_inverse
 
 
-@dataclass(frozen=True)
-class FiedlerResult:
+class FiedlerResult(NamedTuple):
     """Unit eigenvector of the algebraic connectivity, with degeneracy flag."""
 
     vector: np.ndarray

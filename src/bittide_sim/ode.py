@@ -16,9 +16,7 @@ Hurwitz witness. The Lyapunov certificate uses the reduced system obtained by
 projecting onto the disagreement subspace.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .graph import SpectralData
 
 
 class ParameterError(ValueError):
-    """A model parameter is out of range; field names the dataclass field."""
+    """A model parameter is out of range; field names the record field that holds it."""
 
     def __init__(self, field: str, message: str):
         self.field = field
@@ -38,33 +36,41 @@ class ParameterError(ValueError):
 RUN_SIZE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class Gains:
+class _GainFields(NamedTuple):
+    k_p: float
+    k_i: float
+    omega_c: float = 1.0
+
+
+class Gains(_GainFields):
     """PI controller gains and the controller frequency constant.
 
     The closed-loop formulas depend on the proportional gain k_p and the
     scaled integral gain omega_c * k_i; both must be positive for stability.
     """
 
-    k_p: float
-    k_i: float
-    omega_c: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k_p <= 0:
             raise ParameterError("k_p", f"k_p must be > 0, got {self.k_p}")
         if self.k_i <= 0:
             raise ParameterError("k_i", f"k_i must be > 0, got {self.k_i}")
         if self.omega_c <= 0:
             raise ParameterError("omega_c", f"omega_c must be > 0, got {self.omega_c}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace checks too
+        return cls(*iterable)
 
     @property
     def effective_integral_gain(self) -> float:
         return self.omega_c * self.k_i
 
 
-@dataclass(frozen=True)
-class OdeSystem:
+class OdeSystem(NamedTuple):
     """The closed loop as one 2x2 block per Laplacian eigenvalue lambda_k.
 
     blocks[k] = [[-a lambda_k, b], [-lambda_k, 0]] acts on the modal state
@@ -79,8 +85,7 @@ class OdeSystem:
     gains: Gains
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(NamedTuple):
     """Disagreement-subspace dynamics: (2n-2)-state, Hurwitz for positive gains."""
 
     a_hat: np.ndarray
@@ -191,8 +196,7 @@ def _modal_chunks(powers, offsets, last_step, n_full: int, count: int):
         yield r, theta, zeta
 
 
-@dataclass(frozen=True)
-class OdeTrace:
+class OdeTrace(NamedTuple):
     """Sampled trajectory of the full system from x(0) = 0.
 
     omega is the per-node frequency and delta the per-edge relative buffer

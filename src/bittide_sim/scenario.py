@@ -8,14 +8,11 @@ tables (one header row, full float precision) so any plotting tool can
 consume them; event logs go to a companion table.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import ClassVar
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +99,10 @@ def _count(value, field: str) -> int:
 def _check_graph_size(field: str, n: int, m: int) -> None:
     """Refuse a graph whose dense n x m incidence matrix would pass the run-size cap."""
     if n > 0 and m > 0 and n * m > RUN_SIZE_CAP:
-        raise ValidationError(field, f"{n} nodes and {m} edges: n*m = {n * m}, above the "
-                                     f"run-size cap of {RUN_SIZE_CAP:.0e}")
+        from decimal import Decimal  # formats ints past the float range; only loaded here
+        n, m, nm = map(Decimal, (n, m, n * m))
+        raise ValidationError(field, f"{n:.3g} nodes and {m:.3g} edges: n*m = {nm:.3g}, "
+                                     f"above the run-size cap of {RUN_SIZE_CAP:.0e}")
 
 
 def _build_graph(spec: dict) -> OrientedGraph:
@@ -254,7 +253,7 @@ def load_scenario_dict(doc: dict):
         values[name] = (read(value, path) if per is None
                         else _per_entry(value, counts[per], path, read))
     try:
-        gains = Gains(**{f.name: values.pop(f.name) for f in fields(Gains)})
+        gains = Gains(**{name: values.pop(name) for name in Gains._fields})
         scenario = AfmScenario(graph=graph, gains=gains, **values)
     except ParameterError as exc:
         if exc.field in borrowed:
@@ -335,8 +334,7 @@ def apply_overrides(doc: dict, assignments) -> dict:
 # Trace tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceTable:
+class TraceTable(NamedTuple):
     """Generic delimited trace: time column plus named signal columns."""
 
     columns: tuple
@@ -470,8 +468,7 @@ def read_trace(path_like) -> TraceTable:
 # Trace comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Deviation of a frame-exact run from the fluid prediction.
 
     Occupancy comparison maps each edge's fluid offset onto the two directed
@@ -480,7 +477,7 @@ class ComparisonReport:
     the link's initial occupancy.
     """
 
-    kind: ClassVar[str] = "comparison"
+    kind = "comparison"
     freq_steady_dev: np.ndarray
     occ_steady_dev: np.ndarray
     max_freq_dev: float
@@ -540,9 +537,8 @@ def _report_tree(report) -> dict:
     if isinstance(report, dict):
         return report
     tree = {"type": report.kind}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        tree[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    for name, value in report._asdict().items():
+        tree[name] = value.tolist() if isinstance(value, np.ndarray) else value
     return tree
 
 

@@ -1,6 +1,5 @@
 """Tests for the frame-exact event-driven simulator."""
 
-import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -515,7 +514,7 @@ class TestEdgeCases:
         scn = make_scenario(g, (1.02, 1.0, 0.98), Gains(k_p=1e-6, k_i=1e-9), latency=latency,
                             p=10.0, d=d, theta0=(0.3, 1.7, 2.2), beta_max=8, t_end=t_end,
                             output_dt=output_dt)
-        scn = dataclasses.replace(scn, epoch=-(max(latency) + d / scn.omega_min))
+        scn = scn._replace(epoch=-(max(latency) + d / scn.omega_min))
         trace = simulate_afm(scn)
         assert len(set(latency)) == len(latency)
         assert (trace.times[0], trace.times[-1]) == (0.0, t_end)

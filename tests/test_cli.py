@@ -627,6 +627,20 @@ class TestGraphSizeCap:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "run-size cap" in err
 
+    @pytest.mark.parametrize("document, item, field", [
+        ("mesh_close_pair.json", "graph.rows=1e308", "graph.rows"),
+        ("mesh_close_pair.json", "graph.cols=1.7e308", "graph.rows"),
+        ("triangle_pi.json", "graph.n=1e308", "graph.n"),
+    ])
+    def test_huge_sizes_print_a_short_line(self, tmp_path, capsys, document, item, field):
+        # n, m and n*m pass the float range; as exact integers they ran to 900 digits
+        argv = ["analyze", "--performance", "--scenario", str(SCENARIOS / document),
+                "--out", str(tmp_path), "--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "run-size cap" in err
+        assert err.count("\n") == 1 and len(err) < 200
+
     @pytest.mark.parametrize("sets", [
         ["graph.n=271"],  # n*m = 9,914,535
         ['graph={"generator": "path", "n": 3162}'],  # n*m = 9,995,082

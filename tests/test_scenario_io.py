@@ -1,6 +1,5 @@
 """Tests for scenario files, trace serialization, comparison, and reports."""
 
-import dataclasses
 import json
 from pathlib import Path
 from unittest import mock
@@ -379,7 +378,7 @@ class TestTraceWriterOracle:
         trace = simulate_afm(scn)
         assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
         assert not trace.occupancy.flags.c_contiguous
-        copied = dataclasses.replace(trace, **{
+        copied = trace._replace(**{
             name: np.ascontiguousarray(getattr(trace, name))
             for name in ("freq", "occupancy")})
         texts = []
@@ -407,9 +406,9 @@ class TestTraceWriterOracle:
         want = "time,node,kind,value\n" + "".join(
             f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n" for ev in events)
         for k, hand_built in enumerate((
-                dataclasses.replace(trace, events=events),
-                dataclasses.replace(trace, events=events, times=t[:0], freq=trace.freq[:0],
-                                    occupancy=trace.occupancy[:0]))):
+                trace._replace(events=events),
+                trace._replace(events=events, times=t[:0], freq=trace.freq[:0],
+                               occupancy=trace.occupancy[:0]))):
             dest = tmp_path / f"trace_{k}.csv"
             write_trace(hand_built, dest)
             assert events_path_for(dest).read_text() == want
@@ -422,7 +421,7 @@ class TestTraceWriterOracle:
         events = (AfmEvent(np.float64(123.456789), 0, "measure", 0, np.float64(2.0)),
                   AfmEvent(trace.times[3], 1, "hold", 0, np.float64(-1.5e-7)))
         dest = tmp_path / "trace.csv"
-        write_trace(dataclasses.replace(trace, events=events), dest)
+        write_trace(trace._replace(events=events), dest)
         assert events_path_for(dest).read_text() == (
             "time,node,kind,value\n123.456789,0,measure,2.0\n"
             f"{float(trace.times[3])!r},1,hold,-1.5e-07\n")
@@ -464,8 +463,8 @@ class TestTraceWriterOracle:
         events = tuple(AfmEvent(float(times[r]), int(r % 3), "measure", k, float(r) / 7.0)
                        for k, r in enumerate(on_rows))
         events += (AfmEvent(float(times[7] + 0.25), 2, "hold", 12, -0.5),)
-        hand_built = dataclasses.replace(frame, times=times, freq=rng.uniform(0.9, 1.1, (rows, 3)),
-                                         occupancy=occupancy, events=events)
+        hand_built = frame._replace(times=times, freq=rng.uniform(0.9, 1.1, (rows, 3)),
+                                    occupancy=occupancy, events=events)
         # a block of every cell changing, then two whose columns 1.. repeat the
         # last row of the first block, so its text carries over, then changing rows
         width = 5
@@ -585,7 +584,7 @@ class TestCompareTraces:
         assert np.array_equal(report.occ_steady_dev, occ_dev[-1])
         # one shared beta0 would be off by up to 18 frames on these links
         assert report.max_occ_dev <= 2.0
-        assert dataclasses.asdict(report).keys() == {
+        assert report._asdict().keys() == {
             "freq_steady_dev", "occ_steady_dev", "max_freq_dev", "max_occ_dev", "n_samples"}
 
 
