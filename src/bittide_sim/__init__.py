@@ -15,10 +15,9 @@ from .analysis import (LyapunovCertificate, PerformanceReport, build_lyapunov_ce
 from .graph import (NotConnectedError, OrientedGraph, SpectralData, complete,
                     fiedler_vector, incidence_matrix, mesh, path, resistance_matrix,
                     spectral_data)
-from .ode import (Gains, OdeSystem, OdeTrace, ReducedSystem, build_full_system,
-                  build_reduced_system, simulate_ode)
+from .ode import Gains, OdeSystem, OdeTrace, build_full_system, simulate_ode
 from .scenario import (ComparisonReport, ValidationError, compare_traces, emit_report,
-                       load_scenario, read_trace, save_scenario, write_trace)
+                       load_scenario, read_trace, write_trace)
 
 __version__ = "0.1.0"
 
@@ -30,8 +29,7 @@ __all__ = [
     "NotConnectedError", "OrientedGraph", "SpectralData", "complete",
     "fiedler_vector", "incidence_matrix", "mesh", "path", "resistance_matrix",
     "spectral_data",
-    "Gains", "OdeSystem", "OdeTrace", "ReducedSystem", "build_full_system",
-    "build_reduced_system", "simulate_ode",
+    "Gains", "OdeSystem", "OdeTrace", "build_full_system", "simulate_ode",
     "ComparisonReport", "ValidationError", "compare_traces", "emit_report",
-    "load_scenario", "read_trace", "save_scenario", "write_trace",
+    "load_scenario", "read_trace", "write_trace",
 ]

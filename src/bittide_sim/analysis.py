@@ -69,7 +69,7 @@ class LyapunovCertificate(NamedTuple):
     min_eig_x2: float
 
 
-def lyapunov_solutions(sd: SpectralData, gains: Gains) -> tuple:
+def lyapunov_solutions(reduced: ReducedSystem) -> tuple:
     """The block Lyapunov solutions (x1, x2) of the reduced loop.
 
     With L the reduced Laplacian, a, b the gains, and I the identity:
@@ -79,10 +79,10 @@ def lyapunov_solutions(sd: SpectralData, gains: Gains) -> tuple:
         x2 = [[1/(2a) I,  0            ],
               [0,         b/(2a) L^-1  ]]
     """
-    lap_hat = sd.reduced_laplacian
+    lap_hat = reduced.lap_hat
     n1 = lap_hat.shape[0]
-    a = gains.k_p
-    b = gains.effective_integral_gain
+    a = reduced.gains.k_p
+    b = reduced.gains.effective_integral_gain
     eye = np.eye(n1)
     lap_hat_inv = np.linalg.inv(lap_hat)
     lap_hat_inv = (lap_hat_inv + lap_hat_inv.T) / 2.0
@@ -102,19 +102,19 @@ def _lyapunov_residual(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> float:
     return float(np.linalg.norm(a.T @ x + x @ a + c.T @ c))
 
 
-def build_lyapunov_certificate(reduced: ReducedSystem, sd: SpectralData,
-                               gains: Gains) -> LyapunovCertificate:
+def build_lyapunov_certificate(reduced: ReducedSystem) -> LyapunovCertificate:
     """Verify the Lyapunov solutions of the reduced loop numerically.
 
     Residuals are reported relative to |C^T C|_F for each output block.
     """
-    x1, x2 = lyapunov_solutions(sd, gains)
+    x1, x2 = lyapunov_solutions(reduced)
+    c_hat = np.vstack([reduced.c1_hat, reduced.c2_hat])
     r1 = _lyapunov_residual(reduced.a_hat, x1, reduced.c1_hat)
     r2 = _lyapunov_residual(reduced.a_hat, x2, reduced.c2_hat)
-    rs = _lyapunov_residual(reduced.a_hat, x1 + x2, reduced.c_hat)
+    rs = _lyapunov_residual(reduced.a_hat, x1 + x2, c_hat)
     r1 /= np.linalg.norm(reduced.c1_hat.T @ reduced.c1_hat)
     r2 /= np.linalg.norm(reduced.c2_hat.T @ reduced.c2_hat)
-    rs /= np.linalg.norm(reduced.c_hat.T @ reduced.c_hat)
+    rs /= np.linalg.norm(c_hat.T @ c_hat)
     min1 = float(np.linalg.eigvalsh((x1 + x1.T) / 2.0)[0])
     min2 = float(np.linalg.eigvalsh((x2 + x2.T) / 2.0)[0])
     if min1 <= 0 or min2 <= 0:
@@ -232,15 +232,15 @@ def l2_norm_squared(times: np.ndarray, values: np.ndarray, reference) -> float:
 TAIL_TOL = 1e-3
 
 
-def empirical_norms(trace: OdeTrace, omega_ss, spectral_abscissa: float | None = None):
+def empirical_norms(trace: OdeTrace, spectral_abscissa: float | None = None):
     """Quadrature estimates of the two performance integrals from a trace.
 
-    Integrates |omega(t) - omega_ss|^2 and |delta(t)|^2 over the trace window
+    Integrates |omega(t) - omega_avg|^2 and |delta(t)|^2 over the trace window
     by the composite trapezoid rule. If the estimated truncated tail (decay
     extrapolation of the final integrand) exceeds TAIL_TOL of the integral,
     an InsufficientHorizonWarning is issued.
     """
-    omega_ss = np.asarray(omega_ss, dtype=float)
+    omega_ss = np.full(trace.omega.shape[1], trace.omega_avg)
     freq_sq = l2_norm_squared(trace.times, trace.omega, omega_ss)
     occ_sq = l2_norm_squared(trace.times, trace.delta, np.zeros(trace.delta.shape[1]))
     dev_end = trace.omega[-1] - omega_ss

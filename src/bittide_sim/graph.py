@@ -2,10 +2,9 @@
 
 The network is an undirected connected graph; each edge carries an
 orientation used purely as a sign convention for the incidence matrix B.
-spectral_data forms the Laplacian L = B B^T and derives from it its
-pseudo-inverse, the orthonormal basis of the subspace orthogonal to the
-all-ones vector (the disagreement subspace), and with them the resistance
-distances and the Fiedler vector.
+spectral_data forms the Laplacian L = B B^T and keeps its eigenpairs and
+its pseudo-inverse, and with them the resistance distances and the Fiedler
+vector.
 
 All values are immutable after construction and safe to share.
 """
@@ -147,17 +146,14 @@ def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:
 class SpectralData(NamedTuple):
     """Eigendecomposition-derived quantities of a connected graph's Laplacian.
 
-    disagreement_basis holds the n-1 eigenvectors of the nonzero eigenvalues
-    (orthonormal, orthogonal to the all-ones vector); reduced_laplacian is
-    the Laplacian expressed in that basis and is positive definite.
+    Columns 1.. of eigenvectors, those of the nonzero eigenvalues, are an
+    orthonormal basis of the disagreement subspace, orthogonal to the
+    all-ones vector; the Laplacian is incidence @ incidence.T.
     """
 
     graph: OrientedGraph
-    laplacian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    disagreement_basis: np.ndarray
-    reduced_laplacian: np.ndarray
     pseudo_inverse: np.ndarray
     incidence: np.ndarray
 
@@ -187,18 +183,12 @@ def spectral_data(g: OrientedGraph) -> SpectralData:
     v = _sign_normalize_columns(v)
     w = w.copy()
     w[0] = 0.0
-    u1 = v[:, 1:]
-    reduced = u1.T @ lap @ u1
-    reduced = (reduced + reduced.T) / 2.0
     inv_w = np.concatenate([[0.0], 1.0 / w[1:]])
     pinv = (v * inv_w) @ v.T
     return SpectralData(
         graph=g,
-        laplacian=lap,
         eigenvalues=w,
         eigenvectors=v,
-        disagreement_basis=u1,
-        reduced_laplacian=reduced,
         pseudo_inverse=pinv,
         incidence=b,
     )

@@ -91,7 +91,7 @@ class ReducedSystem(NamedTuple):
     a_hat: np.ndarray
     c1_hat: np.ndarray
     c2_hat: np.ndarray
-    c_hat: np.ndarray
+    lap_hat: np.ndarray
     spectral: SpectralData
     gains: Gains
 
@@ -108,18 +108,19 @@ def build_full_system(sd: SpectralData, gains: Gains) -> OdeSystem:
 
 
 def build_reduced_system(sd: SpectralData, gains: Gains) -> ReducedSystem:
-    """Assemble the reduced dynamics on the disagreement subspace."""
-    u1 = sd.disagreement_basis
-    lap_hat = sd.reduced_laplacian
+    """Assemble the reduced dynamics on the disagreement subspace U1 = eigenvectors[:, 1:]."""
+    lap = sd.incidence @ sd.incidence.T
+    u1 = sd.eigenvectors[:, 1:]
+    lap_hat = u1.T @ lap @ u1
+    lap_hat = (lap_hat + lap_hat.T) / 2.0
     n1 = u1.shape[1]
     a_gain = gains.k_p
     b_gain = gains.effective_integral_gain
     eye = np.eye(n1)
     a_hat = np.block([[-a_gain * lap_hat, b_gain * eye], [-lap_hat, np.zeros((n1, n1))]])
-    c1_hat = np.hstack([-a_gain * sd.laplacian @ u1, b_gain * u1])
+    c1_hat = np.hstack([-a_gain * lap @ u1, b_gain * u1])
     c2_hat = np.hstack([-sd.incidence.T @ u1, np.zeros((sd.graph.m, n1))])
-    c_hat = np.vstack([c1_hat, c2_hat])
-    return ReducedSystem(a_hat=a_hat, c1_hat=c1_hat, c2_hat=c2_hat, c_hat=c_hat,
+    return ReducedSystem(a_hat=a_hat, c1_hat=c1_hat, c2_hat=c2_hat, lap_hat=lap_hat,
                          spectral=sd, gains=gains)
 
 

@@ -289,23 +289,6 @@ def load_scenario(path_like):
     return load_scenario_dict(doc)
 
 
-def scenario_to_dict(graph: OrientedGraph, scenario: AfmScenario, gains: Gains) -> dict:
-    """Fully-resolved scenario document (all defaults materialized)."""
-    doc = {"graph": {"n": graph.n, "edges": [list(e) for e in graph.edges]},
-           "frequencies": {"omega_u": list(scenario.uncorrected_freq)}}
-    for path, name, _, per, _ in _FIELDS:
-        section, _, key = path.partition(".")
-        value = getattr(gains if section == "controller" else scenario, name)
-        doc.setdefault(section, {})[key] = value if per is None else list(value)
-    return doc
-
-
-def save_scenario(graph: OrientedGraph, scenario: AfmScenario, gains: Gains,
-                  path_like) -> None:
-    doc = scenario_to_dict(graph, scenario, gains)
-    Path(path_like).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def apply_overrides(doc: dict, assignments) -> dict:
     """Apply key=value overrides onto a scenario document (dotted paths).
 
@@ -493,25 +476,17 @@ def compare_traces(afm_trace: AfmTrace, ode_trace: OdeTrace) -> ComparisonReport
     initial occupancy in the frame-exact trace's scenario.
     """
     times = afm_trace.times
-    n = afm_trace.freq.shape[1]
-    m = ode_trace.delta.shape[1]
-    n_links = afm_trace.occupancy.shape[1]
     beta0 = np.asarray(afm_trace.scenario.initial_occupancy, dtype=float)
 
-    omega_i = np.column_stack([
-        np.interp(times, ode_trace.times, ode_trace.omega[:, i]) for i in range(n)
-    ])
-    delta_i = np.column_stack([
-        np.interp(times, ode_trace.times, ode_trace.delta[:, l]) for l in range(m)
-    ])
+    omega_i = np.column_stack([np.interp(times, ode_trace.times, y) for y in ode_trace.omega.T])
+    delta_i = np.column_stack([np.interp(times, ode_trace.times, y) for y in ode_trace.delta.T])
     freq_dev = afm_trace.freq - omega_i
 
     # directed link 2l runs source->target (buffer at target: beta0 - delta),
     # link 2l+1 runs target->source (buffer at source: beta0 + delta)
-    predicted = np.empty((times.shape[0], n_links))
-    for l in range(m):
-        predicted[:, 2 * l] = beta0[2 * l] - delta_i[:, l]
-        predicted[:, 2 * l + 1] = beta0[2 * l + 1] + delta_i[:, l]
+    predicted = np.empty(afm_trace.occupancy.shape)
+    predicted[:, 0::2] = beta0[0::2] - delta_i
+    predicted[:, 1::2] = beta0[1::2] + delta_i
     occ_dev = afm_trace.occupancy.astype(float) - predicted
 
     abs_freq = np.abs(freq_dev)

@@ -11,12 +11,16 @@ the extended-precision reference for ``rk4_step_operator``.
 sign_normalize_columns is the column-by-column oracle for the sign convention
 ``spectral_data`` applies in bulk, and subtracted_l2_norm_squared the
 oracle for ``l2_norm_squared``, which skips subtracting an all-zero reference.
+scenario_to_dict and save_scenario write a loaded scenario back as a fully
+resolved document, for the round-trip tests of the loader.
 """
 
+import json
 import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from bittide_sim.afm import AfmScenario, InadmissibleControlError, PhaseHistory
 from bittide_sim.analysis import PerformanceReport
 from bittide_sim.graph import _SIGN_TOL, OrientedGraph, SpectralData
 from bittide_sim.ode import Gains, ReducedSystem, default_time_step
-from bittide_sim.scenario import _trace_table
+from bittide_sim.scenario import _FIELDS, _trace_table
 
 
 def random_connected_graph(rng: np.random.RandomState, n: int,
@@ -323,7 +327,7 @@ class DenseSystem:
 
 
 def dense_system(sd: SpectralData, gains: Gains) -> DenseSystem:
-    lap = sd.laplacian
+    lap = sd.incidence @ sd.incidence.T
     n = sd.graph.n
     a_gain = gains.k_p
     b_gain = gains.effective_integral_gain
@@ -387,7 +391,7 @@ def steady_state(reduced: ReducedSystem, omega_u) -> SteadyState:
     -A_hat^{-1} (U1^T omega_u, 0) must agree to rounding.
     """
     omega_u = np.asarray(omega_u, dtype=float)
-    u1 = reduced.spectral.disagreement_basis
+    u1 = reduced.spectral.eigenvectors[:, 1:]
     b_gain = reduced.gains.effective_integral_gain
     n1 = u1.shape[1]
     x_closed = np.concatenate([np.zeros(n1), -(1.0 / b_gain) * (u1.T @ omega_u)])
@@ -408,3 +412,20 @@ def legacy_trace_text(table) -> str:
     rows = np.column_stack([table.times, table.values]).tolist()
     return "".join([",".join(("t",) + table.columns) + "\n"]
                    + [",".join(map(repr, row)) + "\n" for row in rows])
+
+
+def scenario_to_dict(graph: OrientedGraph, scenario: AfmScenario, gains: Gains) -> dict:
+    """Fully-resolved scenario document (all defaults materialized)."""
+    doc = {"graph": {"n": graph.n, "edges": [list(e) for e in graph.edges]},
+           "frequencies": {"omega_u": list(scenario.uncorrected_freq)}}
+    for path, name, _, per, _ in _FIELDS:
+        section, _, key = path.partition(".")
+        value = getattr(gains if section == "controller" else scenario, name)
+        doc.setdefault(section, {})[key] = value if per is None else list(value)
+    return doc
+
+
+def save_scenario(graph: OrientedGraph, scenario: AfmScenario, gains: Gains,
+                  path_like) -> None:
+    doc = scenario_to_dict(graph, scenario, gains)
+    Path(path_like).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

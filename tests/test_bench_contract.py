@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bittide_sim import cli
 from bittide_sim.afm import simulate_afm
 from bittide_sim.graph import complete, spectral_data
 from bittide_sim.ode import _CHUNK_STEPS, Gains, build_full_system, simulate_ode
@@ -84,3 +85,15 @@ def test_mesh_ladder_operation_runs_and_checks(monkeypatch, tmp_path):
     assert op.call() == 0
     assert op.check("") == {}
     assert all(path.exists() for path in op.outputs)
+
+
+def test_lyapunov_calls_each_traced_name_once(monkeypatch, tmp_path, capsys):
+    # the tracer's ode.build and analysis.lyapunov spans count these calls
+    calls = []
+    for name in ("build_reduced_system", "build_lyapunov_certificate"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    assert cli.main(["analyze", "--scenario", str(ROOT / "scenarios" / "triangle_pi.json"),
+                     "--out", str(tmp_path), "--lyapunov"]) == 0
+    capsys.readouterr()
+    assert calls == ["build_reduced_system", "build_lyapunov_certificate"]

@@ -807,6 +807,22 @@ class TestSweep:
         assert rows[0][0] == "1e-320" and rows[0][1].startswith("error: ")
         assert "float range" in rows[0][1]
 
+    def test_norms_outside_float_range_named_as_analyze_names_them(self, tmp_path, capsys):
+        scn = str(SCENARIOS / "mesh_close_pair.json")
+        rc = main(["sweep", "--scenario", scn, "--out", str(tmp_path / "sweep"),
+                   "--param", "controller.k_p", "--values", "1e-308,2e-8"])
+        assert rc == 2
+        assert capsys.readouterr().err == "1 of 2 sweep points failed\n"
+        rows = list(csv.reader(io.StringIO((tmp_path / "sweep" / "sweep.csv").read_text())))
+        assert rows[1][:2] == ["1e-308", (
+            "error: controller: k_p = 1e-308 and omega_c * k_i = 1e-15 put the L2 norms "
+            "q/(2a) and q/(2ab) outside the float range")]
+        assert rows[2][:2] == ["2e-08", "ok"]
+        # analyze refuses the same gains with the same line
+        assert main(["analyze", "--scenario", scn, "--out", str(tmp_path / "analyze"),
+                     "--performance", "--set", "controller.k_p=1e-308"]) == 1
+        assert capsys.readouterr().err == rows[1][1] + "\n"
+
 
 def test_readme_command_lines_parse():
     # a README line that names a removed flag or command fails here

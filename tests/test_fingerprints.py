@@ -11,10 +11,14 @@ CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bittide_sim
 from bittide_sim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -106,4 +110,31 @@ def test_report_files_pinned(name, tmp_path, capsys):
     argv, exit_code, digests = REPORT_CASES[name]
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
     capsys.readouterr()
+    assert {f: sha256(tmp_path / f) for f in digests} == digests
+
+
+# --set overrides -> {report file: sha256} of analyze with every report on
+# triangle_pi, run in a fresh interpreter on one BLAS thread: the last bits of
+# the dense Lyapunov residuals depend on the thread count
+LYAPUNOV_CASES = {
+    "shipped_gains": ([], {
+        "analysis.json": "6cfb36e1ee19feb1cefe6f3405a81bc488611155d33ee8dd5e72eebf348ea953",
+        "analysis.txt": "97302db2c9a01e0bde5a91f17d418844552b0f42311fe2b36d6d4da73489ded7"}),
+    "k_p_1": (["--set", "controller.k_p=1"], {
+        "analysis.json": "7a70b74eab100ed5fc4f2f262a1d16c75f4888eabeb0e5d8f32c2404821f647e",
+        "analysis.txt": "e0e34d515c35680eb9d4d6386285331ab1c9d0740814eec906dada48b7661114"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LYAPUNOV_CASES))
+def test_lyapunov_reports_pinned(name, tmp_path):
+    overrides, digests = LYAPUNOV_CASES[name]
+    src = str(Path(bittide_sim.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["analyze", "--lyapunov", "--performance", "--resistance", "--worst-case",
+            "--scenario", str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path),
+            *overrides]
+    subprocess.run([sys.executable, "-m", "bittide_sim.cli", *argv], env=env, check=True,
+                   capture_output=True, timeout=120)
     assert {f: sha256(tmp_path / f) for f in digests} == digests

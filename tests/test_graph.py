@@ -8,6 +8,7 @@ import pytest
 from bittide_sim.graph import (_SIGN_TOL, FiedlerResult, NotConnectedError, OrientedGraph,
                                _sign_normalize_columns, complete, fiedler_vector,
                                incidence_matrix, mesh, path, resistance_matrix, spectral_data)
+from bittide_sim.ode import Gains, build_reduced_system
 from bittide_sim.scenario import load_scenario
 from helpers import (bfs_distance, neighbors, random_connected_graph, resistance_distance,
                      sign_normalize_columns, union_find_connected)
@@ -88,18 +89,21 @@ class TestIncidenceAndLaplacian:
         assert np.array_equal(b.sum(axis=0), np.zeros(g.m))
 
     def test_triangle_laplacian(self):
-        lap = spectral_data(complete(3)).laplacian
+        sd = spectral_data(complete(3))
+        lap = sd.incidence @ sd.incidence.T
         assert np.array_equal(lap, 3 * np.eye(3) - np.ones((3, 3)))
 
     def test_path_laplacian(self):
-        lap = spectral_data(path(3)).laplacian
+        sd = spectral_data(path(3))
+        lap = sd.incidence @ sd.incidence.T
         assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_rank_n_minus_one(self):
         rng = np.random.RandomState(1)
         for _ in range(5):
             g = random_connected_graph(rng, rng.randint(2, 9))
-            assert np.linalg.matrix_rank(spectral_data(g).laplacian) == g.n - 1
+            sd = spectral_data(g)
+            assert np.linalg.matrix_rank(sd.incidence @ sd.incidence.T) == g.n - 1
 
 
 class TestSpectralData:
@@ -119,33 +123,34 @@ class TestSpectralData:
         rng = np.random.RandomState(2)
         for _ in range(5):
             sd = spectral_data(random_connected_graph(rng, rng.randint(3, 10)))
-            lap, lp = sd.laplacian, sd.pseudo_inverse
+            lap, lp = sd.incidence @ sd.incidence.T, sd.pseudo_inverse
             assert np.linalg.norm(lap @ lp @ lap - lap) <= 1e-10 * np.linalg.norm(lap)
             assert np.abs(lp @ np.ones(sd.graph.n)).max() <= 1e-10
 
     def test_basis_orthogonality(self):
         sd = spectral_data(mesh(3, 3))
-        u1 = sd.disagreement_basis
+        u1 = sd.eigenvectors[:, 1:]
         n = sd.graph.n
         assert np.abs(u1.T @ u1 - np.eye(n - 1)).max() <= 1e-12
         assert np.abs(u1.T @ np.ones(n)).max() <= 1e-12
 
     def test_full_basis_orthogonal(self):
         sd = spectral_data(complete(4))
-        u = np.column_stack([sd.disagreement_basis, np.full(4, 0.5)])
+        u = np.column_stack([sd.eigenvectors[:, 1:], np.full(4, 0.5)])
         assert np.abs(u.T @ u - np.eye(4)).max() <= 1e-12
 
     def test_reduced_laplacian_positive_definite(self):
         rng = np.random.RandomState(3)
         for _ in range(5):
             sd = spectral_data(random_connected_graph(rng, rng.randint(2, 9)))
-            assert np.linalg.eigvalsh(sd.reduced_laplacian).min() > 0
+            lap_hat = build_reduced_system(sd, Gains(k_p=1.0, k_i=1.0)).lap_hat
+            assert np.linalg.eigvalsh(lap_hat).min() > 0
 
     def test_reduced_laplacian_reconstructs(self):
         sd = spectral_data(mesh(2, 4))
-        u1 = sd.disagreement_basis
-        rebuilt = u1 @ sd.reduced_laplacian @ u1.T
-        assert np.abs(rebuilt - sd.laplacian).max() <= 1e-10
+        u1 = sd.eigenvectors[:, 1:]
+        rebuilt = u1 @ build_reduced_system(sd, Gains(k_p=1.0, k_i=1.0)).lap_hat @ u1.T
+        assert np.abs(rebuilt - sd.incidence @ sd.incidence.T).max() <= 1e-10
 
     def test_lambda2_positive_iff_connected(self):
         # union-find oracle against the spectrum, including disconnected graphs

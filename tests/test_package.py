@@ -18,8 +18,6 @@ from helpers import make_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
-# exported with no reader yet: a planned scenario round-trip test writes documents with it
-UNREAD_EXPORTS = {"save_scenario"}
 
 
 def test_every_exported_name_resolves():
@@ -40,7 +38,7 @@ def test_every_export_has_a_reader():
     text += (ROOT / "README.md").read_text()
     unread = [name for name in bittide_sim.__all__ if name not in loaded
               and not re.search(rf"\b{name}\b", text)]
-    assert unread == sorted(UNREAD_EXPORTS)
+    assert unread == []
 
 
 def test_no_runtime_dependency_beyond_numpy(tmp_path):

@@ -18,9 +18,10 @@ from bittide_sim.ode import build_full_system, build_reduced_system, simulate_od
 from bittide_sim.scenario import (MissingFieldError, ParseError,
                                   TraceTable, ValidationError, apply_overrides,
                                   compare_traces, emit_report, load_scenario,
-                                  load_scenario_dict, read_trace,
-                                  save_scenario, write_trace, events_path_for)
-from helpers import legacy_trace_text, make_scenario, two_node_perturbation
+                                  load_scenario_dict, read_trace, write_trace,
+                                  events_path_for)
+from helpers import (legacy_trace_text, make_scenario, save_scenario, scenario_to_dict,
+                     two_node_perturbation)
 from bittide_sim.ode import Gains
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -246,7 +247,7 @@ class TestResolvedDocument:
         tmp = tmp_path_factory.getbasetemp()
         (tmp / "drawn.json").write_text(json.dumps(doc))
         loaded = load_scenario(tmp / "drawn.json")
-        resolved = scenario.scenario_to_dict(*loaded)
+        resolved = scenario_to_dict(*loaded)
         for path, *_ in scenario._FIELDS:
             section, _, key = path.partition(".")
             assert key in resolved[section], path
@@ -610,7 +611,7 @@ class TestEmitReport:
         red = build_reduced_system(sd, gains)
         reports = [
             hurwitz_check(sd, gains),
-            build_lyapunov_certificate(red, sd, gains),
+            build_lyapunov_certificate(red),
             predicted_performance(sd, gains, np.array([1.1, 1.0, 0.9])),
             worst_case_frequency(sd, 1.0),
         ]
