@@ -13,8 +13,7 @@ loop only schedules and handles measurements and holds; the row times and
 rows are formed in bulk from the events and phase histories after it ends.
 These are the package's only phase lookups; their scalar oracles (phase_at,
 slope_at, next_crossing, occupancy), and that of the PI update
-(pi_controller_step), live in tests/helpers.py, where a lookup before a
-history's first breakpoint raises HistoryGapError.
+(pi_controller_step), live in tests/helpers.py.
 """
 
 import heapq
@@ -36,7 +35,9 @@ class PhaseHistory:
     """Piecewise-linear clock phase record: three parallel breakpoint lists.
 
     Segment k starts at (times[k], phases[k]) with rate slopes[k]; the last
-    extends forward indefinitely. Phase is continuous and strictly
+    extends forward indefinitely. The first two breakpoints are both at
+    (t = 0, theta0): segment 0, the pre-history, extends back without limit,
+    so lookups search from breakpoint 1. Phase is continuous and strictly
     increasing; every slope exceeds the oscillator minimum by admissibility.
     """
 
@@ -48,14 +49,11 @@ class PhaseHistory:
         self.slopes = list(slopes)
 
     @classmethod
-    def initial(cls, theta0: float, prehistory_freq: float, startup_freq: float,
-                epoch: float) -> "PhaseHistory":
-        """History covering [epoch, 0] at the pre-history rate, then the startup rate."""
-        return cls(
-            times=[epoch, 0.0],
-            phases=[theta0 + prehistory_freq * epoch, theta0],
-            slopes=[prehistory_freq, startup_freq],
-        )
+    def initial(cls, theta0: float, prehistory_freq: float,
+                startup_freq: float) -> "PhaseHistory":
+        """History at the pre-history rate before t = 0, then the startup rate."""
+        return cls(times=[0.0, 0.0], phases=[theta0, theta0],
+                   slopes=[prehistory_freq, startup_freq])
 
 
 class _ScenarioFields(NamedTuple):
@@ -74,7 +72,6 @@ class _ScenarioFields(NamedTuple):
     omega_max: float
     t_end: float
     output_dt: float
-    epoch: float
 
 
 class AfmScenario(_ScenarioFields):
@@ -148,12 +145,12 @@ class AfmScenario(_ScenarioFields):
             raise ParameterError(
                 "meas_period", f"about {measurements:.3g} measurements (sum of omega_u "
                 f"* t_end / meas_period), above the run-size cap of {RUN_SIZE_CAP:.0e}")
-        bound = -(max(self.latency, default=0.0) + self.actuation_delay / self.omega_min)
-        if self.epoch >= 0 or self.epoch > bound:
-            raise ParameterError(
-                "epoch", f"epoch={self.epoch} violates epoch <= "
-                f"-(max latency + actuation_delay/omega_min) = {bound}"
-            )
+        # floored phases, and so occupancies, are exact only up to 2**53 ticks
+        for q, (src, _) in enumerate(self.graph.directed_links()):
+            pre = self.prehistory_freq[src] * self.latency[q]
+            if not pre <= 2**53:
+                raise ParameterError("latency", f"latency[{q}] reaches {pre:.3g} ticks "
+                                     "into its source's pre-history, past 2**53")
         return self
 
     @classmethod
@@ -240,13 +237,8 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         in_links[dst].append((q, src, scenario.latency[q], offsets[q],
                               scenario.initial_occupancy[q]))
 
-    hists = [
-        PhaseHistory.initial(
-            scenario.initial_phase[i], scenario.prehistory_freq[i],
-            scenario.startup_freq[i], scenario.epoch,
-        )
-        for i in range(n)
-    ]
+    hists = [PhaseHistory.initial(scenario.initial_phase[i], scenario.prehistory_freq[i],
+                                  scenario.startup_freq[i]) for i in range(n)]
     h_times, h_phases, h_slopes = zip(*((h.times, h.phases, h.slopes) for h in hists))
     # controller memory per node: PI integrator, next measurement index, and the
     # (k, correction) pairs measured but not yet held, k ascending
@@ -283,7 +275,7 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
             for q, src, lat, off, b0 in in_links[i]:
                 x = t_evt - lat
                 src_t = h_times[src]
-                j = len(src_t) - 1 if x >= src_t[-1] else bisect_right(src_t, x) - 1
+                j = len(src_t) - 1 if x >= src_t[-1] else bisect_right(src_t, x, 1) - 1
                 b = (math.floor(h_phases[src][j] + h_slopes[src][j] * (x - src_t[j]))
                      - floor_dst + off)
                 hit = 0 if b > cap else 1 if b < 0 else -1
@@ -362,13 +354,12 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
 def _phase_rows(segments: tuple, t: np.ndarray) -> tuple:
     """(slope, phase) of one history's (times, phases, slopes) arrays at each of t.
 
-    The segment search matches bisect_right and the arithmetic matches the
-    scalar oracle phase_at in tests/helpers.py term for term, so every value
-    equals that lookup bit for bit. No t precedes the first breakpoint: row
-    times are >= 0, and AfmScenario keeps the epoch at or before -(max latency).
+    The segment search matches bisect_right from breakpoint 1 and the
+    arithmetic matches the scalar oracle phase_at in tests/helpers.py term for
+    term, so every value equals that lookup bit for bit.
     """
     bt, bp, bs = segments
-    k = np.searchsorted(bt, t, side="right") - 1
+    k = np.searchsorted(bt[1:], t, side="right")
     s = bs[k]
     return s, bp[k] + s * (t - bt[k])
 

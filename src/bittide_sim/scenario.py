@@ -173,16 +173,6 @@ def _omega_u(values: dict) -> tuple:
     return values["uncorrected_freq"]
 
 
-def _epoch(v: dict) -> float:
-    """-(max latency + d/omega_min) - 1; refused under afm.d if it leaves the float range."""
-    delay = v["actuation_delay"] / v["omega_min"] if v["omega_min"] > 0 else 0.0
-    epoch = -(max(v["latency"], default=0.0) + delay) - 1.0
-    if math.isfinite(epoch):  # only a huge |d/omega_min| leaves the float range
-        return epoch
-    raise ValidationError("afm.d", f"must be >= 0, got {v['actuation_delay']!r}" if delay < 0
-                          else f"d/omega_min = {delay!r} puts the default afm.epoch out of range")
-
-
 # every field of controller, afm and run, in document order: its path, the Gains
 # or AfmScenario field it fills, its reader, "node" or "link" if it holds one
 # value per node or per directed link, and its default (None if required). A
@@ -201,7 +191,6 @@ _FIELDS = (
     ("afm.omega_m2", "prehistory_freq", _number, "node", _omega_u),
     ("afm.omega_min", "omega_min", _number, None, 0.5),
     ("afm.omega_max", "omega_max", _number, None, 2.0),
-    ("afm.epoch", "epoch", _number, None, _epoch),
     ("run.t_end", "t_end", _number, None, 100000.0),
     ("run.output_dt", "output_dt", _number, None, lambda v: v["t_end"] / 400.0),
 )

@@ -2,9 +2,9 @@
 
 The scalar frame-model lookups (phase_at, slope_at, next_crossing, occupancy)
 are the oracles for the rows that ``simulate_afm`` evaluates in bulk: they
-read a PhaseHistory's breakpoint lists one instant at a time, and raise
-HistoryGapError before its first breakpoint. pi_controller_step is the oracle
-for the PI update that the event loop makes at each measurement.
+read a PhaseHistory's breakpoint lists one instant at a time.
+pi_controller_step is the oracle for the PI update that the event loop makes
+at each measurement.
 resistance_distance and two_node_perturbation are the pairwise oracles for
 ``resistance_matrix`` and ``predicted_performance``; long_double_rk4_step is
 the extended-precision reference for ``rk4_step_operator``.
@@ -147,20 +147,13 @@ def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int, alpha:
                                       quadratic_form=q, k_p=a, integral_gain_scaled=b)
 
 
-class HistoryGapError(LookupError):
-    """Phase queried at a time older than the recorded history."""
-
-
 class TargetInPastError(ValueError):
     """Phase-crossing target lies before the start of the recorded history."""
 
 
 def _segment(h: PhaseHistory, t: float) -> int:
-    if t < h.times[0]:
-        raise HistoryGapError(
-            f"time {t} precedes recorded history (starts at {h.times[0]})"
-        )
-    return bisect_right(h.times, t) - 1
+    """Index of the segment holding t; segment 0 extends back without limit."""
+    return bisect_right(h.times, t, 1) - 1
 
 
 def phase_at(h: PhaseHistory, t: float) -> float:
@@ -240,7 +233,6 @@ def make_scenario(graph: OrientedGraph, omega_u, gains: Gains, *,
         beta0 = (beta0,) * n_links
     if isinstance(theta0, (int, float)):
         theta0 = (float(theta0),) * n
-    epoch = -(max(latency, default=0.0) + d / omega_min) - 1.0
     return AfmScenario(
         graph=graph,
         uncorrected_freq=omega_u,
@@ -257,7 +249,6 @@ def make_scenario(graph: OrientedGraph, omega_u, gains: Gains, *,
         omega_max=omega_max,
         t_end=float(t_end),
         output_dt=float(output_dt),
-        epoch=epoch,
     )
 
 

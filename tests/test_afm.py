@@ -7,12 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bittide_sim.afm import (AfmScenario, InadmissibleControlError, PhaseHistory,
-                             frame_offsets, simulate_afm)
+from bittide_sim.afm import InadmissibleControlError, PhaseHistory, frame_offsets, simulate_afm
 from bittide_sim.graph import OrientedGraph, complete, mesh, path
 from bittide_sim.ode import Gains, ParameterError
 from bittide_sim.scenario import load_scenario_dict, read_document
-from helpers import (DiscreteControllerState, HistoryGapError, TargetInPastError, make_scenario,
+from helpers import (DiscreteControllerState, TargetInPastError, make_scenario,
                      next_crossing, occupancy, phase_at, pi_controller_step,
                      random_connected_graph, slope_at)
 
@@ -21,35 +20,32 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestPhaseHistory:
-    def test_initial_covers_epoch(self):
-        h = PhaseHistory.initial(0.1, 1.0, 1.5, -10.0)
+    def test_initial_extends_back_without_limit(self):
+        h = PhaseHistory.initial(0.1, 1.0, 1.5)
+        assert (h.times, h.phases, h.slopes) == ([0.0, 0.0], [0.1, 0.1], [1.0, 1.5])
         assert phase_at(h, -10.0) == pytest.approx(0.1 - 10.0)
         assert phase_at(h, 0.0) == 0.1
         assert phase_at(h, 2.0) == pytest.approx(0.1 + 3.0)
+        w = 1.1625971882765693
+        assert phase_at(PhaseHistory.initial(0.1, w, 1.5), -1e6) == 0.1 + w * -1e6
 
     def test_slope_right_continuous(self):
-        h = PhaseHistory.initial(0.1, 1.0, 2.0, -1.0)
+        h = PhaseHistory.initial(0.1, 1.0, 2.0)
         assert slope_at(h, -0.5) == 1.0
         assert slope_at(h, 0.0) == 2.0
 
-    def test_gap_raises(self):
-        h = PhaseHistory.initial(0.1, 1.0, 1.0, -1.0)
-        with pytest.raises(HistoryGapError):
-            phase_at(h, -1.5)
-
     def test_lookups_reach_every_segment(self):
-        h = PhaseHistory.initial(0.5, 1.0, 1.0, -5.0)
+        h = PhaseHistory.initial(0.5, 1.0, 1.0)
         for t, ph, s in ((1.0, 1.5, 2.0), (2.0, 3.5, 1.0)):
             h.times.append(t)
             h.phases.append(ph)
             h.slopes.append(s)
-        assert h.times == [-5.0, 0.0, 1.0, 2.0]
+        assert h.times == [0.0, 0.0, 1.0, 2.0]
+        assert phase_at(h, -5.5) == pytest.approx(-5.0)
         assert phase_at(h, -4.5) == pytest.approx(-4.0)
         assert phase_at(h, 0.5) == pytest.approx(1.0)
         assert phase_at(h, 1.5) == pytest.approx(2.5)
         assert phase_at(h, 3.0) == pytest.approx(4.5)
-        with pytest.raises(HistoryGapError):
-            phase_at(h, -5.5)
 
 
 class TestNextPhaseCrossing:
@@ -105,7 +101,7 @@ class TestFrameOffsets:
 
 class TestOccupancy:
     def test_identical_histories_pinned(self):
-        h = PhaseHistory.initial(0.1, 1.0, 1.0, -1.0)
+        h = PhaseHistory.initial(0.1, 1.0, 1.0)
         for t in (0.0, 0.3, 2.7, 10.0):
             assert occupancy(h, h, 0.0, 8, t) == 8
 
@@ -169,20 +165,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="buffer_capacity"):
             make_scenario(path(2), (1.0, 1.0), GAINS, beta_max=127)
 
-    def test_late_epoch_rejected(self):
-        g = path(2)
-        kwargs = dict(
-            graph=g, uncorrected_freq=(1.0, 1.0), initial_phase=(0.1, 0.1),
-            startup_freq=(1.0, 1.0), prehistory_freq=(1.0, 1.0),
-            initial_occupancy=(64, 64), buffer_capacity=128,
-            latency=(5.0, 5.0), meas_period=1000.0, actuation_delay=100.0,
-            gains=GAINS, omega_min=0.5, omega_max=2.0,
-            t_end=100.0, output_dt=10.0,
-        )
-        with pytest.raises(ValueError, match="epoch"):
-            AfmScenario(epoch=-10.0, **kwargs)  # needs <= -(5 + 100/0.5) = -205
-        AfmScenario(epoch=-205.0, **kwargs)
-
     def test_run_size_cap(self):
         # checked when the scenario is built, so no run can start past the cap
         with pytest.raises(ParameterError, match="run-size cap") as info:
@@ -201,6 +183,20 @@ class TestScenarioValidation:
                 make_scenario(path(2), (1.0, 1.0), GAINS, beta_max=beta_max)
             assert info.value.field == "buffer_capacity"
         make_scenario(path(2), (1.0, 1.0), GAINS, beta_max=2**53)
+
+    def test_prehistory_at_most_2_53(self):
+        # a link reads its source omega_m2 * latency ticks before t = 0, and floored
+        # phases are exact only up to 2**53
+        for omega_u, latency in (((1.0, 1.0), 2.0**53 + 2), ((1.5, 1.0), 2.0**53),
+                                 ((1.0, 1.0), 1e19), ((1.0, 1.0), 1e308)):
+            with pytest.raises(ParameterError, match="2\\*\\*53") as info:
+                make_scenario(path(2), omega_u, GAINS, latency=latency)
+            assert info.value.field == "latency"
+        scn = make_scenario(path(2), (1.0, 1.0), GAINS, latency=2.0**53, p=10.0,
+                            t_end=100.0, output_dt=10.0)
+        trace = simulate_afm(scn)
+        assert trace.occupancy[0].tolist() == list(scn.initial_occupancy)
+        assert_matches_scalar_oracles(trace, scn)
 
     def test_slow_startup_rejected(self):
         with pytest.raises(ValueError, match="startup_freq"):
@@ -286,9 +282,13 @@ class TestSimulateAfm:
                             latency=500.0, p=1000.0, d=100.0,
                             t_end=50000.0, output_dt=500.0)
         trace = simulate_afm(scn)
-        for h in trace.histories:
+        for i, h in enumerate(trace.histories):
             assert all(s > scn.omega_min for s in h.slopes)
-            assert all(p2 > p1 for p1, p2 in zip(h.phases, h.phases[1:]))
+            # breakpoints 0 and 1 are both (0, theta0); from 1 on both rise strictly
+            assert h.times[:2] == [0.0, 0.0]
+            assert h.phases[:2] == [scn.initial_phase[i]] * 2
+            assert all(t2 > t1 for t1, t2 in zip(h.times[1:], h.times[2:]))
+            assert all(p2 > p1 for p1, p2 in zip(h.phases[1:], h.phases[2:]))
         phase = np.array([[phase_at(h, t) for h in trace.histories] for t in trace.times])
         assert np.all(np.diff(phase, axis=0) > 0)
 
@@ -500,21 +500,19 @@ class TestRowOracle:
 
 
 class TestEdgeCases:
-    """Lookups at the start of the history, and occupancies past 2**53."""
+    """Lookups deep in the pre-history, and occupancies past 2**53."""
 
     @pytest.mark.parametrize("d", [0.0, 25.0])
     @pytest.mark.parametrize("t_end, output_dt", [(1470.0, 7.0), (900.0, 1000.0)])
-    def test_epoch_at_its_bound(self, d, t_end, output_dt):
-        # epoch = -(max latency + d/omega_min), the latest AfmScenario accepts: with
-        # d = 0 the row at t = 0 reads the longest-latency link's source at the epoch,
-        # and the scalar oracles raise HistoryGapError on any lookup before it
+    def test_deep_prehistory(self, d, t_end, output_dt):
+        # every link reads its source up to 30 s before t = 0, on the pre-history
+        # segment that extends back from (0, theta0)
         rng = np.random.RandomState(int(d + output_dt))
         g = complete(3)
         latency = tuple(rng.uniform(1.0, 30.0, 2 * g.m))
         scn = make_scenario(g, (1.02, 1.0, 0.98), Gains(k_p=1e-6, k_i=1e-9), latency=latency,
                             p=10.0, d=d, theta0=(0.3, 1.7, 2.2), beta_max=8, t_end=t_end,
                             output_dt=output_dt)
-        scn = scn._replace(epoch=-(max(latency) + d / scn.omega_min))
         trace = simulate_afm(scn)
         assert len(set(latency)) == len(latency)
         assert (trace.times[0], trace.times[-1]) == (0.0, t_end)
@@ -530,6 +528,38 @@ class TestEdgeCases:
         assert_matches_scalar_oracles(trace, scn)
         first = next(ev for ev in trace.events if ev.kind == "overflow")
         assert first.time == 12.0
+
+    def test_no_phantom_first_frame(self):
+        # theta0 - omega * latency, as frame_offsets forms it, is -6.000000000000002;
+        # a lookup at -latency by other float operations can round it to -6, and
+        # then both buffers start at 65 and both first measurements read r = 1
+        w = 1.1625971882765693
+        scn = make_scenario(path(2), (w, w), GAINS, theta0=0.1, latency=5.246873174570999,
+                            d=100, p=100)
+        trace = simulate_afm(scn)
+        assert trace.occupancy[0].tolist() == [64, 64]
+        assert [ev.value for ev in trace.events
+                if ev.kind == "measure" and ev.k == 0] == [0.0, 0.0]
+        assert_matches_scalar_oracles(trace, scn)
+
+    def test_no_phantom_first_frame_near_integer_phases(self):
+        # each source's phase at -latency lies within rounding of an integer k
+        rng = np.random.RandomState(23)
+        g = complete(3)
+        for case in range(60):
+            theta0 = tuple(float(t) for t in rng.uniform(0.05, 3.95, 3))
+            omega_u = tuple(float(w) for w in rng.uniform(0.9, 1.1, 3))
+            latency = tuple((theta0[src] - rng.randint(-40, 1)) / omega_u[src]
+                            * (1 + rng.choice([-1e-16, 1e-16]))
+                            for src, _ in g.directed_links())
+            scn = make_scenario(g, omega_u, GAINS, latency=latency, p=10.0, d=5.0,
+                                theta0=theta0, t_end=100.0, output_dt=10.0)
+            trace = simulate_afm(scn)
+            assert trace.occupancy[0].tolist() == list(scn.initial_occupancy), case
+            first = [ev.value for ev in trace.events if ev.kind == "measure" and ev.k == 0]
+            assert first == [0.0] * 3, case
+            if case % 10 == 0:
+                assert_matches_scalar_oracles(trace, scn)
 
 
 def row_oracle(trace, scn) -> list:

@@ -211,22 +211,41 @@ class TestSimulate:
                    str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")])
         assert rc == 3
 
-    @pytest.mark.parametrize("override, message", [
-        ("afm.d=1e308", "d/omega_min = inf "),
-        ("afm.omega_min=1e-320", "d/omega_min = inf "),
-        ("afm.d=-1e308", "must be >= 0, got -1e+308"),
-    ])
-    def test_default_epoch_out_of_range_names_d(self, tmp_path, capsys, monkeypatch,
-                                                 override, message):
-        # the default epoch -(max latency + d/omega_min) - 1 would be infinite;
-        # the document holds no afm.epoch, so that is not the field named
+    @pytest.mark.parametrize("override", ["afm.d=1e308", "afm.omega_min=1e-320"])
+    def test_extreme_delay_runs(self, tmp_path, capsys, override):
+        # d/omega_min bounds nothing: no pre-history has a start to reach back to
+        assert main(["simulate", "--model", "afm", "--scenario",
+                     str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
+                     "--set", override]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_negative_delay_names_d(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "simulate_afm", RunStarted.refuse)
+        rc = main(["simulate", "--model", "afm", "--scenario",
+                   str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
+                   "--set", "afm.d=-1e308"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: afm.d: actuation_delay must be >= 0, got -1e+308\n")
+
+    def test_epoch_key_refused(self, tmp_path, capsys, monkeypatch):
+        # every pre-history is anchored at (0, theta0), so afm holds no epoch
+        monkeypatch.setattr(cli, "simulate_afm", RunStarted.refuse)
+        rc = main(["simulate", "--model", "afm", "--scenario",
+                   str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
+                   "--set", "afm.epoch=-1000"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: afm.epoch: unknown key")
+
+    @pytest.mark.parametrize("override", ["afm.latency=1e19", "afm.omega_m2=1e308"])
+    def test_prehistory_past_2_53_names_latency(self, tmp_path, capsys, override):
+        # floored phases before t = 0 are exact only up to 2**53 ticks
         rc = main(["simulate", "--model", "afm", "--scenario",
                    str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
                    "--set", override])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: afm.d: ") and message in err and "epoch:" not in err
+        assert err.startswith("error: afm.latency: latency[0] reaches ") and "2**53" in err
 
 
 class RunStarted(Exception):
@@ -252,8 +271,8 @@ EXTREMES = [1e308, -1e308, 1e-320, -1e-320, -1, -0.5]
 IN_RANGE = {
     "controller.k_p": (1e308, 1e-320), "controller.k_i": (1e308, 1e-320),
     "controller.omega_c": (1e308, 1e-320), "afm.p": (1e308,), "afm.d": (1e-320,),
-    "afm.latency": (1e308, 1e-320), "afm.theta0": (1e-320,), "afm.omega_m1": (1e308,),
-    "afm.omega_m2": (1e308,), "afm.omega_max": (1e308,), "afm.epoch": (-1e308,),
+    "afm.latency": (1e-320,), "afm.theta0": (1e-320,), "afm.omega_m1": (1e308,),
+    "afm.omega_max": (1e308,),
     "run.t_end": (1e-320,), "run.output_dt": (1e308,),
     "frequencies.two_node.alpha": (1e-320, -1e-320),
 }

@@ -79,12 +79,6 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="initial_phase"):
             load_scenario_dict(doc)
 
-    def test_late_epoch_flagged(self):
-        doc = triangle_doc()
-        doc["afm"]["epoch"] = -10.0  # needs <= -(500 + 100/0.5) = -700
-        with pytest.raises(ValidationError, match="epoch"):
-            load_scenario_dict(doc)
-
     def test_missing_gain_flagged(self):
         doc = triangle_doc()
         del doc["controller"]["k_p"]
@@ -219,17 +213,15 @@ def _documents(draw):
     optional(ctrl, "omega_c", draw(_floats(0.5, 2.0)))
     afm, run = {}, {}
     optional(afm, "p", draw(_floats(10.0, 1e4)))
-    d = optional(afm, "d", draw(_floats(0.0, 1e3))) or 0.0
-    latency = optional(afm, "latency", lambda: scalar_or_list(_floats(0.0, 1e3), 2 * m))
+    optional(afm, "d", draw(_floats(0.0, 1e3)))
+    optional(afm, "latency", lambda: scalar_or_list(_floats(0.0, 1e3), 2 * m))
     beta_max = optional(afm, "beta_max", draw(st.integers(1, 256)) * 2) or 128
     optional(afm, "beta0", lambda: scalar_or_list(st.integers(0, beta_max), 2 * m))
     optional(afm, "theta0", lambda: scalar_or_list(_floats(0.05, 0.95), n))
     optional(afm, "omega_m1", lambda: scalar_or_list(_floats(0.9, 1.1), n))
     optional(afm, "omega_m2", lambda: scalar_or_list(_floats(0.9, 1.1), n))
-    omega_min = optional(afm, "omega_min", draw(_floats(0.1, 0.8))) or 0.5
+    optional(afm, "omega_min", draw(_floats(0.1, 0.8)))
     optional(afm, "omega_max", draw(_floats(1.5, 3.0)))
-    lat = max(latency if isinstance(latency, list) else [latency or 0.0])
-    optional(afm, "epoch", -(lat + d / omega_min) - draw(_floats(1.0, 1e3)))
     t_end = optional(run, "t_end", draw(_floats(100.0, 1e5))) or 1e5
     optional(run, "output_dt", draw(_floats(t_end / 1000, t_end)))
     doc = {"graph": graph, "frequencies": freqs, "controller": ctrl}
