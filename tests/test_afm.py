@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bittide_sim.afm import InadmissibleControlError, PhaseHistory, frame_offsets, simulate_afm
+from bittide_sim.afm import (AfmScenario, InadmissibleControlError, PhaseHistory, frame_offsets,
+                             simulate_afm)
 from bittide_sim.graph import OrientedGraph, complete, mesh, path
 from bittide_sim.ode import Gains, ParameterError
 from bittide_sim.scenario import load_scenario_dict, read_document
@@ -164,6 +165,22 @@ class TestScenarioValidation:
     def test_odd_buffer_rejected(self):
         with pytest.raises(ValueError, match="buffer_capacity"):
             make_scenario(path(2), (1.0, 1.0), GAINS, beta_max=127)
+
+    def test_late_epoch_rejected(self):
+        # every pre-history is anchored at (0, theta0), so no epoch, late or
+        # early, is accepted; the same arguments without one build a scenario
+        g = path(2)
+        kwargs = dict(
+            graph=g, uncorrected_freq=(1.0, 1.0), initial_phase=(0.1, 0.1),
+            startup_freq=(1.0, 1.0), prehistory_freq=(1.0, 1.0),
+            initial_occupancy=(64, 64), buffer_capacity=128,
+            latency=(5.0, 5.0), meas_period=1000.0, actuation_delay=100.0,
+            gains=GAINS, omega_min=0.5, omega_max=2.0,
+            t_end=100.0, output_dt=10.0,
+        )
+        with pytest.raises(TypeError, match="epoch"):
+            AfmScenario(epoch=-10.0, **kwargs)
+        AfmScenario(**kwargs)
 
     def test_run_size_cap(self):
         # checked when the scenario is built, so no run can start past the cap

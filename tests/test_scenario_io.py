@@ -79,6 +79,13 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="initial_phase"):
             load_scenario_dict(doc)
 
+    def test_late_epoch_flagged(self):
+        # afm holds no epoch key, so one set late is refused as unknown
+        doc = triangle_doc()
+        doc["afm"]["epoch"] = -10.0
+        with pytest.raises(ValidationError, match="afm.epoch: unknown key"):
+            load_scenario_dict(doc)
+
     def test_missing_gain_flagged(self):
         doc = triangle_doc()
         del doc["controller"]["k_p"]
