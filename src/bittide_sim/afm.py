@@ -207,7 +207,6 @@ def frame_offsets(scenario: AfmScenario) -> tuple:
 
 
 _MEASURE, _HOLD = 0, 1
-_BOUND_KINDS = ("overflow", "underflow")
 
 
 def simulate_afm(scenario: AfmScenario) -> AfmTrace:
@@ -221,20 +220,20 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     floating-point operations as the scalar oracles phase_at/slope_at and
     occupancy in tests/helpers.py, so they equal those lookups bit for bit.
 
-    Buffer bound violations are logged and the run continues. The first
-    overflow and the first underflow of each link are logged once each, at the
-    earlier of two places: just before the measurement that saw it, or, for a
-    hit in a row at time T, after every event at or before T. Hits at the
-    same place are in ascending link order.
+    Buffer bound violations are logged and the run continues. Each link's
+    first overflow and first underflow are logged once each, at the first row
+    that shows them: a hit in a row at time T comes after every event at or
+    before T, and hits are in (row, link) order. Raises ParameterError("t_end")
+    if a phase passes 2**53 ticks by t_end, past which floored phases are inexact.
     """
     g = scenario.graph
     n = g.n
     links = g.directed_links()
     offsets = frame_offsets(scenario)
-    # per receiver: (link, source, latency, frame offset, initial occupancy)
+    # per receiver: (source, latency, frame offset, initial occupancy)
     in_links = [[] for _ in range(n)]
     for q, (src, dst) in enumerate(links):
-        in_links[dst].append((q, src, scenario.latency[q], offsets[q],
+        in_links[dst].append((src, scenario.latency[q], offsets[q],
                               scenario.initial_occupancy[q]))
 
     hists = [PhaseHistory.initial(scenario.initial_phase[i], scenario.prehistory_freq[i],
@@ -254,7 +253,6 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     d = scenario.actuation_delay
     t_end = scenario.t_end
     dt = scenario.output_dt
-    cap = scenario.buffer_capacity
 
     # No crossing target lies below its node's last breakpoint phase, so crossings
     # use the last segment. No heap entry is ever stale: a measurement that crosses
@@ -262,8 +260,6 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     heap = [(0.0, i, _MEASURE) for i in range(n)]  # phase theta0 at t = 0; sorted
     hold_at = [math.inf] * n  # crossing time of each node's scheduled hold
     events: list[AfmEvent] = []
-    # first overflow / underflow seen by a measurement: link -> index in events
-    meas_hit: tuple[dict, dict] = ({}, {})
 
     while heap:
         t_evt, i, kind = heapq.heappop(heap)
@@ -272,17 +268,12 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
             k = next_k[i]
             floor_dst = math.floor(ps[-1] + ss[-1] * (t_evt - ts[-1]))
             r = 0
-            for q, src, lat, off, b0 in in_links[i]:
+            for src, lat, off, b0 in in_links[i]:
                 x = t_evt - lat
                 src_t = h_times[src]
                 j = len(src_t) - 1 if x >= src_t[-1] else bisect_right(src_t, x, 1) - 1
-                b = (math.floor(h_phases[src][j] + h_slopes[src][j] * (x - src_t[j]))
-                     - floor_dst + off)
-                hit = 0 if b > cap else 1 if b < 0 else -1
-                if hit >= 0 and q not in meas_hit[hit]:
-                    meas_hit[hit][q] = len(events)
-                    events.append(AfmEvent(t_evt, i, _BOUND_KINDS[hit], q, float(b)))
-                r += b - b0
+                r += (math.floor(h_phases[src][j] + h_slopes[src][j] * (x - src_t[j]))
+                      - floor_dst + off) - b0
             r = float(r)
             # sampled PI in local ticks: the correction uses the integral before
             # this measurement, which then adds p * r (rectangle rule)
@@ -311,6 +302,10 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         if t_meas <= hold_at[i] and t_meas <= t_end:
             heapq.heappush(heap, (t_meas, i, _MEASURE))
 
+    # phases only rise, and floored phases (so occupancies) are exact up to 2**53 ticks
+    top = max(h.phases[-1] + h.slopes[-1] * (t_end - h.times[-1]) for h in hists)
+    if not top <= 2**53:
+        raise ParameterError("t_end", f"phases reach {top:.3g} ticks by t_end, past 2**53")
     # the grid k*dt <= t_end (t_end/dt is at most one off its last k), then the event
     # times and t_end off it, each once, in order; np.unique would load numpy.ma (0.8 MB)
     times = np.arange(math.floor(t_end / dt) + 2, dtype=np.float64)
@@ -345,7 +340,7 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         times=times,
         freq=freq,
         occupancy=occ,
-        events=_merge_row_hits(events, event_times, meas_hit, occ, cap, times, links),
+        events=_insert_row_hits(events, event_times, occ, scenario.buffer_capacity, times, links),
         scenario=scenario,
         histories=tuple(hists),
     )
@@ -364,37 +359,27 @@ def _phase_rows(segments: tuple, t: np.ndarray) -> tuple:
     return s, bp[k] + s * (t - bt[k])
 
 
-def _merge_row_hits(events: list, event_times: np.ndarray, meas_hit: tuple,
-                    occ: np.ndarray, cap: int, times: np.ndarray, links: list) -> tuple:
-    """Insert the bound hits found in trace rows into the event log.
+def _insert_row_hits(events: list, event_times: np.ndarray, occ: np.ndarray, cap: int,
+                     times: np.ndarray, links: list) -> tuple:
+    """Insert each link's first overflow and first underflow into the event log.
 
-    A link's first hit of each kind is kept at whichever comes first: the
-    measurement that saw it (already in events) or the first row that shows it,
-    after every event at its time or before. The later of the two is dropped.
+    Each hit goes at the first row that shows it, after every event at that
+    row's time or before; hits are in (row, link) order.
     """
-    dropped = set()
-    found = []  # (position in events, row, link, event)
-    for kind, mask in enumerate((occ > cap, occ < 0)):
+    hits = []  # (row, link, event)
+    for kind, mask in (("overflow", occ > cap), ("underflow", occ < 0)):
         first_rows = mask.argmax(axis=0)
         for q in np.flatnonzero(mask.any(axis=0)).tolist():
             row = int(first_rows[q])
-            row_at = int(np.searchsorted(event_times, times[row], side="right"))
-            at = meas_hit[kind].get(q, len(events))  # no measurement hit: after every event
-            if at < row_at:
-                continue
-            dropped.add(at)
-            found.append((row_at, row, q, AfmEvent(
-                float(times[row]), links[q][1], _BOUND_KINDS[kind], q, float(occ[row, q]))))
-    if not found:
+            hits.append((row, q, AfmEvent(float(times[row]), links[q][1], kind,
+                                          q, float(occ[row, q]))))
+    if not hits:
         return tuple(events)
-    found.sort(key=lambda f: f[:3])
-    merged = []
-    j = 0
-    for idx, ev in enumerate(events):
-        while j < len(found) and found[j][0] <= idx:
-            merged.append(found[j][3])
-            j += 1
-        if idx not in dropped:
-            merged.append(ev)
-    merged.extend(f[3] for f in found[j:])
-    return tuple(merged)
+    hits.sort(key=lambda h: h[:2])
+    merged, done = [], 0
+    for row, _, hit in hits:
+        at = int(np.searchsorted(event_times, times[row], side="right"))
+        merged += events[done:at]
+        merged.append(hit)
+        done = at
+    return tuple(merged + events[done:])

@@ -215,6 +215,19 @@ class TestScenarioValidation:
         assert trace.occupancy[0].tolist() == list(scn.initial_occupancy)
         assert_matches_scalar_oracles(trace, scn)
 
+    def test_phases_at_t_end_at_most_2_53(self):
+        # rows floor every phase up to t_end, and floored phases are exact only up
+        # to 2**53; the phase at t_end is theta0 + t_end here
+        def run(t_end):
+            return simulate_afm(make_scenario(path(2), (1.0, 1.0), GAINS, p=1e15, theta0=0.5,
+                                              t_end=t_end, output_dt=t_end / 4))
+        trace = run(2.0**53 - 2)
+        assert trace.occupancy.tolist() == [[64, 64]] * len(trace.times)
+        assert_matches_scalar_oracles(trace, trace.scenario)
+        with pytest.raises(ParameterError, match="2\\*\\*53") as info:
+            run(2.0**53 + 8)
+        assert info.value.field == "t_end"
+
     def test_slow_startup_rejected(self):
         with pytest.raises(ValueError, match="startup_freq"):
             make_scenario(path(2), (1.0, 1.0), GAINS, omega_min=1.5, omega_max=2.0)
@@ -379,10 +392,9 @@ def bound_log_oracle(trace, scn):
     """The event log with bound hits placed by the rule, from the scalar lookups.
 
     Replays measure/hold events and sample rows in log order: a row at time T
-    comes after every event at or before T. A measurement checks its node's
-    incoming links just before its own entry; a row checks every link. Each
-    link logs its first overflow and first underflow once, in ascending link
-    order at each place.
+    comes after every event at or before T. Each row checks every link, and
+    each link logs its first overflow and first underflow once, in ascending
+    link order within a row.
     """
     links = scn.graph.directed_links()
     offsets = frame_offsets(scn)
@@ -406,8 +418,6 @@ def bound_log_oracle(trace, scn):
         while j < len(rows) and rows[j] < ev.time:
             check(range(len(links)), rows[j])
             j += 1
-        if ev.kind == "measure":
-            check([q for q, (_, dst) in enumerate(links) if dst == ev.node], ev.time)
         out.append((ev.time, ev.node, ev.kind, ev.k, ev.value))
     for t in rows[j:]:
         check(range(len(links)), t)
@@ -478,6 +488,41 @@ class TestRowOracle:
         trace = simulate_afm(scn)
         assert_matches_scalar_oracles(trace, scn)
         assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bound_events_come_from_rows(self, seed):
+        # the one rule, per link and kind: a bound event exists exactly when the
+        # trace column leaves [0, beta_max], carries the first such row's time and
+        # value, and sits after every measure and hold at or before that time
+        rng = np.random.RandomState(100 + seed)
+        n = rng.randint(2, 7)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n + 1))
+        p = 8.0
+        latency = 0.0 if seed % 2 else tuple(rng.uniform(0.5, 30.0, 2 * g.m))
+        omega_u = 1.0 + rng.permutation(np.linspace(-0.02, 0.02, n))
+        scn = make_scenario(
+            g, omega_u, Gains(k_p=1e-6, k_i=1e-9, omega_c=1.0), latency=latency, p=p,
+            d=(0.0, p, 3 * p)[seed % 3], theta0=tuple(rng.choice([0.25, 1 - 2**-44], n)),
+            beta_max=int(rng.choice([4, 8])), t_end=1500.0, output_dt=7.0)
+        trace = simulate_afm(scn)
+        loop = [(pos, ev.time) for pos, ev in enumerate(trace.events)
+                if ev.kind in ("measure", "hold")]
+        hits = 0
+        for q, (_, dst) in enumerate(scn.graph.directed_links()):
+            col = trace.occupancy[:, q]
+            for kind, out in (("overflow", col > scn.buffer_capacity), ("underflow", col < 0)):
+                logged = [(pos, ev) for pos, ev in enumerate(trace.events)
+                          if ev.kind == kind and ev.k == q]
+                assert len(logged) == int(out.any())
+                if not logged:
+                    continue
+                hits += 1
+                (at, ev), row = logged[0], int(out.argmax())
+                assert (ev.time, ev.node, ev.value) == (trace.times[row], dst, col[row])
+                assert all((t <= ev.time) == (pos < at) for pos, t in loop)
+        assert hits
+        bound = [(ev.time, ev.k) for ev in trace.events if ev.kind in ("overflow", "underflow")]
+        assert bound == sorted(bound)
 
     def test_long_histories(self):
         scn = make_scenario(path(2), (1.00002, 0.99998), GAINS,

@@ -248,6 +248,18 @@ class TestSimulate:
         assert err.startswith("error: afm.latency: latency[0] reaches ") and "2**53" in err
 
 
+    def test_phases_past_2_53_by_t_end_names_t_end(self, tmp_path, capsys):
+        # a run whose phases pass 2**53 ticks is refused before any row is floored
+        rc = main(["simulate", "--model", "afm", "--scenario",
+                   str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
+                   "--set", "afm.p=1e300", "--set", "run.t_end=1e300",
+                   "--set", "run.output_dt=1e298", "--set", "afm.d=0",
+                   "--set", "controller.k_p=1e-300", "--set", "controller.k_i=1e-300"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: run.t_end: phases reach 1e+300 ticks by t_end, past 2**53\n")
+
+
 class RunStarted(Exception):
     """A document that should have been refused reached the run."""
 

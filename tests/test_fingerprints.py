@@ -58,6 +58,20 @@ def test_frame_model_outputs_pinned(name, tmp_path, capsys):
     assert sha256(tmp_path / "trace_afm_events.csv") == events_digest
 
 
+# mesh scenario -> stderr of its frame-model run, which names the first bound event
+MESH_ERRORS = {
+    "mesh_close_pair": "error: buffer overflow on link 0 at t=325000.0 (occupancy 129.0)\n",
+    "mesh_far_pair": "error: buffer overflow on link 0 at t=652500.0 (occupancy 129.0)\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_ERRORS))
+def test_mesh_overflow_stderr_pinned(name, tmp_path, capsys):
+    argv = ["simulate", "--model", "afm", "--scenario", str(SCENARIOS / f"{name}.json")]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == MESH_ERRORS[name]
+
+
 # command -> (exit code, sha256 of trace_ode.csv); the digests are the same
 # with one and with two BLAS threads
 FLUID_CASES = {
