@@ -16,6 +16,7 @@ Hurwitz witness. The Lyapunov certificate uses the reduced system obtained by
 projecting onto the disagreement subspace.
 """
 
+import contextlib
 from typing import NamedTuple
 
 import numpy as np
@@ -151,6 +152,11 @@ _BLOCK_STEPS = 256
 # chunk joins the one before it, since numpy sends a one-row product to gemv,
 # which rounds differently from the many-row product
 _CHUNK_STEPS = 8 * _BLOCK_STEPS
+# one chunk's two products take _CHUNK_STEPS * n * (n + m) multiply-adds; from
+# this many a run of two or more chunks starts a worker thread. At one BLAS
+# thread on 2 cores the worker lost on a 10x11 mesh (6.96e7), broke about even
+# on 11x11 (8.45e7) and won from 11x12 (1.01e8: 426 against 743 ms)
+_WORKER_MACS = 8e7
 
 
 def _modal_chunks(powers, offsets, last_step, n_full: int, count: int):
@@ -279,8 +285,9 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
     rows at a time and turned into omega and delta with one matrix product
     each, written straight into the trace, so no other trace-sized array
     exists; omega's integral term is formed in place in the chunk's zeta,
-    which nothing reads after it. A run of more than one chunk adds omega_u to
-    omega and forms delta on one worker thread.
+    which nothing reads after it. A run of two or more chunks whose products
+    reach _WORKER_MACS (about an 11x11 mesh) adds omega_u to omega and forms
+    delta on one worker thread; below that the handoff costs more than it saves.
     delta uses only the disagreement modes, so the drift mode, whose phase
     grows without bound, never cancels in it.
     """
@@ -328,36 +335,27 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
     phase_gain, integral_gain = sys.blocks[:, 0, 0], sys.blocks[:, 0, 1]
     to_delta = (-(sd.incidence.T @ modes[:, 1:])).T
 
-    def write_omega(r, theta, zeta):
-        rows = slice(r, r + len(theta))
-        omega_hat = theta * phase_gain
-        omega_hat += np.multiply(integral_gain, zeta, out=zeta)  # zeta is not read again
-        np.matmul(omega_hat, modes.T, out=omega[rows])
-        return rows
-
     def finish(rows, theta):
         omega[rows] += omega_u
         np.matmul(theta[:, 1:], to_delta, out=delta[rows])
 
-    chunks = _modal_chunks(powers, offsets, last_step, n_full, count)
-    if count < 2 * _CHUNK_STEPS:
-        for r, theta, zeta in chunks:
-            finish(write_omega(r, theta, zeta), theta)
-        return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u)
-    # one worker thread finishes each chunk (adds omega_u to its omega and
-    # forms its delta) while this thread forms the next chunk's modal state
-    # and omega product; every operation is the same call on the same
-    # operands, so the bytes do not change, and at most one chunk is in flight
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    # the worker, where one starts, finishes each chunk while this thread forms
+    # the next; the same calls on the same operands, at most one chunk in flight
+    worker = None
+    if count >= 2 * _CHUNK_STEPS and _CHUNK_STEPS * n * (n + sd.graph.m) >= _WORKER_MACS:
+        from concurrent.futures import ThreadPoolExecutor
+        worker = ThreadPoolExecutor(max_workers=1)
+    with worker or contextlib.nullcontext():
         pending = None
-        for r, theta, zeta in chunks:
-            rows = write_omega(r, theta, zeta)
-            del zeta
+        for r, theta, zeta in _modal_chunks(powers, offsets, last_step, n_full, count):
+            rows = slice(r, r + len(theta))
+            omega_hat = theta * phase_gain
+            omega_hat += np.multiply(integral_gain, zeta, out=zeta)  # zeta is not read again
+            np.matmul(omega_hat, modes.T, out=omega[rows])
+            del zeta, omega_hat
             if pending is not None:
                 pending.result()
-            pending = worker.submit(finish, rows, theta)
-        pending.result()
+            pending = worker.submit(finish, rows, theta) if worker else finish(rows, theta)
+        if pending is not None:
+            pending.result()
     return OdeTrace(times=times, omega=omega, delta=delta, omega_u=omega_u)
-

@@ -7,7 +7,8 @@ pi_controller_step is the oracle for the PI update that the event loop makes
 at each measurement.
 resistance_distance and two_node_perturbation are the pairwise oracles for
 ``resistance_matrix`` and ``predicted_performance``; long_double_rk4_step is
-the extended-precision reference for ``rk4_step_operator``.
+the extended-precision reference for ``rk4_step_operator``, and
+modal_response the exact fluid trajectory that ``simulate_ode`` approximates.
 sign_normalize_columns is the column-by-column oracle for the sign convention
 ``spectral_data`` applies in bulk, and subtracted_l2_norm_squared the
 oracle for ``l2_norm_squared``, which skips subtracting an all-zero reference.
@@ -344,6 +345,38 @@ def dense_rk4(sd: SpectralData, gains: Gains, omega_u, t_end: float, dt: float |
     times, states = rk4_integrate(lambda t, x: dense.a @ x + drive,
                                   np.zeros(2 * sd.graph.n), 0.0, t_end, dt)
     return dense, times, states
+
+
+def modal_response(sd: SpectralData, gains: Gains, omega_u, t) -> tuple:
+    """(omega, delta): the fluid model's exact response from x(0) = 0 at instants t.
+
+    Oracle for ``simulate_ode``'s RK4. Each disagreement mode solves
+    theta'' + a lambda theta' + b lambda theta = 0 with theta(0) = 0 and
+    theta'(0) = w_k, w = V^T (omega_u - mean), so with roots r1 and r2
+
+        theta_k = w_k (e^(r1 t) - e^(r2 t)) / (r1 - r2),   omega_k = theta_k'.
+
+    In complex arithmetic that covers the under- and overdamped modes. It is
+    formed as w_k e^(r2 t) g with g = expm1((r1 - r2) t) / (r1 - r2), where
+    r2 is the slower root, taken as b lambda / r1 so that it does not cancel;
+    the critically damped mode, r1 = r2, takes the limit g = t. The drift
+    mode moves every node at the mean rate and leaves delta alone.
+    """
+    omega_u = np.asarray(omega_u, dtype=float)
+    t = np.asarray(t, dtype=float)[:, None]
+    lam = sd.eigenvalues[1:]
+    v = sd.eigenvectors[:, 1:]
+    w = (omega_u - omega_u.mean()) @ v
+    damping = gains.k_p * lam
+    s = np.sqrt((damping * damping - 4.0 * gains.effective_integral_gain * lam).astype(complex))
+    r1 = (-damping - s) / 2.0
+    r2 = gains.effective_integral_gain * lam / r1
+    critical = s == 0
+    g = np.where(critical, t, np.expm1(-s * t) / np.where(critical, 1.0, -s))
+    slow = w * np.exp(r2 * t)
+    theta = (slow * g).real
+    omega = omega_u.mean() + (slow * (1.0 + r1 * g)).real @ v.T
+    return omega, theta @ (-(sd.incidence.T @ v)).T
 
 
 def modal_states(sd: SpectralData, states: np.ndarray) -> tuple:

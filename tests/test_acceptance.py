@@ -176,6 +176,31 @@ def test_criterion_5_frame_model_agreement():
            f"runtime {elapsed:.1f}s")
 
 
+def test_criterion_5_frame_model_tracks_fluid_on_random_graphs():
+    """With delays shrunk, the frame-exact run tracks the fluid run within 2 frames.
+
+    Nine seeded graphs of 2 to 8 nodes take each pair of measurement period
+    and theta0 below; over 40 draws of this kind, these nine first,
+    max_occ_dev ranged from 1.004 to 1.365.
+    """
+    t0 = time.time()
+    rng = np.random.RandomState(3)
+    devs = []
+    for case in range(9):
+        g = random_connected_graph(rng, rng.randint(2, 9))
+        gains = Gains(k_p=3e-5 * rng.uniform(0.3, 3), k_i=2e-9 * rng.uniform(0.3, 3))
+        omega_u = 1.0 + rng.uniform(-5e-5, 5e-5, g.n)
+        scn = make_scenario(g, omega_u, gains, latency=0.0, p=(10.0, 100.0, 1000.0)[case % 3],
+                            d=0.0, theta0=(0.1, 0.5, 0.9)[case // 3], beta_max=1024,
+                            t_end=200000.0, output_dt=500.0)
+        ode_trace = simulate_ode(build_full_system(spectral_data(g), gains), omega_u, 200000.0)
+        devs.append(compare_traces(simulate_afm(scn), ode_trace).max_occ_dev)
+    elapsed = time.time() - t0
+    report("5 (frame model vs fluid model, random graphs)", max(devs) <= 2.0,
+           f"tracking dev {min(devs):.3f} to {max(devs):.3f} frames over {len(devs)} "
+           f"graphs, runtime {elapsed:.1f}s")
+
+
 def test_criterion_6_structural_invariants():
     """Frequency-sum invariance, exact occupancy identity, and determinism."""
     gains = Gains(k_p=3e-5, k_i=2e-9, omega_c=1.0)

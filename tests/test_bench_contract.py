@@ -71,7 +71,7 @@ def test_fact_readers_on_real_traces(monkeypatch):
     omega_u = np.array([1.1, 1.0, 0.9, 1.0])
     ode = simulate_ode(sys_full, omega_u, 50.0)
     assert tracer._ode_facts((), ode) == {"rows": ode.times.shape[0], "n": 4, "m": 6}
-    # a run of more than one chunk, whose delta a worker thread forms
+    # a run of more than one chunk, too small to start a worker thread
     rows = 2 * _CHUNK_STEPS + 1
     ode = simulate_ode(sys_full, omega_u, 50.0, dt=50.0 / (rows - 1))
     assert tracer._ode_facts((), ode) == {"rows": rows, "n": 4, "m": 6}
