@@ -19,6 +19,7 @@ slope_at, next_crossing, occupancy), and that of the PI update
 import heapq
 import math
 from bisect import bisect_right
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -177,6 +178,8 @@ class AfmTrace(NamedTuple):
     from which a phase at or between rows can be read. freq and occupancy
     are indexed (row, column) but are transposed views of node-major and
     link-major arrays, so each node's and each link's column is contiguous.
+    events is the log in time order, and each event's time is, bit for bit,
+    the time of a row; write_trace refuses a log that breaks either rule.
     """
 
     times: np.ndarray
@@ -311,8 +314,7 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     times = np.arange(math.floor(t_end / dt) + 2, dtype=np.float64)
     times *= dt
     times = times[:np.searchsorted(times, t_end, side="right")]
-    event_times = np.fromiter((ev.time for ev in events), np.float64, len(events))
-    extra = np.append(event_times, t_end)  # sorted
+    extra = np.array([*map(attrgetter("time"), events), t_end])  # sorted
     at, past = np.searchsorted(times, extra), np.searchsorted(times, extra, side="right")
     new = (at == past) & (extra != np.append(extra[1:], math.inf))  # off grid, last copy
     times = np.insert(times, at[new], extra[new])
@@ -340,7 +342,7 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         times=times,
         freq=freq,
         occupancy=occ,
-        events=_insert_row_hits(events, event_times, occ, scenario.buffer_capacity, times, links),
+        events=_insert_row_hits(events, occ, scenario.buffer_capacity, times, links),
         scenario=scenario,
         histories=tuple(hists),
     )
@@ -359,8 +361,8 @@ def _phase_rows(segments: tuple, t: np.ndarray) -> tuple:
     return s, bp[k] + s * (t - bt[k])
 
 
-def _insert_row_hits(events: list, event_times: np.ndarray, occ: np.ndarray, cap: int,
-                     times: np.ndarray, links: list) -> tuple:
+def _insert_row_hits(events: list, occ: np.ndarray, cap: int, times: np.ndarray,
+                     links: list) -> tuple:
     """Insert each link's first overflow and first underflow into the event log.
 
     Each hit goes at the first row that shows it, after every event at that
@@ -376,10 +378,5 @@ def _insert_row_hits(events: list, event_times: np.ndarray, occ: np.ndarray, cap
     if not hits:
         return tuple(events)
     hits.sort(key=lambda h: h[:2])
-    merged, done = [], 0
-    for row, _, hit in hits:
-        at = int(np.searchsorted(event_times, times[row], side="right"))
-        merged += events[done:at]
-        merged.append(hit)
-        done = at
-    return tuple(merged + events[done:])
+    # on equal times merge takes from its first input first: hits follow events
+    return tuple(heapq.merge(events, (hit for _, _, hit in hits), key=attrgetter("time")))

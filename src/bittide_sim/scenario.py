@@ -8,6 +8,7 @@ tables (one header row, full float precision) so any plotting tool can
 consume them; event logs go to a companion table.
 """
 
+import io
 import json
 import math
 import numbers
@@ -343,7 +344,7 @@ def events_path_for(path_like) -> Path:
 
 # cells per formatted block, so that wide tables get short blocks: a block's
 # strings then stay in cache while its rows are assembled, and the text held
-# in memory stays small; an event counts as four cells
+# in memory stays small
 _WRITE_BLOCK_CELLS = 16384
 
 
@@ -355,25 +356,26 @@ def write_trace(trace, path_like) -> None:
     mostly repeat the cell above them, so each cell is formatted once per run
     of equal bit patterns down its column, and every row is assembled from
     those strings. Bits, not floats, are compared: ``-0.0 == 0.0`` would
-    reuse the wrong text. Frame-model events happen at row times, so an
-    event's time is printed from the text of the row with the same bits; an
-    event on no row (a hand-built trace) is formatted on its own. Event times
-    and values are printed as Python floats, so numpy scalars in a hand-built
-    event log write the same text as the floats they hold.
+    reuse the wrong text. An event log that breaks the AfmTrace contract
+    raises ValueError before either file is created; else each event is
+    written with its row's block, its time in the text of its row. Values
+    are printed as Python floats, so numpy scalars write their floats' text.
     """
     table = _trace_table(trace)
     events = trace.events if isinstance(trace, AfmTrace) else ()
+    p = Path(path_like)
     ev_time = np.array([ev.time for ev in events], dtype=float)
     ev_row = np.searchsorted(table.times, ev_time)
-    by_row = np.argsort(ev_row, kind="stable")  # event indices in row order
-    row_of = ev_row[by_row]
-    # copied out of the blocks, so their strings can go; no float repr exceeds 24 characters
-    ev_text = np.full(len(events), "", dtype="U24")
-    p = Path(path_like)
+    if not (np.all(ev_time[1:] >= ev_time[:-1]) and np.all(ev_row < table.times.shape[0])
+            and np.array_equal(table.times[ev_row].view(np.uint64), ev_time.view(np.uint64))):
+        raise ValueError(f"{p}: events must be in time order, each at the time of a row")
     width = 1 + len(table.columns)
     rows = max(1, _WRITE_BLOCK_CELLS // width)
-    with p.open("w") as fh:
+    # a log without events writes no events file
+    with p.open("w") as fh, (events_path_for(p).open("w") if events
+                             else io.StringIO()) as ev_fh:
         fh.write(",".join(("t",) + table.columns) + "\n")
+        ev_fh.write("time,node,kind,value\n")
         # the row above the current block: its bits, and its cells' text
         last_bits, last_text = None, np.full(width, "", dtype=object)
         for k in range(0, table.times.shape[0], rows):
@@ -397,19 +399,10 @@ def write_trace(trace, path_like) -> None:
             cells = pool[where]
             fh.write("\n".join(map(",".join, cells.tolist())) + "\n")
             last_bits, last_text = bits[-1].copy(), cells[-1]
-            lo, hi = np.searchsorted(row_of, (k, k + bits.shape[0]))
-            at, r = by_row[lo:hi], row_of[lo:hi] - k
-            same = bits[r, 0] == ev_time[at].view(np.uint64)
-            ev_text[at[same]] = cells[r[same], 0]
-    if events:
-        per_write = _WRITE_BLOCK_CELLS // 4
-        with events_path_for(p).open("w") as fh:
-            fh.write("time,node,kind,value\n")
-            for k in range(0, len(events), per_write):
-                fh.write("".join(f"{t or repr(float(ev.time))},{ev.node},{ev.kind},"
-                                 f"{float(ev.value)!r}\n"
-                                 for t, ev in zip(ev_text[k:k + per_write].tolist(),
-                                                  events[k:k + per_write])))
+            lo, hi = np.searchsorted(ev_row, (k, k + bits.shape[0]))
+            ev_fh.write("".join(f"{t},{ev.node},{ev.kind},{float(ev.value)!r}\n"
+                                for t, ev in zip(cells[ev_row[lo:hi] - k, 0].tolist(),
+                                                 events[lo:hi])))
 
 
 def read_trace(path_like) -> TraceTable:

@@ -393,37 +393,38 @@ class TestTraceWriterOracle:
         assert_same_text(texts[0][1].decode(), "time,node,kind,value\n" + "".join(
             f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n" for ev in trace.events))
 
-    def test_event_on_no_row_formatted_on_its_own(self, tmp_path):
+    def test_event_log_off_its_rows_refused(self, tmp_path):
         scn = make_scenario(OrientedGraph(2, ((0, 1),)), (1.0001, 0.9999),
                             Gains(k_p=3e-5, k_i=2e-9), p=100.0, t_end=2000.0, output_dt=100.0)
         trace = simulate_afm(scn)
         t = trace.times
         assert t[0] == 0.0
-        # out of time order: a row time, a time between rows, -0.0 beside the
-        # 0.0 row, times before the first and after the last row
-        times = [t[3], t[3] + (t[4] - t[3]) / 3, -0.0, t[-1] + 1.0, -1.0, t[0], t[-1]]
-        events = tuple(AfmEvent(float(x), 1, "measure", k, 0.5) for k, x in enumerate(times))
-        want = "time,node,kind,value\n" + "".join(
-            f"{ev.time!r},{ev.node},{ev.kind},{ev.value!r}\n" for ev in events)
-        for k, hand_built in enumerate((
-                trace._replace(events=events),
-                trace._replace(events=events, times=t[:0], freq=trace.freq[:0],
-                               occupancy=trace.occupancy[:0]))):
-            dest = tmp_path / f"trace_{k}.csv"
-            write_trace(hand_built, dest)
-            assert events_path_for(dest).read_text() == want
+        # a time between rows, -0.0 beside the 0.0 row, times before the first
+        # and after the last row, and row times out of order
+        for times in ([t[3], t[3] + (t[4] - t[3]) / 3], [-0.0, t[1]], [-1.0, t[0]],
+                      [t[-1], t[-1] + 1.0], [t[4], t[3]], [t[5]]):
+            events = tuple(AfmEvent(float(x), 1, "measure", k, 0.5)
+                           for k, x in enumerate(times))
+            hand_built = trace._replace(events=events)
+            if len(times) == 1:  # on a trace with no rows
+                hand_built = hand_built._replace(times=t[:0], freq=trace.freq[:0],
+                                                 occupancy=trace.occupancy[:0])
+            dest = tmp_path / "trace.csv"
+            with pytest.raises(ValueError, match="time order"):
+                write_trace(hand_built, dest)
+            assert not dest.exists() and not events_path_for(dest).exists()
 
     def test_numpy_scalar_events_written_as_floats(self, tmp_path):
         scn = make_scenario(OrientedGraph(2, ((0, 1),)), (1.0001, 0.9999),
                             Gains(k_p=3e-5, k_i=2e-9), p=100.0, t_end=2000.0, output_dt=100.0)
         trace = simulate_afm(scn)
-        # one time on no row, one on a row; both values numpy scalars
-        events = (AfmEvent(np.float64(123.456789), 0, "measure", 0, np.float64(2.0)),
+        # times and values numpy scalars, the times on rows
+        events = (AfmEvent(trace.times[2], 0, "measure", 0, np.float64(2.0)),
                   AfmEvent(trace.times[3], 1, "hold", 0, np.float64(-1.5e-7)))
         dest = tmp_path / "trace.csv"
         write_trace(trace._replace(events=events), dest)
         assert events_path_for(dest).read_text() == (
-            "time,node,kind,value\n123.456789,0,measure,2.0\n"
+            f"time,node,kind,value\n{float(trace.times[2])!r},0,measure,2.0\n"
             f"{float(trace.times[3])!r},1,hold,-1.5e-07\n")
 
     def test_fluid_trace(self, tmp_path):
@@ -459,10 +460,9 @@ class TestTraceWriterOracle:
         rows = 4000
         times = np.cumsum(rng.uniform(0.5, 1.5, rows))
         occupancy = 64 + np.cumsum(rng.choice([-2, -1, 1, 2], (rows, 6)), axis=0)
-        on_rows = rng.choice(rows, 12, replace=False)
+        on_rows = np.sort(rng.choice(rows, 12, replace=False))
         events = tuple(AfmEvent(float(times[r]), int(r % 3), "measure", k, float(r) / 7.0)
                        for k, r in enumerate(on_rows))
-        events += (AfmEvent(float(times[7] + 0.25), 2, "hold", 12, -0.5),)
         hand_built = frame._replace(times=times, freq=rng.uniform(0.9, 1.1, (rows, 3)),
                                     occupancy=occupancy, events=events)
         # a block of every cell changing, then two whose columns 1.. repeat the
