@@ -38,8 +38,9 @@ class PhaseHistory:
     Segment k starts at (times[k], phases[k]) with rate slopes[k]; the last
     extends forward indefinitely. The first two breakpoints are both at
     (t = 0, theta0): segment 0, the pre-history, extends back without limit,
-    so lookups search from breakpoint 1. Phase is continuous and strictly
-    increasing; every slope exceeds the oscillator minimum by admissibility.
+    so lookups search from breakpoint 1. Phase is continuous, bit for bit at
+    each breakpoint, and strictly increasing; every slope exceeds the
+    oscillator minimum by admissibility.
     """
 
     __slots__ = ("times", "phases", "slopes")
@@ -292,8 +293,8 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
             events.append(AfmEvent(t_evt, i, "measure", k, r))
         else:
             k, c = pending[i].pop(0)
+            ps.append(ps[-1] + ss[-1] * (t_evt - ts[-1]))  # on the segment it ends
             ts.append(t_evt)
-            ps.append(theta0[i] + k * p + d)
             ss.append(c + omega_u[i])
             events.append(AfmEvent(t_evt, i, "hold", k, float(c)))
             hold_at[i] = math.inf

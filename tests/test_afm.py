@@ -430,23 +430,40 @@ def loop_log_oracle(trace, scn):
     Measurement k of node i sits at the crossing of theta0_i + k p and reads
     the sum of its incoming occupancies less their initial values; the
     correction pi_controller_step makes of it takes hold at the crossing of
-    theta0_i + k p + d. Entries up to t_end are in time order, ties broken by
-    node, then measurement before hold.
+    theta0_i + k p + d. A crossing is inverted on its node's last segment when
+    it is scheduled: hold k on the segment hold k - 1 began (segment 1 for
+    hold 0), and measurement k on the first segment, from measurement k - 1's
+    on, whose inversion is not past that segment's end. A hold's breakpoint
+    phase is the old segment's value there, so phase is continuous in floating
+    point and a reading at a hold's instant has the same bits on either
+    segment. Entries up to t_end are in time order, ties broken by node, then
+    measurement before hold.
     """
     links = scn.graph.directed_links()
     offsets = frame_offsets(scn)
     hists = trace.histories
     out = []
     for i, h in enumerate(hists):
+        ts, ps, ss = h.times, h.phases, h.slopes
+
+        def cross(j, target):
+            return ts[j] + (target - ps[j]) / ss[j]
+
+        for b in range(2, len(ts)):
+            assert ps[b] == ps[b - 1] + ss[b - 1] * (ts[b] - ts[b - 1])
         state = DiscreteControllerState(node=i)
-        k = 0
-        while (t := next_crossing(h, scn.initial_phase[i] + k * scn.meas_period)) <= scn.t_end:
+        k, j = 0, 1
+        while True:
+            target = scn.initial_phase[i] + k * scn.meas_period
+            while j + 1 < len(ts) and cross(j, target) > ts[j + 1]:
+                j += 1
+            if (t := cross(j, target)) > scn.t_end:
+                break
             r = sum(occupancy(hists[src], h, scn.latency[q], offsets[q], t)
                     - scn.initial_occupancy[q] for q, (src, dst) in enumerate(links) if dst == i)
             c = pi_controller_step(state, float(r), scn)
             out.append((t, i, 0, k, float(r)))
-            t_hold = next_crossing(h, scn.initial_phase[i] + k * scn.meas_period
-                                   + scn.actuation_delay)
+            t_hold = cross(k + 1, target + scn.actuation_delay) if k + 1 < len(ts) else math.inf
             if t_hold <= scn.t_end:
                 out.append((t_hold, i, 1, k, c))
             k += 1
@@ -467,6 +484,21 @@ def assert_matches_scalar_oracles(trace, scn):
     logged = [(ev.time, ev.node, ev.kind, ev.k, ev.value) for ev in trace.events]
     assert [ev for ev in logged if ev[2] in ("measure", "hold")] == loop_log_oracle(trace, scn)
     assert logged == bound_log_oracle(trace, scn)
+
+
+def tied_crossings_run(d: float, latency) -> tuple:
+    """A 5-node run on p = 8, latencies drawn when latency is None, as (trace, scenario)."""
+    rng = np.random.RandomState(int(d) + (latency is None))
+    n = 5
+    g = random_connected_graph(rng, n, extra_edges=3)
+    if latency is None:
+        latency = tuple(rng.uniform(0.0, 30.0, 2 * g.m))
+    omega_u = 1.0 + rng.permutation(np.linspace(-0.02, 0.02, n))
+    scn = make_scenario(
+        g, omega_u, Gains(k_p=1e-6, k_i=1e-9, omega_c=1.0), latency=latency,
+        p=8.0, d=d, theta0=(0.25, 1.5, 2.75, 3.125, 0.5), beta_max=8,
+        t_end=1500.0, output_dt=7.0)
+    return simulate_afm(scn), scn
 
 
 class TestRowOracle:
@@ -542,17 +574,7 @@ class TestRowOracle:
         (8.0, 0.0),    # every link zero latency: sources read the node rows
     ])
     def test_tied_crossings_and_shared_latency(self, d, latency):
-        rng = np.random.RandomState(int(d) + (latency is None))
-        n = 5
-        g = random_connected_graph(rng, n, extra_edges=3)
-        if latency is None:
-            latency = tuple(rng.uniform(0.0, 30.0, 2 * g.m))
-        omega_u = 1.0 + rng.permutation(np.linspace(-0.02, 0.02, n))
-        scn = make_scenario(
-            g, omega_u, Gains(k_p=1e-6, k_i=1e-9, omega_c=1.0), latency=latency,
-            p=8.0, d=d, theta0=(0.25, 1.5, 2.75, 3.125, 0.5), beta_max=8,
-            t_end=1500.0, output_dt=7.0)
-        trace = simulate_afm(scn)
+        trace, scn = tied_crossings_run(d, latency)
         assert_matches_scalar_oracles(trace, scn)
         kinds = [(ev.time, ev.node, ev.kind) for ev in trace.events]
         tied = {(t, i) for t, i, kind in kinds if kind == "hold"} & {
@@ -561,44 +583,81 @@ class TestRowOracle:
         assert any(ev.kind in ("overflow", "underflow") for ev in trace.events)
 
 
-def measurements_off_their_rows(d: float) -> list:
-    """Measurements on complete(3) whose r is not the r their trace row reads.
+def measurements_off_their_rows(trace, scn) -> list:
+    """Measurements whose r is not the r their trace row reads.
 
     A row's r for node i is the sum over i's in-links of occupancy - beta0.
-    theta0 + 5 p = 167 here, so a phase meets an integer at a measurement.
     """
-    g = complete(3)
-    links = g.directed_links()
-    off = []
-    for seed in (5, 8, 9):
+    into = np.zeros((2 * scn.graph.m, scn.graph.n))
+    for q, (_, dst) in enumerate(scn.graph.directed_links()):
+        into[q, dst] = 1.0
+    row_r = (trace.occupancy - np.asarray(scn.initial_occupancy)) @ into
+    return [(ev.node, ev.k, ev.value) for ev in trace.events if ev.kind == "measure"
+            and ev.value != row_r[np.searchsorted(trace.times, ev.time), ev.node]]
+
+
+def complete3_runs(p: float, d: float, theta0: float, seeds) -> list:
+    """complete(3) runs on seeded rates 1e-4 apart at most, as (trace, scenario) pairs."""
+    runs = []
+    for seed in seeds:
         omega_u = 1 + np.random.RandomState(seed).uniform(-5e-5, 5e-5, 3)
-        scn = make_scenario(g, omega_u, Gains(3e-5, 2e-9), p=33.3, d=d, theta0=0.5,
+        scn = make_scenario(complete(3), omega_u, Gains(3e-5, 2e-9), p=p, d=d, theta0=theta0,
                             beta_max=1024, t_end=2e4, output_dt=500.0)
-        trace = simulate_afm(scn)
-        beta0 = np.asarray(scn.initial_occupancy)
-        for ev in trace.events:
-            if ev.kind == "measure":
-                row = int(np.searchsorted(trace.times, ev.time))
-                r = sum(trace.occupancy[row, q] - beta0[q]
-                        for q, (_, dst) in enumerate(links) if dst == ev.node)
-                if r != ev.value:
-                    off.append((seed, ev.node, ev.k, ev.value, r))
-    return off
+        runs.append((simulate_afm(scn), scn))
+    return runs
 
 
 class TestMeasurementAgainstRow:
-    """A measurement's r against the occupancies of the trace row at its instant."""
+    """A measurement's r against the occupancies of the trace row at its instant.
 
+    A hold at a measurement's instant (d = 0 or d = p) ends the segment the
+    measurement reads; the hold's breakpoint phase is that segment's value
+    there, so the measurement and the row floor the same bits. With the
+    breakpoint at its target phase instead, 3, 0 and 5 of the 18,030
+    measurements at p = 33.3 (d = 0, 10, p) and 86 and 32 of the 24,063 at
+    theta0 = 1 - 2**-40 (d = 0, p) read r two frames off their rows.
+    """
+
+    # theta0 + 5 p = 167: a phase meets an integer at a measurement
     def test_with_actuation_delay(self):
-        assert measurements_off_their_rows(10.0) == []
+        assert [measurements_off_their_rows(*run) for run in
+                complete3_runs(33.3, 10.0, 0.5, range(10))] == [[]] * 10
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="with d = 0 a hold crosses at its own measurement's instant; the "
-                              "measurement floors its phase on the old segment and the row on "
-                              "the new one, which can round to opposite sides of an integer")
     def test_without_actuation_delay(self):
-        # one measurement in each of the three runs reads r two frames off its row
-        assert measurements_off_their_rows(0.0) == []
+        assert [measurements_off_their_rows(*run) for run in
+                complete3_runs(33.3, 0.0, 0.5, range(10))] == [[]] * 10
+
+    def test_delay_of_one_period(self):
+        assert [measurements_off_their_rows(*run) for run in
+                complete3_runs(33.3, 33.3, 0.5, range(10))] == [[]] * 10
+
+    @pytest.mark.parametrize("d", [0.0, 100.0])
+    def test_theta0_just_below_an_integer(self, d):
+        assert [measurements_off_their_rows(*run) for run in
+                complete3_runs(100.0, d, 1 - 2**-40, range(40))] == [[]] * 40
+
+    @pytest.mark.parametrize("d, latency", [(8.0, None), (24.0, None), (24.0, 12.5), (8.0, 0.0)])
+    def test_tied_crossings(self, d, latency):
+        trace, scn = tied_crossings_run(d, latency)
+        assert measurements_off_their_rows(trace, scn) == []
+
+    def test_event_times_never_decrease(self):
+        # with d a multiple of p a hold's breakpoint phase can round just above
+        # the target of the measurement at the same phase
+        events = 0
+        for seed in range(60):
+            rng = np.random.RandomState(seed)
+            g = random_connected_graph(rng, 5, extra_edges=rng.randint(0, 6))
+            p = 33.3
+            scn = make_scenario(
+                g, 1 + rng.uniform(-5e-5, 5e-5, 5), Gains(3e-5, 2e-9),
+                latency=tuple(rng.uniform(0.0, 30.0, 2 * g.m)), p=p, d=(seed % 4) * p,
+                theta0=tuple(rng.uniform(0.05, 3.95, 5)), beta_max=1024,
+                t_end=6000.0, output_dt=500.0)
+            times = [ev.time for ev in simulate_afm(scn).events]
+            assert times == sorted(times)
+            events += len(times)
+        assert events > 100_000
 
 
 class TestEdgeCases:

@@ -28,16 +28,16 @@ README_COMPARE_FLAGS = ["--set", "afm.latency=0.0", "--set", "afm.d=0.0",
 CASES = {
     "simulate_triangle_pi": (
         ["simulate", "--model", "afm", "--scenario", str(SCENARIOS / "triangle_pi.json")], 0,
-        "e2454d30d1bddc421a80864206b988451f554ad0b9e6cea4a15f24fd93144520",
-        "9063d5007045c574907c48b31c88767742b8a4248dde44f51bdcb7e21e293944"),
+        "3130d93ef593404103df0e8ddf75fe410b9a3c13d67094211d3c44b3b0692a58",
+        "c224f1e308b74d8d0ce1a09ebdd75cb16dae31a7caec17bfe6f15a5a622ec96d"),
     "simulate_mesh_close_pair": (
         ["simulate", "--model", "afm", "--scenario", str(SCENARIOS / "mesh_close_pair.json")], 2,
-        "3ae5243b1f4e3ab05df2e9ab8bf58b770892b9dd623a26f901101ac45e9ee203",
-        "08488737c67e3f8516a10b1c3081e35507762001107214a038ab5c080fe59586"),
+        "715c294dc1702090ea48eb51fdb607831a0c774b08909ccf0e606c6e8984b777",
+        "996000446b1564c134d896f57bc323b5f6da5e25a4a4c4504313336ae71ab6fe"),
     "simulate_mesh_far_pair": (
         ["simulate", "--model", "afm", "--scenario", str(SCENARIOS / "mesh_far_pair.json")], 2,
-        "e53ee7c8e78188a1e4ddc0b6dfcc44556d690c7a7a06ab6147c4ad996aeeca20",
-        "ba3dc2423c9a14058f2f3bbf82cb4fdb108c2dc44e62eb324f44e5d3763c4820"),
+        "93e8de820aa333f53c7de3f1f00359680bc3fc5b21f1d1c16e12e89ad2c1a934",
+        "6a8459cbb69da98014656832fd0b58d056b9465fda4b7a324bad2bb6bea27d01"),
     "compare_readme_flags": (
         ["compare", "--scenario", str(SCENARIOS / "triangle_pi.json")] + README_COMPARE_FLAGS, 0,
         "9d1990e061f3fab4d905e8a92d3f6feb375c245d8afd10bbdfd509d02deb6ced",
