@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from bittide_sim.afm import AfmScenario, InadmissibleControlError, PhaseHistory
-from bittide_sim.analysis import PerformanceReport
+from bittide_sim.analysis import PerformanceReport, l2_norm_squared
 from bittide_sim.graph import _SIGN_TOL, OrientedGraph, SpectralData
 from bittide_sim.ode import Gains, ReducedSystem, default_time_step
 from bittide_sim.scenario import _FIELDS, _trace_table
@@ -118,14 +118,16 @@ def sign_normalize_columns(v: np.ndarray) -> np.ndarray:
 
 
 def subtracted_l2_norm_squared(times, values, reference) -> float:
-    """Trapezoid integral of |y(t) - ref|^2, always subtracting the reference."""
+    """The integral of |y(t) - ref|^2, always subtracting the reference.
+
+    The deviations are formed here and integrated by ``l2_norm_squared``'s own
+    quadrature, so only the subtraction it skips is under test.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
     dev = values - np.asarray(reference, dtype=float)
-    integrand = np.einsum("ij,ij->i", dev, dev)
-    dt = np.diff(np.asarray(times, dtype=float))
-    return float(np.sum(dt * (integrand[:-1] + integrand[1:]) / 2.0))
+    return l2_norm_squared(times, dev, np.zeros(dev.shape[1]))
 
 
 def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int, alpha: float):
@@ -217,6 +219,29 @@ def pi_controller_step(state: DiscreteControllerState, r: float,
             f"({scenario.omega_min}, {scenario.omega_max}) after correction {c}"
         )
     return c
+
+
+def sampled_root_modulus(sd: SpectralData, k_p: float, p: float, d: float) -> float:
+    """Largest root modulus of z^(m+1) - z^m + g over the disagreement modes.
+
+    Oracle for the frame model's sampled-data stability limit. Measuring
+    every p local ticks and acting m = d / p periods later, a proportional
+    correction moves mode k by theta_(j+1) = theta_j - g theta_(j-m), with
+    g = p k_p lambda_k; the loop is stable when every root lies inside the
+    unit circle, that is for g < 2 at m = 0 and g < 1 at m = 1. The roots
+    are the eigenvalues of the polynomial's companion matrix; the integral
+    gain, latencies and the nodes' unequal measurement phases are left out.
+    """
+    m = round(d / p)
+    if m * p != d:
+        raise ValueError(f"d = {d} is not a whole number of periods p = {p}")
+    worst = 0.0
+    for lam in sd.eigenvalues[1:]:
+        companion = np.eye(m + 1, k=-1)
+        companion[0, 0] = 1.0
+        companion[0, m] -= p * k_p * lam
+        worst = max(worst, float(np.abs(np.linalg.eigvals(companion)).max()))
+    return worst
 
 
 def make_scenario(graph: OrientedGraph, omega_u, gains: Gains, *,

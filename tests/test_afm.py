@@ -9,12 +9,12 @@ import pytest
 
 from bittide_sim.afm import (AfmScenario, InadmissibleControlError, PhaseHistory, frame_offsets,
                              simulate_afm)
-from bittide_sim.graph import OrientedGraph, complete, mesh, path
+from bittide_sim.graph import OrientedGraph, complete, mesh, path, spectral_data
 from bittide_sim.ode import Gains, ParameterError
 from bittide_sim.scenario import load_scenario_dict, read_document
 from helpers import (DiscreteControllerState, TargetInPastError, make_scenario,
                      next_crossing, occupancy, phase_at, pi_controller_step,
-                     random_connected_graph, slope_at)
+                     random_connected_graph, sampled_root_modulus, slope_at)
 
 GAINS = Gains(k_p=3e-5, k_i=2e-9, omega_c=1.0)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -658,6 +658,40 @@ class TestMeasurementAgainstRow:
             assert times == sorted(times)
             events += len(times)
         assert events > 100_000
+
+
+class TestSampledStability:
+    """The frame model's proportional loop is stable only below a gain limit.
+
+    With g = p k_p lambda_max, helpers.sampled_root_modulus predicts the limit
+    g < 2 at d = 0 and g < 1 at d = p. Over 40 seeded graphs of 3 to 6 nodes,
+    the late rate spread at 0.8x the limit was 2.1 to 5.9 k_p, a quantization
+    cycle; at 1.25x it was 74 to 173 k_p at d = 0, and every d = p run raised.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_limit_on_random_graphs(self, seed):
+        rng = np.random.RandomState(seed)
+        n = rng.randint(3, 7)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n))
+        sd = spectral_data(g)
+        omega_u = 1 + rng.uniform(-1e-3, 1e-3, n)
+        p, t_end = 100.0, 2e5
+        for m, g_limit in ((0, 2.0), (1, 1.0)):
+            for factor in (0.8, 1.25):
+                k_p = factor * g_limit / (p * sd.eigenvalues[-1])
+                assert (sampled_root_modulus(sd, k_p, p, m * p) < 1.0) == (factor < 1.0)
+                scn = make_scenario(g, omega_u, Gains(k_p, k_p * 1e-6), p=p, d=m * p,
+                                    theta0=0.5, beta_max=2**40, t_end=t_end,
+                                    output_dt=t_end / 400)
+                try:
+                    trace = simulate_afm(scn)
+                except InadmissibleControlError:
+                    assert factor > 1.0
+                    continue
+                spread = np.ptp(trace.freq[trace.times % scn.output_dt == 0], axis=1)
+                late = spread[3 * len(spread) // 4:].max()
+                assert late <= 10.0 * k_p if factor < 1.0 else late >= 40.0 * k_p
 
 
 class TestEdgeCases:

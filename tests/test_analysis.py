@@ -13,8 +13,8 @@ import pytest
 import bittide_sim
 from bittide_sim.analysis import (InsufficientHorizonWarning,
                                   build_lyapunov_certificate, empirical_norms,
-                                  hurwitz_check, lyapunov_solutions, predicted_performance,
-                                  worst_case_frequency)
+                                  hurwitz_check, l2_norm_squared, lyapunov_solutions,
+                                  predicted_performance, worst_case_frequency)
 from bittide_sim.graph import complete, incidence_matrix, mesh, path, spectral_data
 from bittide_sim.ode import (Gains, ParameterError, build_full_system, build_reduced_system,
                              default_time_step, simulate_ode, spectral_abscissa)
@@ -410,11 +410,33 @@ class TestEmpiricalNorms:
         assert freq_sq == pytest.approx(alpha ** 2 / (2 * a), rel=0.01)
         assert occ_sq == pytest.approx(alpha ** 2 / (2 * a * b), rel=0.01)
         assert freq_sq / occ_sq == pytest.approx(b, rel=0.01)
-        # sharper, at a few times the gaps RK4 at the default step leaves:
-        # 8.33e-4 for the frequency norm and the ratio, 5.93e-8 for occupancy
-        assert freq_sq == pytest.approx(alpha ** 2 / (2 * a), rel=2e-3)
+        # sharper, at a few times the gaps RK4 at the default step and Simpson's
+        # rule leave: 1.13e-7 for the frequency norm, 2.66e-7 for occupancy and
+        # 1.53e-7 for the ratio (the trapezoid rule left 8.33e-4, 5.93e-8, 8.33e-4)
+        assert freq_sq == pytest.approx(alpha ** 2 / (2 * a), rel=5e-7)
         assert occ_sq == pytest.approx(alpha ** 2 / (2 * a * b), rel=1e-6)
-        assert freq_sq / occ_sq == pytest.approx(b, rel=2e-3)
+        assert freq_sq / occ_sq == pytest.approx(b, rel=5e-7)
+
+    def test_simpson_on_the_exact_modal_response(self):
+        # the exact response sampled on simulate_ode's grid out to 30 time
+        # constants, so that only the quadrature errs; these 12 draws read at
+        # most 1.9e-7 (frequency) and 2.5e-7 (occupancy), and 100 more draws
+        # 5.5e-7 and 4.1e-7, where the trapezoid rule read 8.3e-4 and 1.0e-7
+        rng = np.random.RandomState(3)
+        for _ in range(12):
+            sd = spectral_data(random_connected_graph(rng, rng.randint(2, 9)))
+            gains = Gains(k_p=3e-5 * 10 ** rng.uniform(-1, 1),
+                          k_i=2e-9 * 10 ** rng.uniform(-1, 1))
+            dev = rng.uniform(-5e-5, 5e-5, sd.graph.n)
+            dev -= dev.mean()  # so omega is its own deviation from the mean rate
+            times = simulate_ode(build_full_system(sd, gains), dev,
+                                 30.0 / abs(spectral_abscissa(sd, gains))).times
+            omega, delta = modal_response(sd, gains, dev, times)
+            report = predicted_performance(sd, gains, dev)
+            assert l2_norm_squared(times, omega, 0.0) == pytest.approx(
+                report.freq_dev_norm_sq, rel=1e-6, abs=0.0)
+            assert l2_norm_squared(times, delta, 0.0) == pytest.approx(
+                report.occupancy_norm_sq, rel=1e-6, abs=0.0)
 
     def test_short_horizon_warns(self):
         gains = Gains(k_p=0.2, k_i=0.05)

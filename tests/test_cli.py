@@ -417,6 +417,8 @@ class TestAnalyze:
         assert emp["freq_dev_norm_sq"] == pytest.approx(0.175, rel=0.01)
         assert emp["freq_rel_gap"] <= 0.01
         assert emp["occ_rel_gap"] <= 0.01
+        # Simpson's rule leaves 1.08e-8 here; the trapezoid rule left 1.63e-4
+        assert emp["freq_rel_gap"] <= 1e-7
 
     def test_simulate_horizon_from_closed_form_abscissa(self, tmp_path):
         rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),

@@ -114,8 +114,8 @@ REPORT_CASES = {
     "analyze_simulate_mesh_close_pair": (
         ["analyze", "--performance", "--simulate",
          "--scenario", str(SCENARIOS / "mesh_close_pair.json")], 0,
-        {"analysis.json": "ece8a62508b40916aefc79350b0ffc995eb7ca810570b88eab75df4f5b942134",
-         "analysis.txt": "6cb75872fc4c1c83816095392f0ac715b50f51d4d87e3b9695537d86d59c2301"}),
+        {"analysis.json": "cb0eff7a8c0fa17f8fc96f19b446e9432e22ec79f531aa302d121f8d0c8eb125",
+         "analysis.txt": "292eec63e0a5c295017af874edfd829f7742303d556a765c44939f6e5949a445"}),
 }
 
 

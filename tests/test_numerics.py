@@ -1,4 +1,4 @@
-"""Tests for the numerical kernels: the RK4 step map (ode), the trapezoid L2
+"""Tests for the numerical kernels: the RK4 step map (ode), the Simpson L2
 norm and the Lyapunov residual (analysis), and the generic RK4 oracle (helpers)."""
 
 import numpy as np
@@ -74,16 +74,32 @@ class TestL2NormSquared:
         base = l2_norm_squared(t, y, np.zeros(1))
         assert l2_norm_squared(t, 3.0 * y, np.zeros(1)) == pytest.approx(9.0 * base)
 
-    def test_second_order_convergence(self):
-        # halving the grid spacing shrinks the trapezoid error roughly 4x
+    def test_fourth_order_convergence(self):
+        # halving the grid spacing shrinks the Simpson error roughly 16x
         exact = 0.5 * (1.0 - np.exp(-8.0))  # integral of e^{-2t} over [0, 4]
 
         def err(n):
             t = np.linspace(0.0, 4.0, n + 1)
             return abs(l2_norm_squared(t, np.exp(-t), 0.0) - exact)
 
-        ratio = err(200) / err(400)
-        assert 3.5 < ratio < 4.5
+        ratio = err(50) / err(100)
+        assert 15.0 < ratio < 17.0
+
+    def test_trapezoid_on_an_odd_step_and_a_partial_step(self):
+        # seven uniform steps and a partial one: Simpson on the first six, the
+        # trapezoid on the seventh and on the partial step
+        t = np.append(np.arange(8) * 0.25, 1.8)
+        f = np.exp(-t) ** 2
+        simpson = sum((t[k + 2] - t[k]) * (f[k] + 4.0 * f[k + 1] + f[k + 2]) / 6.0
+                      for k in (0, 2, 4))
+        trapezoid = sum((t[k + 1] - t[k]) * (f[k] + f[k + 1]) / 2.0 for k in (6, 7))
+        assert l2_norm_squared(t, np.exp(-t), 0.0) == pytest.approx(simpson + trapezoid,
+                                                                    rel=1e-15)
+        # steps all unequal: the trapezoid rule throughout
+        t = np.cumsum([0.0, 0.1, 0.3, 0.2, 0.4])
+        f = np.exp(-t) ** 2
+        assert l2_norm_squared(t, np.exp(-t), 0.0) == pytest.approx(
+            float(np.sum(np.diff(t) * (f[:-1] + f[1:]) / 2.0)), rel=1e-15)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_reference_matches_subtraction_bit_for_bit(self, zero):
