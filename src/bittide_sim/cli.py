@@ -135,7 +135,7 @@ def cmd_analyze(args) -> int:
         reports.append(perf)
         if args.simulate:
             abscissa = spectral_abscissa(sd, gains)
-            t_end = 30.0 / abs(abscissa)
+            t_end = 30.0 / abs(abscissa) if abscissa else math.inf  # a rate that underflows
             dt = default_time_step(sd, gains)  # refused under its own gain, not the horizon
             try:
                 trace = simulate_ode(build_full_system(sd, gains), scenario.uncorrected_freq,

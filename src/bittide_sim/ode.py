@@ -60,6 +60,9 @@ class Gains(_GainFields):
             raise ParameterError("k_i", f"k_i must be > 0, got {self.k_i}")
         if self.omega_c <= 0:
             raise ParameterError("omega_c", f"omega_c must be > 0, got {self.omega_c}")
+        if not np.isfinite(self.omega_c * self.k_i):
+            raise ParameterError("k_i", f"omega_c * k_i = {self.omega_c} * {self.k_i} "
+                                 "overflows the float range")
         return self
 
     @classmethod
@@ -227,12 +230,12 @@ def spectral_abscissa(sd: SpectralData, gains: Gains) -> float:
     The slower real root is -2 b lambda_k / (a lambda_k + sqrt(disc)): no cancellation.
     Where (a lambda_k)^2 overflows it is -2 r / (1 + sqrt(1 - 4 r / (a lambda_k))), r = b/a."""
     lam = sd.eigenvalues[1:]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflowed branch is one np.where drops
         stiffness = gains.effective_integral_gain * lam
         damping = gains.k_p * lam
         disc = damping * damping - 4.0 * stiffness
-    real = np.where(disc < 0.0, -damping / 2.0,
-                    -2.0 * stiffness / (damping + np.sqrt(np.maximum(disc, 0.0))))
+        real = np.where(disc < 0.0, -damping / 2.0,
+                        -2.0 * stiffness / (damping + np.sqrt(np.maximum(disc, 0.0))))
     big = np.isposinf(disc)
     r = gains.effective_integral_gain / gains.k_p
     real[big] = -2.0 * r / (1.0 + np.sqrt(1.0 - 4.0 * r / damping[big]))

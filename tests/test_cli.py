@@ -10,18 +10,20 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bittide_sim import cli, scenario
-from bittide_sim.analysis import PositivityViolationError
+from bittide_sim.analysis import InsufficientHorizonWarning, PositivityViolationError
 from bittide_sim.cli import main
 from bittide_sim.graph import OrientedGraph, spectral_data
-from bittide_sim.ode import spectral_abscissa
+from bittide_sim.ode import (ParameterError, default_time_step, output_time_step,
+                             spectral_abscissa)
 from bittide_sim.scenario import load_scenario, read_trace
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -355,6 +357,128 @@ class TestFuzzedField:
             return
         assert rc == 1, sets
         assert any(err.startswith(f"error: {path.split('.')[0]}") for path in paths), (sets, err)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# commands the fuzz runs on each document, with the exit codes they may give
+FUZZED_COMMANDS = (["simulate", "--model", "afm"], ["simulate", "--model", "ode"], ["compare"],
+                   ["analyze", "--resistance", "--performance", "--simulate", "--worst-case"])
+SECTIONS = ("graph", "frequencies", "controller", "afm", "run")
+
+
+@st.composite
+def small_documents(draw):
+    """Documents of at most 6 nodes, at magnitudes scaled to the drawn gain.
+
+    One document in five has one field set to an extreme value, which may be
+    in range or not.
+    """
+    form = draw(st.sampled_from(("complete", "path", "mesh", "edges")))
+    if form == "mesh":
+        graph = {"generator": "mesh", "rows": draw(st.integers(1, 2)),
+                 "cols": draw(st.integers(1, 3))}
+        n = graph["rows"] * graph["cols"]
+    else:
+        n = draw(st.integers(1, 6))
+        graph = {"generator": form, "n": n}
+        if form == "edges":
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            graph = {"n": n, "edges": draw(st.lists(pairs, max_size=8))}
+    spread = draw(_log_uniform(-9, -1))
+    if draw(st.booleans()):
+        freqs = {"omega_u": [1.0 + spread * draw(st.floats(-1, 1)) for _ in range(n)]}
+    else:
+        freqs = {"two_node": {"i": 0, "j": n - 1, "alpha": spread}}
+    k_p = draw(_log_uniform(-8, -1))
+    omega_c = draw(_log_uniform(-1, 1))
+    # k_i near k_p^2, so that the fastest and slowest modes are a few decades apart
+    k_i = k_p * k_p / omega_c * draw(_log_uniform(-1.5, 1.5))
+    t_end = draw(_log_uniform(0, 2.5)) / k_p
+    p = t_end / draw(_log_uniform(0.3, 3.3))  # measurements per node
+    doc = {
+        "graph": graph, "frequencies": freqs,
+        "controller": {"k_p": k_p, "k_i": k_i, "omega_c": omega_c},
+        "afm": {"p": p, "d": p * draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+                "latency": p * draw(st.floats(0.0, 3.0)),
+                "beta_max": 2 * draw(st.integers(1, 256)),
+                "theta0": draw(st.floats(0.05, 0.95))},
+        "run": {"t_end": t_end, "output_dt": t_end / draw(_log_uniform(0.0, 3.0))},
+    }
+    if draw(st.integers(0, 4)) == 0:
+        section, key = draw(st.sampled_from([path for path, *_ in scenario._FIELDS])).split(".")
+        doc.setdefault(section, {})[key] = draw(st.sampled_from(EXTREMES))
+    return doc
+
+
+def small_enough(doc) -> bool:
+    """Whether a document the loader accepts keeps every command small.
+
+    At most 1e3 output rows, and at most 2e4 measurements and 2e4 RK4 steps,
+    the analyze horizon's included. A document the loader refuses, or whose
+    gains leave no step to count with, is small: the commands refuse it.
+    """
+    try:
+        graph, scn, gains = scenario.load_scenario_dict(copy.deepcopy(doc))
+        sd = spectral_data(graph)
+        steps = (scn.t_end / output_time_step(sd, gains, scn.output_dt),
+                 30.0 / abs(spectral_abscissa(sd, gains)) / default_time_step(sd, gains),
+                 sum(scn.uncorrected_freq) * scn.t_end / scn.meas_period)
+    except (scenario.ScenarioError, ParameterError):
+        return True
+    return scn.t_end / scn.output_dt <= 1e3 and all(s <= 2e4 for s in steps)
+
+
+class TestCommandFuzz:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(doc=small_documents())
+    def test_commands_exit_cleanly(self, tmp_path_factory, doc):
+        # a document either runs (0), is refused with its field named (1), or
+        # ends in a named runtime failure (2); no exception escapes, and the
+        # only warning is the fluid horizon's
+        assume(small_enough(doc))
+        tmp = tmp_path_factory.getbasetemp() / "command_fuzz"
+        tmp.mkdir(exist_ok=True)
+        scn = write_doc(tmp, doc)
+        for command in FUZZED_COMMANDS:
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = main(command + ["--scenario", str(scn), "--out", str(tmp / "out")])
+            assert rc in (0, 1, 2), (command, doc, err.getvalue())
+            if rc == 1:  # after any note
+                assert any(line.startswith(tuple(f"error: {s}" for s in SECTIONS))
+                           for line in err.getvalue().splitlines()), (command, doc, err.getvalue())
+            assert all(issubclass(w.category, InsufficientHorizonWarning) for w in caught), (
+                command, doc, [str(w.message) for w in caught])
+
+
+class TestGainsAtTheFloatRange:
+    """Gains the command fuzz found ending in a traceback or a numpy warning."""
+
+    @pytest.mark.parametrize("command, k_p, k_i, omega_c, field", [
+        # omega_c * k_i overflowed to inf, and the first correction was nan
+        (["simulate", "--model", "afm"], 0.1, 1e308, 10.0, "controller.k_i"),
+        # 2 b lambda overflowed in the spectral abscissa's unused branch
+        (["analyze", "--performance", "--simulate"], 0.1, 1e308, 1.0, "controller.k_i"),
+        # the slowest rate underflowed to 0, so the horizon 30/0 raised
+        (["analyze", "--performance", "--simulate"], 1e308, 1e-16, 1.0, "controller.k_p"),
+        (["analyze", "--performance", "--simulate"], 1e10, 1e-320, 1.0, "controller:"),
+    ])
+    def test_refused_with_the_gain_named(self, tmp_path, capsys, command, k_p, k_i, omega_c,
+                                         field):
+        doc = small_triangle_doc()
+        doc["graph"] = {"generator": "path", "n": 3}  # lambda = 1 and 3
+        doc["controller"] = {"k_p": k_p, "k_i": k_i, "omega_c": omega_c}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(command + ["--scenario", str(write_doc(tmp_path, doc)),
+                                 "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}")
 
 
 class TestErrorOrder:
