@@ -208,9 +208,10 @@ def l2_norm_squared(times: np.ndarray, values: np.ndarray, reference) -> float:
     Composite Simpson over the leading steps equal to the first (within a
     relative 1e-6, so rounding in k * dt counts as equal), in pairs; the
     trapezoid rule over the rest, which for a fluid trace is an odd leftover
-    step and a final partial step. values has one row per sample; reference is a constant vector (or scalar)
-    subtracted from every row. An all-zero reference is not subtracted: x - 0
-    differs from x only where it turns -0.0 into +0.0, which squares the same.
+    step and a final partial step. values has one row per sample; reference
+    is a constant vector (or scalar) subtracted from every row. An all-zero
+    reference is not subtracted: x - 0 differs from x only where it turns
+    -0.0 into +0.0, which squares the same.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -243,9 +244,9 @@ def empirical_norms(trace: OdeTrace, spectral_abscissa: float | None = None):
     """Quadrature estimates of the two performance integrals from a trace.
 
     Integrates |omega(t) - omega_avg|^2 and |delta(t)|^2 over the trace window
-    by l2_norm_squared's composite Simpson rule. If the estimated truncated tail (decay
-    extrapolation of the final integrand) exceeds TAIL_TOL of the integral,
-    an InsufficientHorizonWarning is issued.
+    by l2_norm_squared (composite Simpson). If the estimated truncated tail
+    (decay extrapolation of the final integrand) exceeds TAIL_TOL of the
+    integral, an InsufficientHorizonWarning is issued.
     """
     omega_ss = np.full(trace.omega.shape[1], trace.omega_avg)
     freq_sq = l2_norm_squared(trace.times, trace.omega, omega_ss)
