@@ -32,8 +32,8 @@ class InadmissibleControlError(RuntimeError):
     """A correction pushed an oscillator outside its physical frequency range."""
 
 
-class PhaseHistory:
-    """Piecewise-linear clock phase record: three parallel breakpoint lists.
+class PhaseHistory(NamedTuple):
+    """Piecewise-linear clock phase record: three parallel breakpoint arrays.
 
     Segment k starts at (times[k], phases[k]) with rate slopes[k]; the last
     extends forward indefinitely. The first two breakpoints are both at
@@ -43,19 +43,9 @@ class PhaseHistory:
     oscillator minimum by admissibility.
     """
 
-    __slots__ = ("times", "phases", "slopes")
-
-    def __init__(self, times, phases, slopes):
-        self.times = list(times)
-        self.phases = list(phases)
-        self.slopes = list(slopes)
-
-    @classmethod
-    def initial(cls, theta0: float, prehistory_freq: float,
-                startup_freq: float) -> "PhaseHistory":
-        """History at the pre-history rate before t = 0, then the startup rate."""
-        return cls(times=[0.0, 0.0], phases=[theta0, theta0],
-                   slopes=[prehistory_freq, startup_freq])
+    times: np.ndarray
+    phases: np.ndarray
+    slopes: np.ndarray
 
 
 class _ScenarioFields(NamedTuple):
@@ -175,7 +165,7 @@ class AfmTrace(NamedTuple):
 
     occupancy columns follow directed_links() order and are exact integers;
     freq is the active oscillator rate (right-continuous at events);
-    histories holds each node's full PhaseHistory, the breakpoint lists
+    histories holds each node's full PhaseHistory, the breakpoint arrays
     from which a phase at or between rows can be read. freq and occupancy
     are indexed (row, column) but are transposed views of node-major and
     link-major arrays, so each node's and each link's column is contiguous.
@@ -240,9 +230,10 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         in_links[dst].append((src, scenario.latency[q], offsets[q],
                               scenario.initial_occupancy[q]))
 
-    hists = [PhaseHistory.initial(scenario.initial_phase[i], scenario.prehistory_freq[i],
-                                  scenario.startup_freq[i]) for i in range(n)]
-    h_times, h_phases, h_slopes = zip(*((h.times, h.phases, h.slopes) for h in hists))
+    # each node's breakpoint lists; both first breakpoints are at (0, theta0)
+    h_times = [[0.0, 0.0] for _ in range(n)]
+    h_phases = [[th, th] for th in scenario.initial_phase]
+    h_slopes = [list(w) for w in zip(scenario.prehistory_freq, scenario.startup_freq)]
     # controller memory per node: PI integrator, next measurement index, and the
     # (k, correction) pairs measured but not yet held, k ascending
     integ = [0.0] * n
@@ -306,6 +297,7 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         if t_meas <= hold_at[i] and t_meas <= t_end:
             heapq.heappush(heap, (t_meas, i, _MEASURE))
 
+    hists = tuple(PhaseHistory(*map(np.array, h)) for h in zip(h_times, h_phases, h_slopes))
     # phases only rise, and floored phases (so occupancies) are exact up to 2**53 ticks
     top = max(h.phases[-1] + h.slopes[-1] * (t_end - h.times[-1]) for h in hists)
     if not top <= 2**53:
@@ -319,13 +311,12 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     at, past = np.searchsorted(times, extra), np.searchsorted(times, extra, side="right")
     new = (at == past) & (extra != np.append(extra[1:], math.inf))  # off grid, last copy
     times = np.insert(times, at[new], extra[new])
-    segments = [(np.array(h.times), np.array(h.phases), np.array(h.slopes)) for h in hists]
     # node-major and link-major: each node and each link fills one contiguous row
     freq = np.empty((n, times.shape[0]))
     # floored phases in int64, so occupancies up to the 2**53 cap are exact
     floor_phase = np.empty(freq.shape, dtype=np.int64)
     for i in range(n):
-        freq[i], phase = _phase_rows(segments[i], times)
+        freq[i], phase = _phase_rows(hists[i], times)
         floor_phase[i] = np.floor(phase, out=phase)
     del phase  # one row fewer held while the link rows are formed
     # links that share a source and a latency read one row of floored phases
@@ -334,7 +325,7 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         by_source.setdefault((src, scenario.latency[q]), []).append(q)
     occ = np.empty((len(links), times.shape[0]), dtype=np.int64)
     for (src, lat), qs in by_source.items():
-        src_floor = np.floor(_phase_rows(segments[src], times - lat)[1]).astype(np.int64)
+        src_floor = np.floor(_phase_rows(hists[src], times - lat)[1]).astype(np.int64)
         for q in qs:
             occ[q] = src_floor - floor_phase[links[q][1]] + offsets[q]
     freq, occ = freq.T, occ.T
@@ -345,21 +336,20 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
         occupancy=occ,
         events=_insert_row_hits(events, occ, scenario.buffer_capacity, times, links),
         scenario=scenario,
-        histories=tuple(hists),
+        histories=hists,
     )
 
 
-def _phase_rows(segments: tuple, t: np.ndarray) -> tuple:
-    """(slope, phase) of one history's (times, phases, slopes) arrays at each of t.
+def _phase_rows(h: PhaseHistory, t: np.ndarray) -> tuple:
+    """(slope, phase) of one history at each of t.
 
     The segment search matches bisect_right from breakpoint 1 and the
     arithmetic matches the scalar oracle phase_at in tests/helpers.py term for
     term, so every value equals that lookup bit for bit.
     """
-    bt, bp, bs = segments
-    k = np.searchsorted(bt[1:], t, side="right")
-    s = bs[k]
-    return s, bp[k] + s * (t - bt[k])
+    k = np.searchsorted(h.times[1:], t, side="right")
+    s = h.slopes[k]
+    return s, h.phases[k] + s * (t - h.times[k])
 
 
 def _insert_row_hits(events: list, occ: np.ndarray, cap: int, times: np.ndarray,

@@ -256,14 +256,14 @@ def load_scenario_dict(doc: dict):
 def read_document(path_like, overrides=()) -> dict:
     """Parse a scenario file into a document and apply key=value overrides.
 
-    OSError propagates; malformed JSON or a top level that is not a mapping
+    OSError propagates; text that is not UTF-8, malformed or too deeply nested
+    JSON, an integer past the digit limit or a top level that is not a mapping
     raises ParseError.
     """
     p = Path(path_like)
-    text = p.read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"{p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{p}: top level must be a mapping")
@@ -282,7 +282,8 @@ def load_scenario(path_like):
 def apply_overrides(doc: dict, assignments) -> dict:
     """Apply key=value overrides onto a scenario document (dotted paths).
 
-    Values parse as JSON when possible, else are kept as strings. The result
+    Values parse as JSON when possible, else are kept as strings; a value past
+    the decoder's digit or nesting limit raises ValidationError. The result
     passes through the same validation as a file would.
     """
     for item in assignments:
@@ -293,6 +294,8 @@ def apply_overrides(doc: dict, assignments) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except (ValueError, RecursionError) as exc:  # digit limit or nesting depth
+            raise ValidationError(key_path, str(exc)) from exc
         parts = key_path.split(".")
         node = doc
         for part in parts[:-1]:

@@ -2,7 +2,7 @@
 
 The scalar frame-model lookups (phase_at, slope_at, next_crossing, occupancy)
 are the oracles for the rows that ``simulate_afm`` evaluates in bulk: they
-read a PhaseHistory's breakpoint lists one instant at a time.
+read a PhaseHistory's breakpoint arrays one instant at a time.
 pi_controller_step is the oracle for the PI update that the event loop makes
 at each measurement.
 resistance_distance and two_node_perturbation are the pairwise oracles for

@@ -22,21 +22,21 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 class TestPhaseHistory:
     def test_initial_extends_back_without_limit(self):
-        h = PhaseHistory.initial(0.1, 1.0, 1.5)
+        h = PhaseHistory([0.0, 0.0], [0.1, 0.1], [1.0, 1.5])
         assert (h.times, h.phases, h.slopes) == ([0.0, 0.0], [0.1, 0.1], [1.0, 1.5])
         assert phase_at(h, -10.0) == pytest.approx(0.1 - 10.0)
         assert phase_at(h, 0.0) == 0.1
         assert phase_at(h, 2.0) == pytest.approx(0.1 + 3.0)
         w = 1.1625971882765693
-        assert phase_at(PhaseHistory.initial(0.1, w, 1.5), -1e6) == 0.1 + w * -1e6
+        assert phase_at(PhaseHistory([0.0, 0.0], [0.1, 0.1], [w, 1.5]), -1e6) == 0.1 + w * -1e6
 
     def test_slope_right_continuous(self):
-        h = PhaseHistory.initial(0.1, 1.0, 2.0)
+        h = PhaseHistory([0.0, 0.0], [0.1, 0.1], [1.0, 2.0])
         assert slope_at(h, -0.5) == 1.0
         assert slope_at(h, 0.0) == 2.0
 
     def test_lookups_reach_every_segment(self):
-        h = PhaseHistory.initial(0.5, 1.0, 1.0)
+        h = PhaseHistory([0.0, 0.0], [0.5, 0.5], [1.0, 1.0])
         for t, ph, s in ((1.0, 1.5, 2.0), (2.0, 3.5, 1.0)):
             h.times.append(t)
             h.phases.append(ph)
@@ -102,7 +102,7 @@ class TestFrameOffsets:
 
 class TestOccupancy:
     def test_identical_histories_pinned(self):
-        h = PhaseHistory.initial(0.1, 1.0, 1.0)
+        h = PhaseHistory([0.0, 0.0], [0.1, 0.1], [1.0, 1.0])
         for t in (0.0, 0.3, 2.7, 10.0):
             assert occupancy(h, h, 0.0, 8, t) == 8
 
@@ -315,8 +315,8 @@ class TestSimulateAfm:
         for i, h in enumerate(trace.histories):
             assert all(s > scn.omega_min for s in h.slopes)
             # breakpoints 0 and 1 are both (0, theta0); from 1 on both rise strictly
-            assert h.times[:2] == [0.0, 0.0]
-            assert h.phases[:2] == [scn.initial_phase[i]] * 2
+            assert h.times[:2].tolist() == [0.0, 0.0]
+            assert h.phases[:2].tolist() == [scn.initial_phase[i]] * 2
             assert all(t2 > t1 for t1, t2 in zip(h.times[1:], h.times[2:]))
             assert all(p2 > p1 for p1, p2 in zip(h.phases[1:], h.phases[2:]))
         phase = np.array([[phase_at(h, t) for h in trace.histories] for t in trace.times])

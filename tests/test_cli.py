@@ -213,6 +213,31 @@ class TestSimulate:
                    str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")])
         assert rc == 3
 
+    DIGITS = "9" * 5000  # past the int-to-str limit of 4300 digits
+
+    @pytest.mark.parametrize("file_text, override", [
+        pytest.param(b'{"graph": "\xff"}', None, id="file-not-utf8"),
+        pytest.param(b"[" * 100_000, None, id="file-nested-too-deep"),
+        pytest.param(json.dumps(small_triangle_doc()).replace(
+            '"k_p": 3e-05', f'"k_p": {DIGITS}').encode(), None, id="file-too-many-digits"),
+        pytest.param(None, DIGITS, id="set-too-many-digits"),
+        pytest.param(None, "[" * 100_000, id="set-nested-too-deep"),
+    ])
+    def test_text_past_the_decoder_limits_names_file_or_field(self, tmp_path, capsys,
+                                                             file_text, override):
+        # one error line naming the file or the overridden field, not a traceback
+        scn = small_triangle(tmp_path)
+        argv = ["simulate", "--model", "afm", "--scenario", str(scn),
+                "--out", str(tmp_path / "out")]
+        if file_text is not None:
+            scn.write_bytes(file_text)
+        else:
+            argv += ["--set", f"controller.k_p={override}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        named = str(scn) if override is None else "controller.k_p"
+        assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("override", ["afm.d=1e308", "afm.omega_min=1e-320"])
     def test_extreme_delay_runs(self, tmp_path, capsys, override):
         # d/omega_min bounds nothing: no pre-history has a start to reach back to

@@ -63,6 +63,15 @@ def test_no_runtime_dependency_beyond_numpy(tmp_path):
             and name not in ("numpy", "bittide_sim")] == []
 
 
+def test_every_exported_record_is_a_named_tuple():
+    # README: the record types are named tuples; every other exported class is
+    # an exception (warnings included)
+    exported = [getattr(bittide_sim, name) for name in bittide_sim.__all__]
+    records = [obj for obj in exported
+               if isinstance(obj, type) and not issubclass(obj, Exception)]
+    assert records and [cls.__name__ for cls in records if not issubclass(cls, tuple)] == []
+
+
 def test_cli_import_generates_no_dataclass_code():
     # every record type is a named tuple: a dataclass generates and compiles
     # its methods when its class is created, and every command paid for that
