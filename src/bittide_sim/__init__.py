@@ -13,8 +13,7 @@ from .analysis import (LyapunovCertificate, PerformanceReport, build_lyapunov_ce
                        empirical_norms, hurwitz_check, predicted_performance,
                        worst_case_frequency)
 from .graph import (NotConnectedError, OrientedGraph, SpectralData, complete,
-                    fiedler_vector, incidence_matrix, mesh, path, resistance_matrix,
-                    spectral_data)
+                    incidence_matrix, mesh, path, resistance_matrix, spectral_data)
 from .ode import Gains, OdeSystem, OdeTrace, build_full_system, simulate_ode
 from .scenario import (ComparisonReport, ValidationError, compare_traces, emit_report,
                        load_scenario, read_trace, write_trace)
@@ -27,8 +26,7 @@ __all__ = [
     "LyapunovCertificate", "PerformanceReport", "build_lyapunov_certificate",
     "empirical_norms", "hurwitz_check", "predicted_performance", "worst_case_frequency",
     "NotConnectedError", "OrientedGraph", "SpectralData", "complete",
-    "fiedler_vector", "incidence_matrix", "mesh", "path", "resistance_matrix",
-    "spectral_data",
+    "incidence_matrix", "mesh", "path", "resistance_matrix", "spectral_data",
     "Gains", "OdeSystem", "OdeTrace", "build_full_system", "simulate_ode",
     "ComparisonReport", "ValidationError", "compare_traces", "emit_report",
     "load_scenario", "read_trace", "write_trace",

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import SpectralData, fiedler_vector
+from .graph import SpectralData
 from .ode import Gains, OdeTrace, ParameterError, ReducedSystem, spectral_abscissa
 
 
@@ -167,6 +167,10 @@ def predicted_performance(sd: SpectralData, gains: Gains, omega_u) -> Performanc
     )
 
 
+# lambda_3 within this share of lambda_max of lambda_2 counts as a repeated lambda_2
+_DEGENERATE_TOL = 1e-9
+
+
 class WorstCaseResult(NamedTuple):
     """Worst frequency distribution on the |omega_u| <= gamma ball."""
 
@@ -186,14 +190,14 @@ def worst_case_frequency(sd: SpectralData, gamma: float) -> WorstCaseResult:
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be a finite number > 0, got {gamma}")
-    fied = fiedler_vector(sd)
-    attained = gamma * gamma / fied.algebraic_connectivity
+    w = sd.eigenvalues
+    attained = gamma * gamma / float(w[1])
     if not np.isfinite(attained):
         raise ValueError(f"gamma = {gamma:.3g} makes gamma^2 / lambda_2 overflow")
     return WorstCaseResult(
-        omega_u=gamma * fied.vector,
+        omega_u=gamma * sd.eigenvectors[:, 1],
         attained_quadratic_form=attained,
-        degenerate=fied.degenerate,
+        degenerate=bool(w.size > 2 and w[2] - w[1] <= _DEGENERATE_TOL * sd.lambda_max),
     )
 
 

@@ -2,9 +2,9 @@
 
 The network is an undirected connected graph; each edge carries an
 orientation used purely as a sign convention for the incidence matrix B.
-spectral_data forms the Laplacian L = B B^T and keeps its eigenpairs and
-its pseudo-inverse, and with them the resistance distances and the Fiedler
-vector.
+spectral_data forms the Laplacian L = B B^T and keeps its eigenpairs, whose
+second column is the Fiedler vector, and its pseudo-inverse, from which
+resistance_matrix forms the resistance distances.
 
 All values are immutable after construction and safe to share.
 """
@@ -13,9 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# relative thresholds: zero eigenvalue, repeated lambda_2, negligible vector entry
+# relative thresholds: zero eigenvalue, negligible vector entry
 _ZERO_EIG_TOL = 1e-9
-_DEGENERATE_TOL = 1e-9
 _SIGN_TOL = 1e-12
 
 
@@ -95,16 +94,12 @@ class OrientedGraph(_GraphFields):
 
 def complete(n: int) -> OrientedGraph:
     """Complete graph K_n, edges oriented lower index -> higher index."""
-    if n < 2:
-        raise ValueError(f"complete graph needs n >= 2, got {n}")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return OrientedGraph(n, tuple(edges))
 
 
 def path(n: int) -> OrientedGraph:
     """Path graph 0-1-...-(n-1)."""
-    if n < 2:
-        raise ValueError(f"path graph needs n >= 2, got {n}")
     return OrientedGraph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
@@ -199,24 +194,3 @@ def resistance_matrix(sd: SpectralData) -> np.ndarray:
     d = np.diag(sd.pseudo_inverse)
     return d[:, None] + d[None, :] - 2.0 * sd.pseudo_inverse
 
-
-class FiedlerResult(NamedTuple):
-    """Unit eigenvector of the algebraic connectivity, with degeneracy flag."""
-
-    vector: np.ndarray
-    algebraic_connectivity: float
-    degenerate: bool
-
-
-def fiedler_vector(sd: SpectralData) -> FiedlerResult:
-    """Unit eigenvector of the second-smallest Laplacian eigenvalue.
-
-    Sign convention: first non-negligible entry positive. When the eigenvalue
-    has multiplicity > 1 the returned vector is one member of the eigenspace
-    and the result is flagged degenerate (the maximizer is not unique there).
-    """
-    w = sd.eigenvalues
-    lam2 = w[1]
-    degenerate = bool(w.size > 2 and (w[2] - lam2) <= _DEGENERATE_TOL * sd.lambda_max)
-    vec = sd.eigenvectors[:, 1].copy()
-    return FiedlerResult(vector=vec, algebraic_connectivity=float(lam2), degenerate=degenerate)

@@ -12,9 +12,10 @@ import pytest
 
 from bittide_sim.afm import simulate_afm
 from bittide_sim.analysis import (build_lyapunov_certificate, empirical_norms,
-                                  hurwitz_check, lyapunov_solutions, predicted_performance)
-from bittide_sim.graph import (OrientedGraph, complete, fiedler_vector, mesh, path,
-                               resistance_matrix, spectral_data)
+                                  hurwitz_check, lyapunov_solutions, predicted_performance,
+                                  worst_case_frequency)
+from bittide_sim.graph import (OrientedGraph, complete, mesh, path, resistance_matrix,
+                               spectral_data)
 from bittide_sim.ode import Gains, build_full_system, build_reduced_system, simulate_ode
 from bittide_sim.scenario import compare_traces
 from helpers import (bfs_distance, dense_abscissa, make_scenario, phase_at,
@@ -272,7 +273,7 @@ def test_criterion_7_graph_layer_properties():
     fiedler_ok = True
     for g in (complete(5), mesh(3, 4), path(6), random_connected_graph(rng, 7)):
         sd = spectral_data(g)
-        best = 1.0 / fiedler_vector(sd).algebraic_connectivity
+        best = worst_case_frequency(sd, 1.0).attained_quadratic_form
         lp = sd.pseudo_inverse
         for _ in range(1000):
             u = rng.randn(g.n)
@@ -280,7 +281,7 @@ def test_criterion_7_graph_layer_properties():
             if u @ lp @ u > best + 1e-9:
                 fiedler_ok = False
 
-    degenerate_flags = [fiedler_vector(spectral_data(complete(n))).degenerate
+    degenerate_flags = [worst_case_frequency(spectral_data(complete(n)), 1.0).degenerate
                         for n in (3, 4, 5, 6)]
     flag_ok = all(degenerate_flags)
 

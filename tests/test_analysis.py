@@ -332,6 +332,7 @@ class TestWorstCaseFrequency:
         result = worst_case_frequency(sd, 1.0)
         assert result.attained_quadratic_form == pytest.approx(1.0, rel=1e-12)
         assert not result.degenerate
+        assert np.allclose(result.omega_u, np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
 
     def test_maximizes_over_random_unit_vectors(self):
         rng = np.random.RandomState(15)
@@ -343,6 +344,13 @@ class TestWorstCaseFrequency:
                 u = rng.randn(g.n)
                 u /= np.linalg.norm(u)
                 assert u @ lp @ u <= result.attained_quadratic_form + 1e-9
+        # the maximizer has unit norm and lies in the disagreement subspace
+        rng = np.random.RandomState(8)
+        for _ in range(10):
+            g = random_connected_graph(rng, rng.randint(3, 10))
+            vec = worst_case_frequency(spectral_data(g), 1.0).omega_u
+            assert abs(vec @ np.ones(g.n)) <= 1e-12
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_scaling(self):
         sd = spectral_data(path(4))
@@ -360,6 +368,8 @@ class TestWorstCaseFrequency:
         # constant across the short axis, strictly varying along the long one
         assert np.abs(grid - grid.mean(axis=0)).max() <= 1e-8
         assert np.abs(np.diff(grid.mean(axis=0))).min() > 1e-3
+        # sign convention: the first non-negligible entry is positive
+        assert result.omega_u[np.abs(result.omega_u) > 1e-9][0] > 0
 
     def test_square_mesh_degenerate_contains_diagonal_mode(self):
         sd = spectral_data(mesh(4, 4))
@@ -373,6 +383,10 @@ class TestWorstCaseFrequency:
         diag_mode /= np.linalg.norm(diag_mode)
         resid = np.linalg.norm(sd.incidence @ sd.incidence.T @ diag_mode - lam2 * diag_mode)
         assert resid <= 1e-9
+        # K_4's lambda_2 = 4 has multiplicity 3
+        k4 = worst_case_frequency(spectral_data(complete(4)), 1.0)
+        assert k4.degenerate
+        assert k4.attained_quadratic_form == pytest.approx(0.25, rel=1e-12)
 
     def test_nonpositive_gamma(self):
         sd = spectral_data(path(3))

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bittide_sim.graph import (_SIGN_TOL, FiedlerResult, NotConnectedError, OrientedGraph,
-                               _sign_normalize_columns, complete, fiedler_vector,
-                               incidence_matrix, mesh, path, resistance_matrix, spectral_data)
+from bittide_sim.graph import (_SIGN_TOL, NotConnectedError, OrientedGraph,
+                               _sign_normalize_columns, complete, incidence_matrix, mesh, path,
+                               resistance_matrix, spectral_data)
 from bittide_sim.ode import Gains, build_reduced_system
 from bittide_sim.scenario import load_scenario
 from helpers import (bfs_distance, neighbors, random_connected_graph, resistance_distance,
@@ -65,10 +65,10 @@ class TestGenerators:
             assert all(u < v for u, v in g.edges)
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            complete(1)
-        with pytest.raises(ValueError):
-            path(1)
+        # complete and path leave the size rule to OrientedGraph
+        for make, n in ((complete, 1), (path, 1), (path, 0)):
+            with pytest.raises(ValueError, match=f"need at least 2 nodes, got n={n}"):
+                make(n)
         with pytest.raises(ValueError):
             mesh(1, 1)
 
@@ -231,34 +231,6 @@ class TestResistanceDistance:
         sd = spectral_data(path(3))
         with pytest.raises(IndexError):
             resistance_distance(sd, 0, 3)
-
-
-class TestFiedlerVector:
-    def test_path_three(self):
-        res = fiedler_vector(spectral_data(path(3)))
-        assert isinstance(res, FiedlerResult)
-        assert not res.degenerate
-        assert res.algebraic_connectivity == pytest.approx(1.0, rel=1e-12)
-        expected = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
-        assert np.allclose(res.vector, expected, atol=1e-12)
-
-    def test_complete_graph_degenerate(self):
-        res = fiedler_vector(spectral_data(complete(4)))
-        assert res.degenerate
-        assert res.algebraic_connectivity == pytest.approx(4.0, rel=1e-12)
-
-    def test_orthogonal_to_ones(self):
-        rng = np.random.RandomState(8)
-        for _ in range(10):
-            g = random_connected_graph(rng, rng.randint(3, 10))
-            res = fiedler_vector(spectral_data(g))
-            assert abs(res.vector @ np.ones(g.n)) <= 1e-12
-            assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sign_convention_deterministic(self):
-        res = fiedler_vector(spectral_data(mesh(4, 6)))
-        nz = res.vector[np.abs(res.vector) > 1e-9]
-        assert nz[0] > 0
 
 
 class TestSignNormalization:
