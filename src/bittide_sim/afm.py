@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import OrientedGraph
-from .ode import RUN_SIZE_CAP, Gains, ParameterError
+from .ode import CELL_CAP, RUN_SIZE_CAP, Gains, ParameterError
 
 
 class InadmissibleControlError(RuntimeError):
@@ -137,6 +137,11 @@ class AfmScenario(_ScenarioFields):
             raise ParameterError(
                 "meas_period", f"about {measurements:.3g} measurements (sum of omega_u "
                 f"* t_end / meas_period), above the run-size cap of {RUN_SIZE_CAP:.0e}")
+        cells = (rows + 1 + 2 * measurements) * (n + n_links)
+        if cells > CELL_CAP:
+            raise ParameterError(
+                "t_end", f"about {cells:.3g} trace cells ((t_end/output_dt + 1 + 2 * "
+                f"measurements) * (n + 2m)), above the cell cap of {CELL_CAP:.0e}")
         # floored phases, and so occupancies, are exact only up to 2**53 ticks
         for q, (src, _) in enumerate(self.graph.directed_links()):
             pre = self.prehistory_freq[src] * self.latency[q]

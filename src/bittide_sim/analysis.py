@@ -120,7 +120,8 @@ def build_lyapunov_certificate(reduced: ReducedSystem) -> LyapunovCertificate:
     if min1 <= 0 or min2 <= 0:
         raise PositivityViolationError(
             f"Lyapunov solution not positive definite (min eigs {min1:.3e}, {min2:.3e}); "
-            "this indicates an implementation bug, not a valid parameter case"
+            "at valid gains x1's smallest eigenvalue, about b^3/(4 a^2 lambda), can be "
+            "below the rounding of eigvalsh"
         )
     return LyapunovCertificate(
         residual1=float(r1), residual2=float(r2),

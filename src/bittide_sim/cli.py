@@ -1,8 +1,8 @@
 """Command-line entry point: simulate, compare, analyze, and sweep.
 
-Exit codes: 0 success, 1 scenario validation problems, 2 runtime failures
-(inadmissible control or buffer bound violations, with the event named),
-3 I/O errors. Summaries go to stdout; data goes to files in --out.
+Exit codes: 0 success, 1 scenario validation problems or a bad command line,
+2 runtime failures (inadmissible control or buffer bound violations, with the
+event named), 3 I/O errors. Summaries go to stdout; data goes to files in --out.
 """
 
 import argparse
@@ -77,11 +77,16 @@ def cmd_simulate(args) -> int:
                "samples": int(trace.times.shape[0]), "final_freq": final_freq.tolist(), **own}
     tree = emit_report([summary], out / "summary.txt", out / "report.json")
     print(json.dumps(tree["reports"][0], indent=2, sort_keys=True))
-    if bound_events:
-        ev = bound_events[0]
-        print(f"error: buffer {ev.kind} on link {ev.k} at t={ev.time} "
-              f"(occupancy {ev.value})", file=sys.stderr)
-        return EXIT_RUNTIME
+    return _bound_exit(bound_events)
+
+
+def _bound_exit(events) -> int:
+    """Name the first buffer bound hit of a frame-model event log and exit 2, else 0."""
+    for ev in events:
+        if ev.kind in ("overflow", "underflow"):
+            print(f"error: buffer {ev.kind} on link {ev.k} at t={ev.time} "
+                  f"(occupancy {ev.value})", file=sys.stderr)
+            return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -95,7 +100,7 @@ def cmd_compare(args) -> int:
     report = compare_traces(afm_trace, ode_trace)
     tree = emit_report([report], out / "comparison.txt", out / "comparison.json")
     print(json.dumps(tree["reports"][0], indent=2, sort_keys=True))
-    return EXIT_OK
+    return _bound_exit(afm_trace.events)
 
 
 def cmd_analyze(args) -> int:
@@ -259,8 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage error; --help exits 0
+        return EXIT_VALIDATION if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except (ParseError, ValidationError) as exc:

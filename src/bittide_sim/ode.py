@@ -35,6 +35,8 @@ class ParameterError(ValueError):
 # the most trace rows, fluid-model RK4 steps or estimated frame-model
 # measurements one run may take; a larger run is refused before it allocates
 RUN_SIZE_CAP = 10_000_000
+# the most cells, rows times columns, one run's trace may hold
+CELL_CAP = 100_000_000
 
 
 class _GainFields(NamedTuple):
@@ -307,6 +309,10 @@ def simulate_ode(sys: OdeSystem, omega_u, t_end: float, dt: float | None = None)
         raise ParameterError(
             "t_end", f"reaching t = {t_end:g} takes {t_end / dt:.3g} RK4 steps of "
             f"{dt:.3g} s, above the run-size cap of {RUN_SIZE_CAP:.0e}")
+    cells = (t_end / dt + 2) * (n + sd.graph.m)
+    if cells > CELL_CAP:
+        raise ParameterError("t_end", f"reaching t = {t_end:g} takes {cells:.3g} trace cells "
+                             f"((steps + 2) * (n + m)), above the cell cap of {CELL_CAP:.0e}")
     n_full = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
     count = n_full + (2 if remainder > 1e-12 * max(t_end, 1.0) else 1)

@@ -145,6 +145,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error: run.t_end: " in err and "run-size cap" in err
 
+    @pytest.mark.parametrize("model, sets, columns", [
+        # the frame estimate refuses the 40x40 mesh at 1e7 rows for both models
+        ("afm", ["run.output_dt=0.1"], "(n + 2m)"),
+        ("ode", ["run.output_dt=0.1"], "(n + 2m)"),
+        # 721 estimated frame rows of 7,840 cells pass, 1.6e5 RK4 steps of 4,720 do not
+        ("ode", ["afm.p=1e7", "controller.k_p=1e-3"], "(n + m)"),
+    ])
+    def test_trace_cells_over_the_cap_refused(self, tmp_path, capsys, monkeypatch, model,
+                                              sets, columns):
+        monkeypatch.setattr(cli, "simulate_afm", RunStarted.refuse)
+        monkeypatch.setattr("bittide_sim.ode.rk4_step_operator", RunStarted.refuse)
+        argv = ["simulate", "--model", model, "--out", str(tmp_path),
+                "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
+                "--set", 'graph={"generator": "mesh", "rows": 40, "cols": 40}']
+        assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: run.t_end: ") and "cell cap" in err and columns in err
+
     @pytest.mark.parametrize("argv, override, field", [
         (["analyze", "--performance", "--simulate"], "controller.k_p=1e308", "controller.k_p"),
         (["simulate", "--model", "ode"], "controller.k_p=1e308", "controller.k_p"),
@@ -285,6 +303,25 @@ class TestSimulate:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: run.t_end: phases reach 1e+300 ticks by t_end, past 2**53\n")
+
+
+TRIANGLE = str(SCENARIOS / "triangle_pi.json")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--model", "xyz", "--scenario", TRIANGLE], 1),
+    (["analyze", "--worst-case", "--gamma", "abc", "--scenario", TRIANGLE], 1),
+    (["simulate", "--model", "afm"], 1),  # no --scenario
+    # argparse reads -1,100 as a flag; --values=-1,100 is the way to write it
+    (["sweep", "--param", "controller.k_p", "--values", "-1,100", "--scenario", TRIANGLE], 1),
+    (["--help"], 0),
+])
+def test_usage_error_exits_1(tmp_path, capsys, argv, code):
+    # argparse's own usage exit is 2, which the CLI keeps for runtime failures
+    assert main(argv + ([] if code == 0 else ["--out", str(tmp_path / "out")])) == code
+    out, err = capsys.readouterr()
+    assert ("usage:" in (err if code else out)) and ("error:" in err) == (code == 1)
+    assert not (tmp_path / "out").exists()
 
 
 class RunStarted(Exception):
@@ -578,15 +615,21 @@ class TestAnalyze:
         graph, _, gains = load_scenario(SCENARIOS / "triangle_pi.json")
         assert emp["horizon"] == 30.0 / abs(spectral_abscissa(spectral_data(graph), gains))
 
-    def test_simulate_horizon_names_controller(self, tmp_path, capsys):
+    def test_simulate_horizon_names_controller(self, tmp_path, capsys, monkeypatch):
         # the --simulate horizon is 30/|spectral abscissa|, not run.t_end
-        rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
-                   "--out", str(tmp_path), "--performance", "--simulate",
-                   "--set", "controller.k_p=1e3"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: controller: ")
-        assert "--simulate horizon" in err and "run-size cap" in err
+        monkeypatch.setattr("bittide_sim.ode.rk4_step_operator", RunStarted.refuse)
+        for name, override, cap in (
+            ("triangle_pi", "controller.k_p=1e3", "run-size cap"),
+            # 3.9e5 RK4 steps of 400 + 760 cells
+            ("mesh_close_pair", 'graph={"generator": "mesh", "rows": 20, "cols": 20}',
+             "cell cap"),
+        ):
+            rc = main(["analyze", "--scenario", str(SCENARIOS / f"{name}.json"),
+                       "--out", str(tmp_path), "--performance", "--simulate", "--set", override])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: controller: ")
+            assert "--simulate horizon" in err and cap in err
 
     def test_overflowing_gain_horizon_names_controller(self, tmp_path, capsys):
         # (k_p lambda)^2 overflows; the abscissa stays negative, so the horizon is

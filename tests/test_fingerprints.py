@@ -67,9 +67,11 @@ MESH_ERRORS = {
 
 @pytest.mark.parametrize("name", sorted(MESH_ERRORS))
 def test_mesh_overflow_stderr_pinned(name, tmp_path, capsys):
-    argv = ["simulate", "--model", "afm", "--scenario", str(SCENARIOS / f"{name}.json")]
-    assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == MESH_ERRORS[name]
+    # compare runs the same frame model, so it names the same hit and exits 2 too
+    for command in (["simulate", "--model", "afm"], ["compare"]):
+        argv = command + ["--scenario", str(SCENARIOS / f"{name}.json")]
+        assert main(argv + ["--out", str(tmp_path / command[0])]) == 2
+        assert capsys.readouterr().err == MESH_ERRORS[name]
 
 
 # command -> (exit code, sha256 of trace_ode.csv); the digests are the same

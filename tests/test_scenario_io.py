@@ -550,9 +550,11 @@ class TestCompareTraces:
 
     @pytest.mark.parametrize("name", ["triangle_pi", "mesh_close_pair", "mesh_far_pair"])
     def test_every_row_compared(self, tmp_path, capsys, name):
-        # both models of one scenario span [0, t_end], so no frame-model row is left out
+        # both models of one scenario span [0, t_end], so no frame-model row is left out;
+        # the meshes' frame runs hit a buffer bound, so compare exits 2 after writing
         path, out = SCENARIOS / f"{name}.json", tmp_path / "out"
-        assert main(["compare", "--scenario", str(path), "--out", str(out)]) == 0
+        expected = 0 if name == "triangle_pi" else 2
+        assert main(["compare", "--scenario", str(path), "--out", str(out)]) == expected
         capsys.readouterr()
         frame = read_trace(out / "trace_afm.csv").times
         fluid = read_trace(out / "trace_ode.csv").times
