@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bittide_sim.analysis import WorstCaseResult, worst_case_frequency
 from bittide_sim.graph import (_SIGN_TOL, NotConnectedError, OrientedGraph,
                                _sign_normalize_columns, complete, incidence_matrix, mesh, path,
                                resistance_matrix, spectral_data)
@@ -231,6 +232,36 @@ class TestResistanceDistance:
         sd = spectral_data(path(3))
         with pytest.raises(IndexError):
             resistance_distance(sd, 0, 3)
+
+
+class TestFiedlerVector:
+    """The Fiedler vector and lambda_2, read as the gamma = 1 worst case."""
+
+    def test_path_three(self):
+        res = worst_case_frequency(spectral_data(path(3)), 1.0)
+        assert isinstance(res, WorstCaseResult)
+        assert not res.degenerate
+        assert 1.0 / res.attained_quadratic_form == pytest.approx(1.0, rel=1e-12)
+        expected = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+        assert np.allclose(res.omega_u, expected, atol=1e-12)
+
+    def test_complete_graph_degenerate(self):
+        res = worst_case_frequency(spectral_data(complete(4)), 1.0)
+        assert res.degenerate
+        assert 1.0 / res.attained_quadratic_form == pytest.approx(4.0, rel=1e-12)
+
+    def test_orthogonal_to_ones(self):
+        rng = np.random.RandomState(8)
+        for _ in range(10):
+            g = random_connected_graph(rng, rng.randint(3, 10))
+            res = worst_case_frequency(spectral_data(g), 1.0)
+            assert abs(res.omega_u @ np.ones(g.n)) <= 1e-12
+            assert np.linalg.norm(res.omega_u) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sign_convention_deterministic(self):
+        res = worst_case_frequency(spectral_data(mesh(4, 6)), 1.0)
+        nz = res.omega_u[np.abs(res.omega_u) > 1e-9]
+        assert nz[0] > 0
 
 
 class TestSignNormalization:
