@@ -67,7 +67,7 @@ class _ScenarioFields(NamedTuple):
 
 
 class AfmScenario(_ScenarioFields):
-    """Complete parameter set for a frame-exact run.
+    """Parameter set for a frame-exact run, its values checked; simulate_afm sizes the run.
 
     Per-node sequences are ordered by node index; per-directed-link sequences
     follow OrientedGraph.directed_links() order (edge l forward at slot 2l,
@@ -131,17 +131,7 @@ class AfmScenario(_ScenarioFields):
         total_freq = sum(self.uncorrected_freq)
         if not math.isfinite(total_freq):
             raise ParameterError("uncorrected_freq", f"the sum of omega_u is {total_freq}, "
-                                 "outside the float range, so the run size has no estimate")
-        measurements = total_freq * self.t_end / self.meas_period
-        if measurements > RUN_SIZE_CAP:
-            raise ParameterError(
-                "meas_period", f"about {measurements:.3g} measurements (sum of omega_u "
-                f"* t_end / meas_period), above the run-size cap of {RUN_SIZE_CAP:.0e}")
-        cells = (rows + 1 + 2 * measurements) * (n + n_links)
-        if cells > CELL_CAP:
-            raise ParameterError(
-                "t_end", f"about {cells:.3g} trace cells ((t_end/output_dt + 1 + 2 * "
-                f"measurements) * (n + 2m)), above the cell cap of {CELL_CAP:.0e}")
+                                 "outside the float range")
         # floored phases, and so occupancies, are exact only up to 2**53 ticks
         for q, (src, _) in enumerate(self.graph.directed_links()):
             pre = self.prehistory_freq[src] * self.latency[q]
@@ -222,12 +212,26 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     Buffer bound violations are logged and the run continues. Each link's
     first overflow and first underflow are logged once each, at the first row
     that shows them: a hit in a row at time T comes after every event at or
-    before T, and hits are in (row, link) order. Raises ParameterError("t_end")
-    if a phase passes 2**53 ticks by t_end, past which floored phases are inexact.
+    before T, and hits are in (row, link) order. Raises ParameterError before the
+    first event if the run passes the measurement ("meas_period") or cell ("t_end")
+    cap, and ("t_end") after the loop if a phase passes 2**53 ticks by t_end.
     """
     g = scenario.graph
     n = g.n
     links = g.directed_links()
+    p, d = scenario.meas_period, scenario.actuation_delay
+    t_end, dt = scenario.t_end, scenario.output_dt
+    # a node runs at omega_m1 until its first correction holds, at phase theta0 + d
+    measurements = sum(w * t_end + min(w1 * t_end, d) for w, w1 in
+                       zip(scenario.uncorrected_freq, scenario.startup_freq)) / p
+    if measurements > RUN_SIZE_CAP:
+        raise ParameterError("meas_period", f"about {measurements:.3g} measurements (sum of "
+                             "omega_u * t_end + min(omega_m1 * t_end, d), over meas_period), "
+                             f"above the run-size cap of {RUN_SIZE_CAP:.0e}")
+    cells = (t_end / dt + 1 + 2 * measurements) * (n + len(links))
+    if cells > CELL_CAP:
+        raise ParameterError("t_end", f"about {cells:.3g} trace cells ((t_end/output_dt + 1 + 2 "
+                             f"* measurements) * (n + 2m)), above the cell cap of {CELL_CAP:.0e}")
     offsets = frame_offsets(scenario)
     # per receiver: (source, latency, frame offset, initial occupancy)
     in_links = [[] for _ in range(n)]
@@ -249,10 +253,6 @@ def simulate_afm(scenario: AfmScenario) -> AfmTrace:
     k_p = scenario.gains.k_p
     k_ic = scenario.gains.k_i * scenario.gains.omega_c
     theta0 = scenario.initial_phase
-    p = scenario.meas_period
-    d = scenario.actuation_delay
-    t_end = scenario.t_end
-    dt = scenario.output_dt
 
     # No crossing target lies below its node's last breakpoint phase, so crossings
     # use the last segment. No heap entry is ever stale: a measurement that crosses

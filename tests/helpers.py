@@ -13,7 +13,9 @@ sign_normalize_columns is the column-by-column oracle for the sign convention
 ``spectral_data`` applies in bulk, and subtracted_l2_norm_squared the
 oracle for ``l2_norm_squared``, which skips subtracting an all-zero reference.
 scenario_to_dict and save_scenario write a loaded scenario back as a fully
-resolved document, for the round-trip tests of the loader.
+resolved document, for the round-trip tests of the loader. RunStarted.refuse
+stands in for ``frame_offsets``, the frame model's first step after its size
+checks, so a test can tell a refused run from one that starts.
 """
 
 import json
@@ -148,6 +150,14 @@ def two_node_perturbation(sd: SpectralData, gains: Gains, i: int, j: int, alpha:
     return omega_u, PerformanceReport(freq_dev_norm_sq=q / (2.0 * a),
                                       occupancy_norm_sq=q / (2.0 * a * b),
                                       quadratic_form=q, k_p=a, integral_gain_scaled=b)
+
+
+class RunStarted(Exception):
+    """A document or scenario that should have been refused reached the run."""
+
+    @classmethod
+    def refuse(cls, *args, **kwargs):
+        raise cls
 
 
 class TargetInPastError(ValueError):

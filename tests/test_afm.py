@@ -12,7 +12,7 @@ from bittide_sim.afm import (AfmScenario, InadmissibleControlError, PhaseHistory
 from bittide_sim.graph import OrientedGraph, complete, mesh, path, spectral_data
 from bittide_sim.ode import Gains, ParameterError
 from bittide_sim.scenario import load_scenario_dict, read_document
-from helpers import (DiscreteControllerState, TargetInPastError, make_scenario,
+from helpers import (DiscreteControllerState, RunStarted, TargetInPastError, make_scenario,
                      next_crossing, occupancy, phase_at, pi_controller_step,
                      random_connected_graph, sampled_root_modulus, slope_at)
 
@@ -182,16 +182,32 @@ class TestScenarioValidation:
             AfmScenario(epoch=-10.0, **kwargs)
         AfmScenario(**kwargs)
 
-    def test_run_size_cap(self):
-        # checked when the scenario is built, so no run can start past the cap
+    def test_run_size_cap(self, monkeypatch):
+        # output rows are checked when the scenario is built, measurements by
+        # simulate_afm before the run starts
         with pytest.raises(ParameterError, match="run-size cap") as info:
             make_scenario(path(2), (1.0, 1.0), GAINS, t_end=2e5, output_dt=1e-300)
         assert info.value.field == "output_dt"
+        monkeypatch.setattr("bittide_sim.afm.frame_offsets", RunStarted.refuse)
+        scn = make_scenario(path(2), (1.0, 1.0), GAINS, t_end=2e5, p=1e-9)
         with pytest.raises(ParameterError, match="run-size cap") as info:
-            make_scenario(path(2), (1.0, 1.0), GAINS, t_end=2e5, p=1e-9)
+            simulate_afm(scn)
         assert info.value.field == "meas_period"
         # 2 nodes * 1e5 s / 0.02 ticks = 1e7 measurements: at the cap, not above it
-        make_scenario(path(2), (1.0, 1.0), GAINS, t_end=1e5, p=0.02)
+        with pytest.raises(RunStarted):
+            simulate_afm(make_scenario(path(2), (1.0, 1.0), GAINS, t_end=1e5, p=0.02))
+
+    def test_startup_rate_counts_toward_the_measurement_cap(self, monkeypatch):
+        # a node runs at omega_m1 until its first correction holds, at phase
+        # theta0 + d: 3 nodes * 1e5 ticks/s * 4e4 s / 1e3 ticks is 1.2e7
+        # measurements, though omega_u alone gives 120
+        monkeypatch.setattr("bittide_sim.afm.frame_offsets", RunStarted.refuse)
+        scn = make_scenario(complete(3), (1.00005, 1.0, 0.99995),
+                            Gains(k_p=1e-15, k_i=1e-25, omega_c=1.0), latency=500.0,
+                            d=1e308, t_end=4e4, output_dt=1e3)._replace(startup_freq=(1e5,) * 3)
+        with pytest.raises(ParameterError, match="omega_m1") as info:
+            simulate_afm(scn)
+        assert info.value.field == "meas_period"
 
     def test_buffer_capacity_at_most_2_53(self):
         # occupancy rows are exact only up to 2**53 frames

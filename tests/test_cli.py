@@ -4,6 +4,7 @@ import contextlib
 import copy
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from bittide_sim.graph import OrientedGraph, spectral_data
 from bittide_sim.ode import (ParameterError, default_time_step, output_time_step,
                              spectral_abscissa)
 from bittide_sim.scenario import load_scenario, read_trace
+from helpers import RunStarted
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -111,7 +113,7 @@ class TestSimulate:
         ("afm.p=1e-9", "afm.p"),
         # afm.omega_m1 and afm.omega_m2 are absent and take frequencies.omega_u
         ("frequencies.omega_u=-1", "frequencies.omega_u"),
-        # sum(omega_u) overflows, so the run size has no estimate to refuse under afm.p
+        # sum(omega_u) overflows the float range
         ("frequencies.omega_u=1e308", "frequencies.omega_u"),
         ('frequencies={"two_node": {"i": 0, "j": 1, "alpha": 1e-4, "base": 1e308}}',
          "frequencies.omega_u"),
@@ -126,10 +128,7 @@ class TestSimulate:
                                          override, field):
         # every case must be refused before the run: one that got through the
         # run-size cap would otherwise never finish
-        def refuse(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        monkeypatch.setattr(cli, "simulate_afm", refuse)
+        monkeypatch.setattr("bittide_sim.afm.frame_offsets", RunStarted.refuse)
         scn = small_triangle(tmp_path)
         rc = main(["simulate", "--model", "afm", "--scenario", str(scn),
                    "--out", str(tmp_path / "out"), "--set", override])
@@ -146,15 +145,16 @@ class TestSimulate:
         assert "error: run.t_end: " in err and "run-size cap" in err
 
     @pytest.mark.parametrize("model, sets, columns", [
-        # the frame estimate refuses the 40x40 mesh at 1e7 rows for both models
+        # 1e7 rows of the 40x40 mesh: each model refuses its own run, the frame
+        # model's of n + 2m columns and the fluid model's of n + m
         ("afm", ["run.output_dt=0.1"], "(n + 2m)"),
-        ("ode", ["run.output_dt=0.1"], "(n + 2m)"),
-        # 721 estimated frame rows of 7,840 cells pass, 1.6e5 RK4 steps of 4,720 do not
-        ("ode", ["afm.p=1e7", "controller.k_p=1e-3"], "(n + m)"),
+        ("ode", ["run.output_dt=0.1"], "(n + m)"),
+        # 1.6e5 RK4 steps of 4,720 cells are under the step cap, not the cell cap
+        ("ode", ["controller.k_p=1e-3"], "(n + m)"),
     ])
     def test_trace_cells_over_the_cap_refused(self, tmp_path, capsys, monkeypatch, model,
                                               sets, columns):
-        monkeypatch.setattr(cli, "simulate_afm", RunStarted.refuse)
+        monkeypatch.setattr("bittide_sim.afm.frame_offsets", RunStarted.refuse)
         monkeypatch.setattr("bittide_sim.ode.rk4_step_operator", RunStarted.refuse)
         argv = ["simulate", "--model", model, "--out", str(tmp_path),
                 "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
@@ -265,7 +265,7 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
 
     def test_negative_delay_names_d(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "simulate_afm", RunStarted.refuse)
+        monkeypatch.setattr("bittide_sim.afm.frame_offsets", RunStarted.refuse)
         rc = main(["simulate", "--model", "afm", "--scenario",
                    str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
                    "--set", "afm.d=-1e308"])
@@ -275,7 +275,7 @@ class TestSimulate:
 
     def test_epoch_key_refused(self, tmp_path, capsys, monkeypatch):
         # every pre-history is anchored at (0, theta0), so afm holds no epoch
-        monkeypatch.setattr(cli, "simulate_afm", RunStarted.refuse)
+        monkeypatch.setattr("bittide_sim.afm.frame_offsets", RunStarted.refuse)
         rc = main(["simulate", "--model", "afm", "--scenario",
                    str(SCENARIOS / "triangle_pi.json"), "--out", str(tmp_path / "out"),
                    "--set", "afm.epoch=-1000"])
@@ -305,6 +305,33 @@ class TestSimulate:
             "error: run.t_end: phases reach 1e+300 ticks by t_end, past 2**53\n")
 
 
+@pytest.mark.parametrize("argv, code, columns", [
+    (["analyze", "--resistance"], 0, None),
+    (["analyze", "--performance", "--simulate", "--worst-case", "--lyapunov"], 0, None),
+    (["sweep", "--param", "controller.k_p", "--values", "1e-8,2e-8"], 0, None),
+    (["simulate", "--model", "afm"], 1, "(n + 2m)"),
+    (["compare"], 1, "(n + 2m)"),
+    (["simulate", "--model", "ode"], 1, "(n + m)"),
+], ids=["analyze-resistance", "analyze-all", "sweep", "simulate-afm", "compare", "simulate-ode"])
+def test_run_size_checked_by_the_run_that_would_make_it(tmp_path, capsys, monkeypatch, argv,
+                                                         code, columns):
+    # 1e7 rows make a frame-model run of about 1e9 trace cells: refused by the
+    # commands that run a model, each under its own cell count, and not by
+    # the closed-form analysis, which makes no run of that size
+    monkeypatch.setattr("bittide_sim.afm.frame_offsets", RunStarted.refuse)
+    if code:
+        monkeypatch.setattr("bittide_sim.ode.rk4_step_operator", RunStarted.refuse)
+    rc = main(argv + ["--scenario", str(SCENARIOS / "mesh_close_pair.json"),
+                      "--out", str(tmp_path), "--set", "run.output_dt=0.1"])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    if code:  # after any note
+        last = err.splitlines()[-1]
+        assert last.startswith("error: run.t_end: ") and "cell cap" in last and columns in last
+    else:
+        assert err == ""
+
+
 TRIANGLE = str(SCENARIOS / "triangle_pi.json")
 
 
@@ -324,14 +351,6 @@ def test_usage_error_exits_1(tmp_path, capsys, argv, code):
     assert not (tmp_path / "out").exists()
 
 
-class RunStarted(Exception):
-    """A document that should have been refused reached the run."""
-
-    @classmethod
-    def refuse(cls, *args, **kwargs):
-        raise cls
-
-
 # every field of controller, afm and run, and the graph and frequencies fields;
 # graph.rows and frequencies.two_node.* are set in a document of their form
 FUZZED_PATHS = ([path for path, *_ in scenario._FIELDS]
@@ -346,11 +365,18 @@ EXTREMES = [1e308, -1e308, 1e-320, -1e-320, -1, -0.5]
 # extremes in range for the field they are put in: the document is valid
 IN_RANGE = {
     "controller.k_p": (1e308, 1e-320), "controller.k_i": (1e308, 1e-320),
-    "controller.omega_c": (1e308, 1e-320), "afm.p": (1e308,), "afm.d": (1e-320,),
+    "controller.omega_c": (1e308, 1e-320), "afm.p": (1e308,), "afm.d": (1e308, 1e-320),
     "afm.latency": (1e-320,), "afm.theta0": (1e-320,), "afm.omega_m1": (1e308,),
-    "afm.omega_max": (1e308,),
+    "afm.omega_min": (1e-320,), "afm.omega_max": (1e308,),
     "run.t_end": (1e-320,), "run.output_dt": (1e308,),
     "frequencies.two_node.alpha": (1e-320, -1e-320),
+}
+# pairs of in-range extremes that are refused together, with the field named:
+# omega_c * k_i overflows, and a node at omega_m1 until phase theta0 + d would
+# make about 1e308 * t_end / p measurements
+REFUSED_TOGETHER = {
+    frozenset({("controller.k_i", 1e308), ("controller.omega_c", 1e308)}): "controller.k_i",
+    frozenset({("afm.omega_m1", 1e308), ("afm.d", 1e308)}): "afm.p",
 }
 JUNK = st.one_of(
     st.sampled_from([None, True, False, math.nan, math.inf, -math.inf, 10**400, *EXTREMES]),
@@ -381,7 +407,7 @@ def fuzzed_run(tmp_path_factory, sets):
     tmp.mkdir(exist_ok=True)
     scn = write_doc(tmp, doc)
     err = io.StringIO()
-    with mock.patch.object(cli, "simulate_afm", RunStarted.refuse), \
+    with mock.patch("bittide_sim.afm.frame_offsets", RunStarted.refuse), \
             contextlib.redirect_stderr(err):
         try:
             rc = main(["simulate", "--model", "afm", "--scenario", str(scn),
@@ -396,29 +422,40 @@ def in_range(path, value):
     return type(value) is float and value in IN_RANGE.get(path, ())
 
 
+def check_fuzzed(tmp_path_factory, sets):
+    """Run the sets and check the exit against IN_RANGE and REFUSED_TOGETHER."""
+    rc, err = fuzzed_run(tmp_path_factory, sets)
+    if all(in_range(path, value) for path, value in sets):
+        field = REFUSED_TOGETHER.get(frozenset(sets))
+        assert rc == (None if field is None else 1), (sets, err)
+        assert field is None or err.startswith(f"error: {field}: "), (sets, err)
+        return
+    assert rc == 1, sets
+    assert any(err.startswith(f"error: {path.split('.')[0]}") for path, _ in sets), (sets, err)
+
+
 class TestFuzzedField:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(path=st.sampled_from(FUZZED_PATHS), value=JUNK)
     def test_junk_is_refused_with_its_section_named(self, tmp_path_factory, path, value):
-        rc, err = fuzzed_run(tmp_path_factory, [(path, value)])
-        if in_range(path, value):
-            assert rc is None
-            return
-        assert rc == 1, (path, value)
-        assert err.startswith(f"error: {path.split('.')[0]}"), (path, value, err)
+        check_fuzzed(tmp_path_factory, [(path, value)])
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(paths=st.lists(st.sampled_from(FUZZED_PATHS), min_size=2, max_size=2, unique=True),
            values=st.tuples(JUNK, JUNK))
     def test_junk_in_two_fields_is_refused_with_a_section_named(self, tmp_path_factory,
                                                                  paths, values):
-        sets = list(zip(paths, values))
-        rc, err = fuzzed_run(tmp_path_factory, sets)
-        if all(in_range(path, value) for path, value in sets):
-            assert rc is None
-            return
-        assert rc == 1, sets
-        assert any(err.startswith(f"error: {path.split('.')[0]}") for path in paths), (sets, err)
+        check_fuzzed(tmp_path_factory, list(zip(paths, values)))
+
+    def test_every_extreme_and_every_in_range_pair(self, tmp_path_factory):
+        # the hypothesis tests draw only some of these; every one is run here
+        for path in FUZZED_PATHS:
+            for value in EXTREMES:
+                check_fuzzed(tmp_path_factory, [(path, value)])
+        in_range_sets = [(path, value) for path, values in IN_RANGE.items() for value in values]
+        for first, second in itertools.combinations(in_range_sets, 2):
+            if first[0] != second[0]:
+                check_fuzzed(tmp_path_factory, [first, second])
 
 
 def _log_uniform(lo, hi):
