@@ -1022,6 +1022,15 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: values: ")
         assert not out.exists()
 
+    def test_values_not_numbers_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--scenario", str(SCENARIOS / "mesh_close_pair.json"),
+                   "--out", str(out), "--param", "controller.k_p", "--values", "1,abc"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: values: could not convert string to "
+                                           "float: 'abc'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, code", [("[1]", 1), ("{not json", 1), (None, 3)])
     def test_unreadable_document(self, tmp_path, capsys, text, code):
         scn = tmp_path / "scn.json"

@@ -266,6 +266,12 @@ class TestSimulateOde:
         with pytest.raises(ValueError, match="dt must be > 0"):
             simulate_ode(sys_full, np.ones(3), 10.0, dt)
 
+    def test_omega_u_of_another_length_refused(self):
+        sys_full = build_full_system(spectral_data(path(3)), PAPER_GAINS)
+        with pytest.raises(ValueError) as info:
+            simulate_ode(sys_full, np.ones(2), 10.0, 1.0)
+        assert str(info.value) == "omega_u has shape (2,), expected (3,)"
+
     def test_chunks_match_one_chunk_bit_for_bit(self, monkeypatch):
         # step counts around one and two chunk boundaries, a block past the
         # first, and partial final steps; without joining a short last chunk

@@ -100,6 +100,10 @@ REFUSED = [pytest.param(record, name, *refusal, id=f"{type(record).__name__}.{na
     (VALIDATED[1], "k_p", -1.0, ParameterError, "k_p must be > 0, got -1.0"),
     (VALIDATED[1], "omega_c", 0.0, ParameterError, "omega_c must be > 0, got 0.0"),
     (VALIDATED[2], "meas_period", 0.0, ParameterError, "meas_period must be > 0, got 0.0"),
+    # one entry per node, and one per directed link
+    (VALIDATED[2], "initial_phase", (0.1, 0.1), ParameterError,
+     "initial_phase: expected 3 entries, got 2"),
+    (VALIDATED[2], "latency", (0.0,) * 5, ParameterError, "latency: expected 6 entries, got 5"),
 )]
 
 

@@ -165,6 +165,27 @@ class TestLoadScenario:
         del graph[field.split(".")[1]]
         load_scenario_dict(doc)
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("graph", None, "graph: required field is missing"),
+        ("graph", {"generator": "mesh", "rows": 3}, "graph.cols: required field is missing"),
+        ("graph", {"generator": "bogus", "n": 3}, "graph.generator: unknown generator 'bogus'"),
+        ("graph", {"n": 3}, "graph: need either a generator spec or an edge list"),
+        ("frequencies", {"two_node": {"i": 0, "j": 1}},
+         "frequencies.two_node.alpha: required field is missing"),
+        ("frequencies", {}, "frequencies.omega_u: required field is missing"),
+    ])
+    def test_section_without_its_form_refused(self, section, value, message):
+        # None removes the section
+        doc = triangle_doc()
+        if value is None:
+            del doc[section]
+        else:
+            doc[section] = value
+        with pytest.raises(ValidationError) as info:
+            load_scenario_dict(doc)
+        assert str(info.value) == message
+        assert info.value.field == message.split(":")[0]
+
     def test_frequency_forms_exclude_each_other(self):
         two_node = {"i": 0, "j": 1, "alpha": 1e-5}
         doc = {**triangle_doc(), "frequencies": {"two_node": two_node, "omega_u": 1.0}}
@@ -310,6 +331,24 @@ class TestTraceRoundTrip:
         dest.write_text("t,omega_0\n0.5,1.25,3.0\n")
         with pytest.raises(ValueError, match="columns"):
             read_trace(dest)
+
+    def test_unreadable_table_refused(self, tmp_path):
+        dest = tmp_path / "bad.csv"
+        dest.write_text("")
+        with pytest.raises(ValueError) as info:
+            read_trace(dest)
+        assert str(info.value) == f"{dest}: empty trace file"
+        dest.write_text("time,omega_0\n0.5,1.25\n")
+        with pytest.raises(ValueError) as info:
+            read_trace(dest)
+        assert str(info.value) == f"{dest}: first column must be t, got 'time'"
+
+    def test_unknown_trace_type_refused(self, tmp_path):
+        dest = tmp_path / "trace.csv"
+        with pytest.raises(TypeError) as info:
+            write_trace(object(), dest)
+        assert str(info.value) == "cannot serialize trace of type object"
+        assert not dest.exists()
 
 
 def _bits(a):
