@@ -19,9 +19,9 @@ from .analysis import (build_lyapunov_certificate, empirical_norms, hurwitz_chec
 from .graph import resistance_matrix, spectral_data
 from .ode import (ParameterError, build_full_system, build_reduced_system, default_time_step,
                   output_time_step, simulate_ode, spectral_abscissa)
-from .scenario import (ParseError, ScenarioError, ValidationError, apply_overrides,
-                       check_keys, compare_traces, emit_report, field_error,
-                       load_scenario_dict, read_document, write_trace)
+from .scenario import (ValidationError, apply_overrides, check_keys, compare_traces,
+                       emit_report, field_error, load_scenario_dict, read_document,
+                       write_trace)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -45,13 +45,6 @@ def _fluid_trace(graph, scenario, gains):
     sd = spectral_data(graph)
     return simulate_ode(build_full_system(sd, gains), np.array(scenario.uncorrected_freq),
                         scenario.t_end, output_time_step(sd, gains, scenario.output_dt))
-
-
-def _performance(sd, gains, scenario):
-    try:  # both gains set the norms, so a norm out of range names their section
-        return predicted_performance(sd, gains, scenario.uncorrected_freq)
-    except ParameterError as exc:
-        raise ValidationError("controller", str(exc)) from exc
 
 
 def cmd_simulate(args) -> int:
@@ -136,7 +129,7 @@ def cmd_analyze(args) -> int:
         except ValueError as exc:
             raise ValidationError("gamma", str(exc)) from exc
     if args.performance:
-        perf = _performance(sd, gains, scenario)
+        perf = predicted_performance(sd, gains, scenario.uncorrected_freq)
         reports.append(perf)
         if args.simulate:
             abscissa = spectral_abscissa(sd, gains)
@@ -181,11 +174,11 @@ def _sweep_one(doc_json: str, param: str, value: float, spectra: dict) -> dict:
         sd = spectra.get(graph)
         if sd is None:
             sd = spectra[graph] = spectral_data(graph)
-        perf = _performance(sd, gains, scenario)
+        perf = predicted_performance(sd, gains, scenario.uncorrected_freq)
         return {"value": value, "status": "ok",
                 **{c: getattr(perf, c) for c in SWEEP_COLUMNS[2:]}}
-    except (ScenarioError, ValueError) as exc:
-        return {"value": value, "status": f"error: {exc}"}
+    except (ValidationError, ValueError) as exc:
+        return {"value": value, "status": f"error: {field_error(exc)}"}
 
 
 def cmd_sweep(args) -> int:
@@ -270,10 +263,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ParameterError as exc:
+    except (ValidationError, ParameterError) as exc:
         print(f"error: {field_error(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
     except InadmissibleControlError as exc:

@@ -22,25 +22,15 @@ from .graph import OrientedGraph, complete, mesh, path
 from .ode import RUN_SIZE_CAP, Gains, OdeTrace, ParameterError
 
 
-class ScenarioError(Exception):
-    """Base for scenario loading problems."""
-
-
-class ParseError(ScenarioError):
-    """Scenario file is not a well-formed document."""
-
-
-class ValidationError(ScenarioError):
-    """A scenario field violates an invariant; names the field path."""
+class ValidationError(Exception):
+    """Refused outside input; field names the document path, command-line option or file."""
 
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
 
 
-class MissingFieldError(ValidationError):
-    def __init__(self, field: str):
-        super().__init__(field, "required field is missing")
+_MISSING = "required field is missing"
 
 
 def check_keys(doc: dict, section: str = "") -> None:
@@ -72,7 +62,7 @@ def check_keys(doc: dict, section: str = "") -> None:
 
 def _section(doc: dict, name: str) -> dict:
     if name not in doc:
-        raise MissingFieldError(name)
+        raise ValidationError(name, _MISSING)
     return doc[name]
 
 
@@ -130,7 +120,7 @@ def _build_graph(spec: dict) -> OrientedGraph:
         else:
             raise ValidationError("graph", "need either a generator spec or an edge list")
     except KeyError as exc:
-        raise MissingFieldError(f"graph.{exc.args[0]}") from exc
+        raise ValidationError(f"graph.{exc.args[0]}", _MISSING) from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError("graph", str(exc)) from exc
     if graph.m < graph.n - 1 or not graph.is_connected():  # no union-find on too few edges
@@ -155,7 +145,7 @@ def _build_frequencies(spec: dict, n: int) -> tuple:
         tn = spec["two_node"]
         for key in ("i", "j", "alpha"):
             if key not in tn:
-                raise MissingFieldError(f"frequencies.two_node.{key}")
+                raise ValidationError(f"frequencies.two_node.{key}", _MISSING)
         i = _count(tn["i"], "frequencies.two_node.i")
         j = _count(tn["j"], "frequencies.two_node.j")
         if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -167,7 +157,7 @@ def _build_frequencies(spec: dict, n: int) -> tuple:
         freqs[i] += alpha
         freqs[j] -= alpha
         return tuple(freqs)
-    raise MissingFieldError("frequencies.omega_u")
+    raise ValidationError("frequencies.omega_u", _MISSING)
 
 
 def _omega_u(values: dict) -> tuple:
@@ -210,14 +200,15 @@ _KEYS = {
 for _path, *_ in _FIELDS:  # the keys of controller, afm and run
     _name, _, _key = _path.partition(".")
     _KEYS[_name] = _KEYS.get(_name, ()) + (_key,)
-# AfmScenario and Gains fields -> the document field each is read from
-_DOCUMENT_FIELDS = {"uncorrected_freq": "frequencies.omega_u",
+# AfmScenario and Gains fields, and "gains" for both -> the document field each is read from
+_DOCUMENT_FIELDS = {"uncorrected_freq": "frequencies.omega_u", "gains": "controller",
                     **{name: path for path, name, *_ in _FIELDS}}
 
 
-def field_error(exc: ParameterError) -> ValidationError:
-    """The same error, naming the document field the parameter is read from."""
-    return ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc))
+def field_error(exc: Exception) -> Exception:
+    """A ParameterError as a ValidationError naming its document field; others unchanged."""
+    return (ValidationError(_DOCUMENT_FIELDS[exc.field], str(exc))
+            if isinstance(exc, ParameterError) else exc)
 
 
 def load_scenario_dict(doc: dict):
@@ -235,7 +226,7 @@ def load_scenario_dict(doc: dict):
         if key in doc.get(section, {}):
             value = doc[section][key]
         elif default is None:
-            raise MissingFieldError(path if section in doc else section)
+            raise ValidationError(path if section in doc else section, _MISSING)
         else:
             value = default(values) if callable(default) else default
             if default is _omega_u:
@@ -258,25 +249,21 @@ def read_document(path_like, overrides=()) -> dict:
 
     OSError propagates; text that is not UTF-8, malformed or too deeply nested
     JSON, an integer past the digit limit or a top level that is not a mapping
-    raises ParseError.
+    raises ValidationError naming the file.
     """
     p = Path(path_like)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ParseError(f"{p}: {exc}") from exc
+        raise ValidationError(str(p), str(exc)) from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{p}: top level must be a mapping")
+        raise ValidationError(str(p), "top level must be a mapping")
     return apply_overrides(doc, overrides)
 
 
 def load_scenario(path_like):
-    """Load and validate a scenario file; returns (graph, AfmScenario, Gains)."""
-    try:
-        doc = read_document(path_like)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path_like}: {exc}") from exc
-    return load_scenario_dict(doc)
+    """Load and validate a scenario file into (graph, AfmScenario, Gains); OSError propagates."""
+    return load_scenario_dict(read_document(path_like))
 
 
 def apply_overrides(doc: dict, assignments) -> dict:

@@ -248,9 +248,10 @@ class TestPredictedPerformance:
         (1e-200, 1e-200, [3.0, 3.0, 3.0]),  # q = 0 over 2 a b = 0
     ])
     def test_norms_outside_float_range_refused(self, k_p, k_i, omega_u):
-        with pytest.raises(ParameterError, match="float range"):
+        with pytest.raises(ParameterError, match="float range") as info:
             predicted_performance(spectral_data(complete(3)), Gains(k_p=k_p, k_i=k_i),
                                   np.array(omega_u))
+        assert info.value.field == "gains"
 
     def test_norm_ratio_is_exactly_b(self):
         rng = np.random.RandomState(12)

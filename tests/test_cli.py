@@ -525,7 +525,7 @@ def small_enough(doc) -> bool:
         steps = (scn.t_end / output_time_step(sd, gains, scn.output_dt),
                  30.0 / abs(spectral_abscissa(sd, gains)) / default_time_step(sd, gains),
                  sum(scn.uncorrected_freq) * scn.t_end / scn.meas_period)
-    except (scenario.ScenarioError, ParameterError):
+    except (scenario.ValidationError, ParameterError):
         return True
     return scn.t_end / scn.output_dt <= 1e3 and all(s <= 2e4 for s in steps)
 

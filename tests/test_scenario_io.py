@@ -15,8 +15,7 @@ from bittide_sim.analysis import (build_lyapunov_certificate, hurwitz_check,
 from bittide_sim.cli import main
 from bittide_sim.graph import OrientedGraph, complete, spectral_data
 from bittide_sim.ode import build_full_system, build_reduced_system, simulate_ode
-from bittide_sim.scenario import (MissingFieldError, ParseError,
-                                  TraceTable, ValidationError, apply_overrides,
+from bittide_sim.scenario import (TraceTable, ValidationError, apply_overrides,
                                   compare_traces, emit_report, load_scenario,
                                   load_scenario_dict, read_trace, write_trace,
                                   events_path_for)
@@ -89,7 +88,7 @@ class TestLoadScenario:
     def test_missing_gain_flagged(self):
         doc = triangle_doc()
         del doc["controller"]["k_p"]
-        with pytest.raises(MissingFieldError, match="controller.k_p"):
+        with pytest.raises(ValidationError, match="^controller.k_p: required field is missing$"):
             load_scenario_dict(doc)
 
     def test_wrong_length_latency_flagged(self):
@@ -101,11 +100,12 @@ class TestLoadScenario:
     def test_bad_json_is_parse_error(self, tmp_path):
         src = tmp_path / "broken.json"
         src.write_text("{not json")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError) as info:
             load_scenario(src)
+        assert info.value.field == str(src)
 
     def test_missing_file_is_parse_error(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(FileNotFoundError):
             load_scenario(tmp_path / "nope.json")
 
     def test_defaults_applied(self):
