@@ -112,11 +112,15 @@ def _build_graph(spec: dict) -> OrientedGraph:
         elif "generator" in spec:
             raise ValidationError("graph.generator", f"unknown generator {kind!r}")
         elif "edges" in spec:
-            n = _count(spec["n"], "graph.n")
-            _check_graph_size("graph.n", n, len(spec["edges"]))
-            edges = tuple(tuple(_count(v, f"graph.edges[{k}]") for v in e)
-                          for k, e in enumerate(spec["edges"]))
-            graph = OrientedGraph(n, edges)
+            n, edges = _count(spec["n"], "graph.n"), spec["edges"]
+            if not isinstance(edges, (list, tuple)):
+                raise ValidationError("graph.edges", f"expected a list of pairs, got {edges!r}")
+            _check_graph_size("graph.n", n, len(edges))
+            for k, e in enumerate(edges):
+                if not (isinstance(e, (list, tuple)) and len(e) == 2):
+                    raise ValidationError(f"graph.edges[{k}]", f"expected a node pair, got {e!r}")
+            graph = OrientedGraph(n, tuple(tuple(_count(v, f"graph.edges[{k}]") for v in e)
+                                           for k, e in enumerate(edges)))
         else:
             raise ValidationError("graph", "need either a generator spec or an edge list")
     except KeyError as exc:

@@ -123,6 +123,13 @@ class TestSimulate:
         ("frequencies.two_node.alfa=1e-4", "frequencies.two_node.alfa"),
         ("afm=null", "afm"),
         ('afm.p={"x": 1}', "afm.p"),
+        # an edge list that is not a list of pairs
+        ('graph={"n": 3, "edges": 5}', "graph.edges"),
+        ('graph={"n": 3, "edges": null}', "graph.edges"),
+        ('graph={"n": 3, "edges": "01"}', "graph.edges"),
+        ('graph={"n": 3, "edges": [0, 1]}', "graph.edges[0]"),
+        ('graph={"n": 3, "edges": [[0, 1, 2], [1, 2]]}', "graph.edges[0]"),
+        ('graph={"n": 3, "edges": [[0], [1, 2]]}', "graph.edges[0]"),
     ])
     def test_malformed_value_names_field(self, tmp_path, capsys, monkeypatch,
                                          override, field):
