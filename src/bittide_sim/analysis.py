@@ -244,6 +244,11 @@ def l2_norm_squared(times: np.ndarray, values: np.ndarray, reference) -> float:
 # empirical_norms accepts without a warning
 TAIL_TOL = 1e-3
 
+# the slowest time constants, 1/|spectral abscissa|, that analyze --simulate
+# integrates: past them each squared integrand is below e^(-2 * 20), about
+# 4e-18 of its peak, so later rows cannot move either integral past rounding
+HORIZON = 20.0
+
 
 def empirical_norms(trace: OdeTrace, spectral_abscissa: float | None = None):
     """Quadrature estimates of the two performance integrals from a trace.

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .afm import InadmissibleControlError, simulate_afm
-from .analysis import (build_lyapunov_certificate, empirical_norms, hurwitz_check,
+from .analysis import (HORIZON, build_lyapunov_certificate, empirical_norms, hurwitz_check,
                        predicted_performance, worst_case_frequency)
 from .graph import resistance_matrix, spectral_data
 from .ode import (ParameterError, build_full_system, build_reduced_system, default_time_step,
@@ -98,12 +98,10 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze(args) -> int:
     if not (args.resistance or args.worst_case or args.performance or args.lyapunov):
-        print("error: pick at least one of --resistance --worst-case "
-              "--performance --lyapunov", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError("analyze", "pick at least one of --resistance --worst-case "
+                                         "--performance --lyapunov")
     if args.simulate and not args.performance:
-        print("error: --simulate needs --performance", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError("--simulate", "needs --performance")
     if not (math.isfinite(args.gamma) and args.gamma > 0):
         raise ValidationError("gamma", f"expected a finite number > 0, got {args.gamma!r}")
     graph, scenario, gains = _load(args)
@@ -133,14 +131,14 @@ def cmd_analyze(args) -> int:
         reports.append(perf)
         if args.simulate:
             abscissa = spectral_abscissa(sd, gains)
-            t_end = 30.0 / abs(abscissa) if abscissa else math.inf  # a rate that underflows
+            t_end = HORIZON / abs(abscissa) if abscissa else math.inf  # a rate that underflows
             dt = default_time_step(sd, gains)  # refused under its own gain, not the horizon
             try:
                 trace = simulate_ode(build_full_system(sd, gains), scenario.uncorrected_freq,
                                      t_end, dt)
             except ParameterError as exc:
                 raise ValidationError("controller", (
-                    f"the --simulate horizon 30/|spectral abscissa| = {t_end:.3g} s is "
+                    f"the --simulate horizon {HORIZON:g}/|spectral abscissa| = {t_end:.3g} s is "
                     f"set by the controller gains, and {exc}")) from exc
             freq_sq, occ_sq = empirical_norms(trace, abscissa)
             gap = lambda emp, pred: abs(emp - pred) / pred if pred else 0.0

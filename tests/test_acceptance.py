@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bittide_sim.afm import simulate_afm
-from bittide_sim.analysis import (build_lyapunov_certificate, empirical_norms,
+from bittide_sim.analysis import (HORIZON, build_lyapunov_certificate, empirical_norms,
                                   hurwitz_check, lyapunov_solutions, predicted_performance,
                                   worst_case_frequency)
 from bittide_sim.graph import (OrientedGraph, complete, mesh, path, resistance_matrix,
@@ -74,7 +74,7 @@ def test_criterion_2_norm_formula_cross_validation():
         dense = dense_abscissa(build_reduced_system(sd, gains).a_hat)
         worst_abscissa = max(worst_abscissa, abs(hz.spectral_abscissa - dense)
                              / abs(hz.spectral_abscissa))
-        horizon = 30.0 / abs(hz.spectral_abscissa)
+        horizon = HORIZON / abs(hz.spectral_abscissa)
         trace = simulate_ode(build_full_system(sd, gains), omega_u, horizon)
         freq_sq, occ_sq = empirical_norms(trace, hz.spectral_abscissa)
         pred = predicted_performance(sd, gains, omega_u)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bittide_sim
-from bittide_sim.analysis import (InsufficientHorizonWarning,
+from bittide_sim.analysis import (HORIZON, InsufficientHorizonWarning,
                                   build_lyapunov_certificate, empirical_norms,
                                   hurwitz_check, l2_norm_squared, lyapunov_solutions,
                                   predicted_performance, worst_case_frequency)
@@ -140,12 +140,12 @@ class TestSpectralAbscissa:
     def test_horizon_independent_of_blas_threads(self):
         # the dense abscissa of this mesh moved with the BLAS thread count;
         # the horizon and the Hurwitz report come from the closed form
-        code = ("from bittide_sim.analysis import hurwitz_check\n"
+        code = ("from bittide_sim.analysis import HORIZON, hurwitz_check\n"
                 "from bittide_sim.graph import mesh, spectral_data\n"
                 "from bittide_sim.ode import Gains, spectral_abscissa\n"
                 "sd = spectral_data(mesh(12, 12))\n"
                 "gains = Gains(k_p=2e-8, k_i=1e-15)\n"
-                "print(repr(30.0 / abs(spectral_abscissa(sd, gains))))\n"
+                "print(repr(HORIZON / abs(spectral_abscissa(sd, gains))))\n"
                 "print(repr(hurwitz_check(sd, gains)))\n")
         src = str(Path(bittide_sim.__file__).resolve().parents[1])
         outputs = []
@@ -159,7 +159,7 @@ class TestSpectralAbscissa:
         sd = spectral_data(mesh(12, 12))
         gains = Gains(k_p=2e-8, k_i=1e-15)
         horizon, hurwitz = outputs[0]
-        assert float(horizon) == 30.0 / abs(spectral_abscissa(sd, gains))
+        assert float(horizon) == HORIZON / abs(spectral_abscissa(sd, gains))
         assert hurwitz == repr(hurwitz_check(sd, gains))
         assert hurwitz_check(sd, gains).spectral_abscissa == -6.814834742186376e-10
 
@@ -453,6 +453,32 @@ class TestEmpiricalNorms:
             assert l2_norm_squared(times, delta, 0.0) == pytest.approx(
                 report.occupancy_norm_sq, rel=1e-6, abs=0.0)
 
+    def test_horizon_cuts_off_only_rounding(self):
+        # the norms to HORIZON and to twice as many slowest time constants agree
+        # to rounding, under-damped, a hair past critical damping on lambda_2,
+        # and over-damped; at 15 time constants triangle_pi already moves 2.2e-13
+        cases = []
+        for name in ("triangle_pi", "mesh_close_pair", "mesh_far_pair"):
+            graph, scn, gains = load_scenario(SCENARIOS / f"{name}.json")
+            cases.append((spectral_data(graph), gains, np.array(scn.uncorrected_freq)))
+        rng = np.random.RandomState(5)
+        for _ in range(12):
+            sd = spectral_data(random_connected_graph(rng, rng.randint(3, 16)))
+            a = 3e-5 * 10 ** rng.uniform(-1, 1)
+            b = a * a * sd.eigenvalues[1] / 4.0 * 10 ** rng.uniform(0.5, 2)
+            cases.append((sd, Gains(k_p=a, k_i=b), 1.0 + 5e-5 * rng.randn(sd.graph.n)))
+        for sd, gains, omega_u in cases:
+            a, lam2 = gains.k_p, sd.eigenvalues[1]
+            assert gains.effective_integral_gain > a * a * lam2 / 4.0  # under-damped
+            for b in (None, a * a * lam2 / 4.0 * (1 + 1e-9), a * a * lam2 / 40.0):
+                regime = gains if b is None else Gains(k_p=a, k_i=b)
+                abscissa = spectral_abscissa(sd, regime)
+                norms = [empirical_norms(simulate_ode(build_full_system(sd, regime), omega_u,
+                                                      t * HORIZON / abs(abscissa)), abscissa)
+                         for t in (1, 2)]
+                for short, long in zip(*norms):
+                    assert abs(short - long) <= 1e-13 * long, (sd.graph, regime)
+
     def test_short_horizon_warns(self):
         gains = Gains(k_p=0.2, k_i=0.05)
         sd = spectral_data(path(2))
@@ -467,7 +493,7 @@ class TestEmpiricalNorms:
         sd = spectral_data(path(2))
         sys_full = build_full_system(sd, gains)
         abscissa = spectral_abscissa(sd, gains)
-        trace = simulate_ode(sys_full, np.array([1.1, 0.9]), 30.0 / abs(abscissa))
+        trace = simulate_ode(sys_full, np.array([1.1, 0.9]), HORIZON / abs(abscissa))
         with warnings.catch_warnings():
             warnings.simplefilter("error", InsufficientHorizonWarning)
             empirical_norms(trace, abscissa)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bittide_sim import cli, scenario
-from bittide_sim.analysis import InsufficientHorizonWarning, PositivityViolationError
+from bittide_sim.analysis import HORIZON, InsufficientHorizonWarning, PositivityViolationError
 from bittide_sim.cli import main
 from bittide_sim.graph import OrientedGraph, spectral_data
 from bittide_sim.ode import (ParameterError, default_time_step, output_time_step,
@@ -530,7 +530,7 @@ def small_enough(doc) -> bool:
         graph, scn, gains = scenario.load_scenario_dict(copy.deepcopy(doc))
         sd = spectral_data(graph)
         steps = (scn.t_end / output_time_step(sd, gains, scn.output_dt),
-                 30.0 / abs(spectral_abscissa(sd, gains)) / default_time_step(sd, gains),
+                 HORIZON / abs(spectral_abscissa(sd, gains)) / default_time_step(sd, gains),
                  sum(scn.uncorrected_freq) * scn.t_end / scn.meas_period)
     except (scenario.ValidationError, ParameterError):
         return True
@@ -657,14 +657,14 @@ class TestAnalyze:
         tree = read_report(tmp_path / "analysis.json")
         emp = {r["type"]: r for r in tree["reports"]}["performance_empirical"]
         graph, _, gains = load_scenario(SCENARIOS / "triangle_pi.json")
-        assert emp["horizon"] == 30.0 / abs(spectral_abscissa(spectral_data(graph), gains))
+        assert emp["horizon"] == HORIZON / abs(spectral_abscissa(spectral_data(graph), gains))
 
     def test_simulate_horizon_names_controller(self, tmp_path, capsys, monkeypatch):
-        # the --simulate horizon is 30/|spectral abscissa|, not run.t_end
+        # the --simulate horizon is HORIZON/|spectral abscissa|, not run.t_end
         monkeypatch.setattr("bittide_sim.ode.rk4_step_operator", RunStarted.refuse)
         for name, override, cap in (
             ("triangle_pi", "controller.k_p=1e3", "run-size cap"),
-            # 3.9e5 RK4 steps of 400 + 760 cells
+            # 2.6e5 RK4 steps of 400 + 760 cells
             ("mesh_close_pair", 'graph={"generator": "mesh", "rows": 20, "cols": 20}',
              "cell cap"),
         ):
@@ -740,7 +740,7 @@ class TestAnalyze:
         rc = main(["analyze", "--scenario", str(SCENARIOS / "triangle_pi.json"),
                    "--out", str(out)] + flags)
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: pick at least one of ")
+        assert capsys.readouterr().err.startswith("error: analyze: pick at least one of ")
         assert not out.exists()
 
     def test_simulate_needs_performance(self, tmp_path, capsys):
@@ -749,7 +749,7 @@ class TestAnalyze:
         rc = main(["analyze", "--scenario", str(tmp_path / "missing.json"),
                    "--out", str(out), "--resistance", "--simulate"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: --simulate needs --performance\n"
+        assert capsys.readouterr().err == "error: --simulate: needs --performance\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("name, flag, sets, field", [

@@ -112,12 +112,12 @@ REPORT_CASES = {
         ["compare", "--scenario", str(SCENARIOS / "triangle_pi.json")] + README_COMPARE_FLAGS, 0,
         {"comparison.txt": "f522e13a7bd3c6e769a5247bb229b70d3ff5a3c35cdc8498602eda30ab155692",
          "comparison.json": "837fac90491027a20241345bd692b9f30c2daef9381345018e82aaf6d800f6d7"}),
-    # 32,006 fluid rows, so the run forms omega and delta over many chunks
+    # 21,338 fluid rows, so the run forms omega and delta over many chunks
     "analyze_simulate_mesh_close_pair": (
         ["analyze", "--performance", "--simulate",
          "--scenario", str(SCENARIOS / "mesh_close_pair.json")], 0,
-        {"analysis.json": "cb0eff7a8c0fa17f8fc96f19b446e9432e22ec79f531aa302d121f8d0c8eb125",
-         "analysis.txt": "292eec63e0a5c295017af874edfd829f7742303d556a765c44939f6e5949a445"}),
+        {"analysis.json": "19538aa01cdf84ff5577aadf6f7bfd725e6b74e08ec5184c6ce5299125d3cf05",
+         "analysis.txt": "f8092ecaa45ca6fc72388002b12af31d5c9ee24cd0689ca48c211a9a78083349"}),
 }
 
 
